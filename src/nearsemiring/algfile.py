@@ -1,6 +1,7 @@
 """The .alg document format: parse with positioned diagnostics, serialize canonically.
 
-Grammar (whitespace-insensitive between tokens, '#' comments to end of line):
+Grammar (whitespace-insensitive between tokens, '#' outside a string starts a
+comment that runs to the end of the line):
 
     kind  = inrs | luk-nrs | luk-rs | mv
     size  = <int>
@@ -43,17 +44,22 @@ class _Token:
     line: int
     col: int
 
+    def is_punct(self, ch: str) -> bool:
+        # a quoted "]" is a string, not a bracket
+        return self.kind == "punct" and self.value == ch
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    for ln, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0]
+    for ln, line in enumerate(text.split("\n"), start=1):
         i = 0
         while i < len(line):
             ch = line[i]
             if ch.isspace():
                 i += 1
                 continue
+            if ch == "#":  # a comment outside a string runs to the end of the line
+                break
             col = i + 1
             if ch in "[],=":
                 tokens.append(_Token("punct", ch, ln, col))
@@ -116,7 +122,7 @@ class _Parser:
             if key.kind != "word":
                 raise ParseError(f"expected a key, got {key.value!r}", key.line, key.col)
             eq = self._next("'='")
-            if eq.value != "=":
+            if not eq.is_punct("="):
                 raise ParseError(f"expected '=' after {key.value}", eq.line, eq.col)
             value = self.value()
             if key.value in out:
@@ -130,18 +136,18 @@ class _Parser:
             return _Value(int(tok.value), tok.line, tok.col)
         if tok.kind in ("word", "string"):
             return _Value(tok.value, tok.line, tok.col)
-        if tok.value == "[":
+        if tok.is_punct("["):
             items: list[_Value] = []
             while True:
                 nxt = self._peek()
                 if nxt is None:
                     raise ParseError("unterminated list", tok.line, tok.col)
-                if nxt.value == "]":
+                if nxt.is_punct("]"):
                     self._next()
                     break
                 items.append(self.value())
                 sep = self._peek()
-                if sep is not None and sep.value == ",":
+                if sep is not None and sep.is_punct(","):
                     self._next()
             return _Value(tuple(items), tok.line, tok.col)
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
@@ -327,6 +333,25 @@ def serialize(doc: AlgebraDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load(path) -> AlgebraDocument:
+def _read(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        return fh.read()
+
+
+def load(path) -> AlgebraDocument:
+    return parse(_read(path))
+
+
+def load_map(path) -> tuple[Union[int, str], ...]:
+    """The entries of a map document, `map = [..]`: indices or element names."""
+    entries = _Parser(_tokenize(_read(path))).entries()
+    if "map" not in entries:
+        raise ParseError("missing key 'map'", 1, 1)
+    v = entries["map"]
+    if not isinstance(v.payload, tuple):
+        raise ParseError("map must be a list", v.line, v.col)
+    for item in v.payload:
+        if isinstance(item.payload, tuple):
+            raise ParseError("map entries must be integers or element names",
+                             item.line, item.col)
+    return tuple(item.payload for item in v.payload)

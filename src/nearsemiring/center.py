@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .axioms import LUK_NRS, CheckOutcome, Witness, assignments, check_axioms, classify
+from .axioms import (INRS, LUK_NRS, CheckOutcome, Witness, assignments, check_axioms,
+                     classify, require_class)
 from .congruences import Partition, all_congruences, principal_congruence
 from .core import FiniteAlgebra, Homomorphism, leq, product
 from .ideals import ElementSet, generate_ideal, pseudocomplement, principal_ideal
@@ -173,8 +174,71 @@ def verify_boolean_laws(elems: Sequence[int],
 
 
 @dataclass(frozen=True)
+class LawFailure:
+    law: str
+    element: int
+    witness: str
+
+
+@dataclass(frozen=True)
+class CentralLawsReport:
+    failures: tuple[LawFailure, ...]
+    elements: tuple[int, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def _central_laws(alg: FiniteAlgebra, elements: tuple[int, ...]) -> CentralLawsReport:
+    n = alg.size
+    failures: list[LawFailure] = []
+
+    def fail(law: str, e: int, witness: str) -> None:
+        failures.append(LawFailure(law, e, witness))
+
+    for e in elements:
+        if alg.times[e][e] != e:
+            fail("e*e = e", e, "")
+        for a in range(n):
+            if alg.times[e][a] != alg.times[a][e]:
+                fail("e*a = a*e", e, f"a={alg.label(a)}")
+            if leq(alg, a, e) and alg.times[a][e] != a:
+                fail("a<=e implies a*e = a", e, f"a={alg.label(a)}")
+            m = alg.times[e][a]
+            glb_ok = (leq(alg, m, e) and leq(alg, m, a)
+                      and all(leq(alg, c, m) for c in range(n)
+                              if leq(alg, c, e) and leq(alg, c, a)))
+            if not glb_ok:
+                fail("e*b is the meet of e and b", e, f"b={alg.label(a)}")
+            for b in range(n):
+                if alg.times[alg.times[e][a]][b] != alg.times[a][alg.times[e][b]]:
+                    fail("(e*a)*b = a*(e*b)", e, f"a={alg.label(a)}, b={alg.label(b)}")
+        te = alg.times[e]
+        for a, b in itertools.combinations(range(n), 2):
+            if te[alg.plus[a][b]] != alg.plus[te[a]][te[b]]:
+                fail("e distributes over finite joins", e,
+                     f"family={{{alg.label(a)}, {alg.label(b)}}}")
+                break
+    return CentralLawsReport(tuple(failures), elements)
+
+
+def central_laws_report(alg: FiniteAlgebra) -> CentralLawsReport:
+    """Arithmetic every central element must satisfy, checked exhaustively.
+
+    Covers idempotency, commuting and sliding across products, absorption of
+    smaller elements, the meet description of e*b, and distribution over
+    finite joins.  The join law is checked on pairs a < b: by axiom (i) each
+    step of a finite join is e*(s+v) = e*s + e*v for an element s, so the
+    binary law gives every finite join by induction.  Requires an inrs.
+    """
+    require_class(alg, INRS, "central_laws_report")
+    return _central_laws(alg, central_elements(alg))
+
+
+@dataclass(frozen=True)
 class CenterReport:
-    """Ce(A): elements, Boolean structure, and the factor-congruence bijection."""
+    """Ce(A): elements, Boolean structure, the factor-congruence bijection, laws."""
 
     algebra: FiniteAlgebra
     elements: tuple[int, ...]
@@ -183,6 +247,7 @@ class CenterReport:
     boolean_failures: tuple[str, ...]
     factor_bijection_ok: bool
     factor_pairs: tuple[tuple[int, Partition, Partition], ...]
+    laws: CentralLawsReport               # central_laws_report on these elements
 
     @property
     def ok(self) -> bool:
@@ -192,7 +257,11 @@ class CenterReport:
 
 def center(alg: FiniteAlgebra,
            congruences: Optional[tuple[Partition, ...]] = None) -> CenterReport:
-    """All central elements with the Boolean algebra they carry, fully verified."""
+    """All central elements with the Boolean algebra they carry, fully verified.
+
+    Requires an inrs, as central_laws_report does.
+    """
+    require_class(alg, INRS, "center")
     results = [is_central(alg, e, "both") for e in range(alg.size)]
     elements = tuple(r.element for r in results if r.central)
     disagreements = tuple(r.element for r in results if not r.methods_agree)
@@ -236,67 +305,8 @@ def center(alg: FiniteAlgebra,
                     and set(images) == factor_members)
 
     return CenterReport(alg, elements, disagreements, tuple(closure),
-                        tuple(boolean), bijection_ok, pairs)
-
-
-@dataclass(frozen=True)
-class LawFailure:
-    law: str
-    element: int
-    witness: str
-
-
-@dataclass(frozen=True)
-class CentralLawsReport:
-    failures: tuple[LawFailure, ...]
-    elements: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def central_laws_report(alg: FiniteAlgebra) -> CentralLawsReport:
-    """Arithmetic every central element must satisfy, checked exhaustively.
-
-    Covers idempotency, commuting and sliding across products, absorption of
-    smaller elements, the meet description of e*b, and distribution over the
-    join of every subset of the universe.
-    """
-    n = alg.size
-    failures: list[LawFailure] = []
-    elements = central_elements(alg)
-
-    def fail(law: str, e: int, witness: str) -> None:
-        failures.append(LawFailure(law, e, witness))
-
-    for e in elements:
-        if alg.times[e][e] != e:
-            fail("e*e = e", e, "")
-        for a in range(n):
-            if alg.times[e][a] != alg.times[a][e]:
-                fail("e*a = a*e", e, f"a={alg.label(a)}")
-            if leq(alg, a, e) and alg.times[a][e] != a:
-                fail("a<=e implies a*e = a", e, f"a={alg.label(a)}")
-            m = alg.times[e][a]
-            glb_ok = (leq(alg, m, e) and leq(alg, m, a)
-                      and all(leq(alg, c, m) for c in range(n)
-                              if leq(alg, c, e) and leq(alg, c, a)))
-            if not glb_ok:
-                fail("e*b is the meet of e and b", e, f"b={alg.label(a)}")
-            for b in range(n):
-                if alg.times[alg.times[e][a]][b] != alg.times[a][alg.times[e][b]]:
-                    fail("(e*a)*b = a*(e*b)", e, f"a={alg.label(a)}, b={alg.label(b)}")
-        for members in itertools.chain.from_iterable(
-                itertools.combinations(range(n), k) for k in range(1, n + 1)):
-            joined = alg.join_all(members)
-            left = alg.times[e][joined]
-            right = alg.join_all(alg.times[e][v] for v in members)
-            if left != right:
-                fail("e distributes over finite joins", e,
-                     "family=" + "{" + ", ".join(alg.label(v) for v in members) + "}")
-                break
-    return CentralLawsReport(tuple(failures), elements)
+                        tuple(boolean), bijection_ok, pairs,
+                        _central_laws(alg, elements))
 
 
 @dataclass(frozen=True)
@@ -410,7 +420,6 @@ class CentralIdealReport:
 
 
 def central_ideal_check(alg: FiniteAlgebra, e: int) -> CentralIdealReport:
-    from .axioms import require_class
     require_class(alg, LUK_NRS, "central_ideal_check")
     if not syntactic_centrality(alg, e).ok:
         raise ValueError(f"element {alg.label(e)} is not central")

@@ -14,13 +14,12 @@ from typing import Optional, Union
 
 from . import algfile
 from .algfile import AlgebraDocument, ParseError
-from .axioms import CLASSES, LUK_NRS, check_axioms
+from .axioms import CLASSES, INRS, LUK_NRS, check_axioms, require_class
 from .cantor_bernstein import cb_search, cb_sequences, make_cb_instance
-from .center import (center, central_elements, central_laws_report, decompose,
-                     is_central)
+from .center import center, central_elements, decompose, is_central
 from .congruences import all_congruences, malcev_and_regularity_report
 from .core import FiniteAlgebra
-from .hasse import hasse_dot
+from .hasse import covering_pairs, hasse_dot
 from .ideals import (all_ideals, principal_ideal_report, semiring_claims_report)
 from .mv import AdjudicationError, MVAlgebra, from_mv, roundtrip_check, to_mv
 from .reports import EXIT_USAGE, Report
@@ -31,9 +30,9 @@ class UsageError(Exception):
     pass
 
 
-def _load(path: str) -> AlgebraDocument:
+def _load(path: str, reader=algfile.load):
     try:
-        return algfile.load(path)
+        return reader(path)
     except FileNotFoundError:
         raise UsageError(f"{path}: no such file")
     except ParseError as err:
@@ -109,7 +108,7 @@ def cmd_check(args) -> tuple[str, int]:
 
 def cmd_congruences(args) -> tuple[str, int]:
     _, alg = _load_table_algebra(args.file)
-    cons = all_congruences(alg, threads=args.threads, max_size=args.max_size)
+    cons = all_congruences(alg, max_size=args.max_size)
     report = Report(_echo(args))
     report.universe(alg)
     report.section(f"congruences ({len(cons)})")
@@ -124,7 +123,7 @@ def cmd_congruences(args) -> tuple[str, int]:
 
 def cmd_ideals(args) -> tuple[str, int]:
     _, alg = _load_table_algebra(args.file)
-    lattice = all_ideals(alg, threshold=args.threshold, threads=args.threads)
+    lattice = all_ideals(alg, threshold=args.threshold)
     report = Report(_echo(args))
     report.universe(alg)
     report.section(f"ideals ({len(lattice.ideals)})")
@@ -132,7 +131,7 @@ def cmd_ideals(args) -> tuple[str, int]:
         star = lattice.pseudocomplement_of(s)
         report.info(f"ideal {i}: {s.render(alg)}  pseudocomplement: {star.render(alg)}")
     report.section("lattice edges (covering)")
-    for i, j in lattice.covers():
+    for i, j in covering_pairs(len(lattice.ideals), lattice.leq):
         report.info(f"{lattice.ideals[i].render(alg)} < {lattice.ideals[j].render(alg)}")
     if lattice.oracle_partial:
         report.info("oracle partial: subset scan skipped (size above threshold); "
@@ -159,16 +158,16 @@ def cmd_center(args) -> tuple[str, int]:
                    "e -> theta(e,0) bijects onto factor congruences",
                    f"center size {len(rep.elements)}")
     report.section("central element laws")
-    laws = central_laws_report(alg)
-    if laws.ok:
+    if rep.laws.ok:
         report.verdict(True, "all central-element laws")
-    for f in laws.failures:
+    for f in rep.laws.failures:
         report.verdict(False, f"{f.law} at e={alg.label(f.element)}", f.witness)
     return report.render(), report.exit_status
 
 
 def cmd_decompose(args) -> tuple[str, int]:
     _, alg = _load_table_algebra(args.file)
+    require_class(alg, INRS, "decompose")
     e = _resolve_element(alg, args.element)
     res = is_central(alg, e, "both")
     if not res.central:
@@ -247,24 +246,8 @@ def cmd_roundtrip(args) -> tuple[str, int]:
 
 
 def _load_map(path: str, alg_from, alg_to) -> tuple[int, ...]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise UsageError(f"{path}: no such file")
-    tokens = algfile._tokenize(text)
-    entries = algfile._Parser(tokens).entries()
-    if "map" not in entries:
-        raise UsageError(f"{path}: missing 'map = [..]' entry")
-    payload = entries["map"].payload
-    if not isinstance(payload, tuple):
-        raise UsageError(f"{path}: map must be a list")
-    out = []
-    for item in payload:
-        if isinstance(item.payload, int):
-            out.append(item.payload)
-        else:
-            out.append(_resolve_element(alg_to, str(item.payload)))
+    out = [v if isinstance(v, int) else _resolve_element(alg_to, v)
+           for v in _load(path, algfile.load_map)]
     if len(out) != alg_from.size:
         raise UsageError(f"{path}: map must have {alg_from.size} entries")
     for v in out:
@@ -340,12 +323,12 @@ def cmd_enumerate(args) -> tuple[str, int]:
 def cmd_dot(args) -> tuple[str, int]:
     _, alg = _load_table_algebra(args.file)
     if args.lattice == "con":
-        cons = all_congruences(alg, threads=args.threads)
+        cons = all_congruences(alg)
         labels = [_partition_label(alg, p) for p in cons]
         return hasse_dot("congruence_lattice", labels,
                          lambda i, j: cons[i].refines(cons[j])), 0
     if args.lattice == "id":
-        lattice = all_ideals(alg, threshold=args.threshold, threads=args.threads)
+        lattice = all_ideals(alg, threshold=args.threshold)
         labels = [s.render(alg) for s in lattice.ideals]
         return hasse_dot("ideal_lattice", labels, lattice.leq), 0
     elems = central_elements(alg)
@@ -359,8 +342,6 @@ def cmd_dot(args) -> tuple[str, int]:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for scans and enumeration")
     common.add_argument("--max-size", type=int, default=4096,
                         help="guard for products / search caps")
     common.add_argument("--threshold", type=int, default=14,
@@ -431,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--class", dest="algebra_class", choices=CLASSES, default=None)
     p.add_argument("--out", help="directory for the enumerated .alg files")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for the enumeration split")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("dot", parents=[common], help="Hasse diagram as DOT text")

@@ -10,7 +10,6 @@ routes are compared rather than assumed to agree.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -20,6 +19,14 @@ from .core import FiniteAlgebra, SizeLimitError
 from .terms import DIFFERENCE_S, MALCEV_P, eval_term
 
 DEFAULT_MAX_UNIVERSE = 256
+
+
+def _find(parent: list[int], u: int) -> int:
+    """Union-find root of u, halving the path on the way."""
+    while parent[u] != u:
+        parent[u] = parent[parent[u]]
+        u = parent[u]
+    return u
 
 
 @dataclass(frozen=True)
@@ -58,30 +65,16 @@ class Partition:
     @classmethod
     def from_parent(cls, parent: list[int]) -> "Partition":
         n = len(parent)
-
-        def find(u: int) -> int:
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
         groups: dict[int, list[int]] = {}
         for v in range(n):
-            groups.setdefault(find(v), []).append(v)
+            groups.setdefault(_find(parent, v), []).append(v)
         return cls(n, tuple(tuple(g) for g in groups.values()))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
         parent = list(range(n))
-
-        def find(u: int) -> int:
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
         for a, b in pairs:
-            ra, rb = find(a), find(b)
+            ra, rb = _find(parent, a), _find(parent, b)
             if ra != rb:
                 parent[rb] = ra
         return cls.from_parent(parent)
@@ -174,17 +167,10 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
     """Least congruence merging a and b, by union-find fixpoint."""
     n = alg.size
     parent = list(range(n))
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
     pending: list[tuple[int, int]] = []
 
     def union(u: int, v: int) -> None:
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[rv] = ru
             pending.append((u, v))
@@ -256,22 +242,18 @@ def polynomial_pairs(alg: FiniteAlgebra, a: int, b: int) -> PairSet:
     return PairSet(n, frozenset(pairs))
 
 
-def all_congruences(alg: FiniteAlgebra, threads: int = 1,
+def all_congruences(alg: FiniteAlgebra,
                     max_size: int = DEFAULT_MAX_UNIVERSE) -> tuple[Partition, ...]:
     """Complete Con(A): principal congruences closed under pairwise join.
 
     Includes the diagonal and the full relation; output is canonically
-    ordered (finest first) independent of thread scheduling.
+    ordered (finest first).
     """
     n = alg.size
     if n > max_size:
         raise SizeLimitError(f"universe size {n} exceeds the {max_size} limit")
-    gen_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    if threads > 1 and gen_pairs:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            principals = list(pool.map(lambda p: principal_congruence(alg, *p), gen_pairs))
-    else:
-        principals = [principal_congruence(alg, a, b) for a, b in gen_pairs]
+    principals = [principal_congruence(alg, a, b)
+                  for a in range(n) for b in range(a + 1, n)]
 
     cons: set[Partition] = {Partition.discrete(n), *principals}
     frontier = list(cons)

@@ -9,7 +9,6 @@ surface as report findings, never as crashes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -317,21 +316,9 @@ class IdealLattice:
             acc = self.join_table[acc][i]
         return self.ideals[acc]
 
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Covering pairs (i, j): ideals[i] < ideals[j] with nothing between."""
-        out = []
-        k = len(self.ideals)
-        for i in range(k):
-            for j in range(k):
-                if i != j and self.leq(i, j):
-                    if not any(m != i and m != j and self.leq(i, m) and self.leq(m, j)
-                               for m in range(k)):
-                        out.append((i, j))
-        return tuple(out)
 
-
-def all_ideals(alg: FiniteAlgebra, threshold: int = DEFAULT_SUBSET_THRESHOLD,
-               threads: int = 1) -> IdealLattice:
+def all_ideals(alg: FiniteAlgebra,
+               threshold: int = DEFAULT_SUBSET_THRESHOLD) -> IdealLattice:
     """Id(A) with the lattice structure, cross-checked against Con(A) kernels.
 
     Within the brute-force threshold every subset is tested against the ideal
@@ -341,26 +328,15 @@ def all_ideals(alg: FiniteAlgebra, threshold: int = DEFAULT_SUBSET_THRESHOLD,
     """
     require_class(alg, LUK_NRS, "all_ideals")
     n = alg.size
-    cons = all_congruences(alg, threads=threads)
+    cons = all_congruences(alg)
     kernels = {ElementSet.from_members(n, p.block_of(alg.zero)).mask for p in cons}
 
     oracle_partial = n > threshold
     if not oracle_partial:
         tables = _ScanTables(alg)
         zero_bit = 1 << alg.zero
-        candidates = range(0, 1 << n)
-
-        def scan(chunk: range) -> list[int]:
-            return [m for m in chunk if (m & zero_bit) and tables.is_ideal_mask(m)]
-
-        if threads > 1:
-            step = max(1, (1 << n) // threads)
-            chunks = [range(lo, min(lo + step, 1 << n))
-                      for lo in range(0, 1 << n, step)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                scanned = [m for part in pool.map(scan, chunks) for m in part]
-        else:
-            scanned = scan(candidates)
+        scanned = [m for m in range(1 << n)
+                   if (m & zero_bit) and tables.is_ideal_mask(m)]
         if set(scanned) != kernels:
             raise AssertionError(
                 "ideal predicate and congruence kernels disagree on a "
@@ -508,15 +484,15 @@ def skeleton(alg: FiniteAlgebra, lattice: Optional[IdealLattice] = None) -> Skel
     else:
         failures.extend(verify_boolean_laws(range(len(members)), meet, join, comp, bot, top))
 
-    central = sorted((principal_ideal(alg, e) for e in central_elements(alg)),
-                     key=set_sort_key)
+    ce = central_elements(alg)
+    central = sorted((principal_ideal(alg, e) for e in ce), key=set_sort_key)
     intervals_ok = True
     for s in members:
         tops = [e for e in s.members()
                 if all(alg.plus[v][e] == e for v in s.members())]
         down = tops and ElementSet.from_members(
             alg.size, (v for v in range(alg.size) if alg.plus[v][tops[0]] == tops[0]))
-        if not tops or down.mask != s.mask or tops[0] not in set(central_elements(alg)):
+        if not tops or down.mask != s.mask or tops[0] not in ce:
             intervals_ok = False
     return SkeletonReport(members, tuple(failures), tuple(central), intervals_ok)
 

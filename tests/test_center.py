@@ -7,7 +7,7 @@ from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
 from nearsemiring.center import (center, central_elements, central_ideal_check,
                                  central_laws_report, decompose,
                                  interval_algebra, is_central, q)
-from nearsemiring.core import find_isomorphism, leq
+from nearsemiring.core import FiniteAlgebra, find_isomorphism, leq
 
 L3 = luk_chain(3)
 CORPUS = (boolean2(), L3, luk_chain(4), b2_x_b2(), b2_x_l3(), godel3(), trivial())
@@ -68,6 +68,14 @@ def test_central_laws_hold_on_corpus():
     for alg in CORPUS:
         report = central_laws_report(alg)
         assert report.ok, report.failures
+
+
+def test_center_and_central_laws_need_an_inrs():
+    xor = FiniteAlgebra(size=2, plus=[[0, 1], [1, 0]], times=[[0, 0], [0, 1]],
+                        alpha=[1, 0], zero=0, one=1)
+    for fn in (center, central_laws_report):
+        with pytest.raises(ValueError, match=r"fails inrs axiom \(i\)"):
+            fn(xor)
 
 
 def test_central_law_spot_values():

@@ -1,3 +1,4 @@
+import importlib
 import os
 
 from nearsemiring import bundled_file
@@ -184,8 +185,8 @@ def test_usage_exit_code(capsys):
 
 
 def test_exit_statuses_deterministic(capsys):
-    # identical body (everything after the argv echo) regardless of threads
-    s1, out1, _ = run(capsys, "claims", path("l3.alg"), "--threads", "2")
+    # identical body (everything after the argv echo) on a repeated run
+    s1, out1, _ = run(capsys, "claims", path("l3.alg"))
     s2, out2, _ = run(capsys, "claims", path("l3.alg"))
     body1 = out1.split("\n", 1)[1]
     body2 = out2.split("\n", 1)[1]
@@ -207,3 +208,61 @@ def test_check_defaults_to_file_kind(capsys):
     status, out, _ = run(capsys, "check", path("g3.alg"))
     assert status == 0
     assert "axioms (inrs)" in out
+
+
+def test_cb_map_parse_and_missing_file_errors(tmp_path, capsys):
+    ok = tmp_path / "ok.map"
+    ok.write_text("map = [0, 1, 2, 3, 4, 5]\n")
+    bad = tmp_path / "bad.map"
+    bad.write_text("map = [0, 1,\n")
+    common = ("cb", path("b2xl3.alg"), path("l3xb2.alg"), "--a", "5", "--b", "5")
+    status, _, err = run(capsys, *common, "--gamma", str(bad), "--beta", str(ok))
+    assert status == 2
+    assert err.startswith(f"error: {bad}: line 1, col 7: unterminated list")
+    missing = tmp_path / "nope.map"
+    status, _, err = run(capsys, *common, "--gamma", str(ok), "--beta", str(missing))
+    assert status == 2
+    assert err == f"error: {missing}: no such file\n"
+
+
+NOT_INRS = ("kind = inrs\nsize = 2\nzero = 0\none = 1\n"
+            "plus = [[0, 1], [1, 0]]\ntimes = [[0, 0], [0, 1]]\nalpha = [1, 0]\n")
+
+
+def test_center_and_decompose_reject_non_inrs(tmp_path, capsys):
+    table = tmp_path / "xor.alg"
+    table.write_text(NOT_INRS)  # x+x = 0: fails axiom (i)
+    for argv in (("center", str(table)), ("decompose", str(table), "--element", "1")):
+        status, out, err = run(capsys, *argv)
+        assert status == 2 and out == ""
+        assert err.startswith("error: algebra fails inrs axiom (i)")
+        assert "Traceback" not in err
+
+
+def test_center_evaluates_syntactic_centrality_once_per_element(monkeypatch, capsys):
+    # the package re-exports the center() function under the module's name
+    center_module = importlib.import_module("nearsemiring.center")
+    calls = []
+    original = center_module.syntactic_centrality
+
+    def counting(alg, e):
+        calls.append(e)
+        return original(alg, e)
+
+    monkeypatch.setattr(center_module, "syntactic_centrality", counting)
+    status, _, _ = run(capsys, "center", path("b2xl3.alg"))
+    assert status == 0
+    assert sorted(calls) == list(range(6))
+
+
+def test_threads_is_an_enumerate_flag_only(tmp_path, capsys):
+    status, _, _ = run(capsys, "ideals", path("l3.alg"), "--threads", "2")
+    assert status == 2
+    listed = []
+    for extra in ((), ("--threads", "2")):
+        out_dir = tmp_path / f"models{len(extra)}"
+        status, _, _ = run(capsys, "enumerate", "--size", "4", "--class", "luk-nrs",
+                           "--out", str(out_dir), *extra)
+        assert status == 0
+        listed.append(sorted(os.listdir(out_dir)))
+    assert listed[0] == listed[1] and len(listed[0]) == 3

@@ -117,11 +117,6 @@ def test_all_ideals_counts_and_members():
     assert [s.members() for s in lat.ideals] == [(0,), (0, 3), (0, 1, 2), (0, 1, 2, 3, 4, 5)]
 
 
-def test_all_ideals_thread_stability():
-    for alg in (L3, b2_x_l3()):
-        assert all_ideals(alg).ideals == all_ideals(alg, threads=2).ideals
-
-
 def test_all_ideals_rejects_non_luk():
     with pytest.raises(ValueError, match=r"\(vii\)"):
         all_ideals(godel3())

@@ -1,8 +1,11 @@
 """Property tests over randomly drawn elements, subsets and relabelings."""
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearsemiring.algfile import AlgebraDocument, parse, serialize
 from nearsemiring.axioms import LUK_NRS
 from nearsemiring.catalog import b2_x_l3, luk_chain
 from nearsemiring.congruences import principal_congruence, polynomial_pairs
@@ -51,3 +54,15 @@ def test_generated_ideal_is_least_ideal_containing_seed(alg, data):
             continue
         smaller = ElementSet(alg.size, grown.mask & ~(1 << v))
         assert not is_ideal(alg, smaller).ok or not seed.issubset(smaller)
+
+
+NAME = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")))
+L3_DOC = AlgebraDocument.from_algebra(luk_chain(3), "luk-rs")
+
+
+@given(st.lists(NAME, min_size=3, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_serialized_names_parse_back(names):
+    # '#', quotes and backslashes inside a name must survive the round trip
+    doc = dataclasses.replace(L3_DOC, names=tuple(names))
+    assert parse(serialize(doc)) == doc

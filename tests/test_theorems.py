@@ -9,10 +9,11 @@ well beyond products of chains.
 import itertools
 
 from nearsemiring.axioms import INRS, LUK_NRS, LUK_RS, check_axioms
-from nearsemiring.catalog import godel3
-from nearsemiring.center import (central_elements, central_laws_report,
-                                 decompose, is_central)
+from nearsemiring.catalog import godel3, luk_chain
+from nearsemiring.center import (CentralLawsReport, LawFailure, central_elements,
+                                 central_laws_report, decompose, is_central)
 from nearsemiring.congruences import all_congruences, werner_comparison
+from nearsemiring.core import leq, product
 from nearsemiring.ideals import ElementSet, is_ideal
 from nearsemiring.search import EnumerationTask, enumerate_algebras
 
@@ -49,6 +50,65 @@ def test_central_laws_and_decompositions_on_every_lukasiewicz_model():
         assert central_laws_report(alg).ok
         for e in central_elements(alg):
             assert decompose(alg, e).verified
+
+
+def fold_central_laws(alg):
+    """Reference for central_laws_report: the join law folded over every subset."""
+    n = alg.size
+    failures = []
+    elements = central_elements(alg)
+
+    def fail(law, e, witness):
+        failures.append(LawFailure(law, e, witness))
+
+    for e in elements:
+        if alg.times[e][e] != e:
+            fail("e*e = e", e, "")
+        for a in range(n):
+            if alg.times[e][a] != alg.times[a][e]:
+                fail("e*a = a*e", e, f"a={alg.label(a)}")
+            if leq(alg, a, e) and alg.times[a][e] != a:
+                fail("a<=e implies a*e = a", e, f"a={alg.label(a)}")
+            m = alg.times[e][a]
+            glb_ok = (leq(alg, m, e) and leq(alg, m, a)
+                      and all(leq(alg, c, m) for c in range(n)
+                              if leq(alg, c, e) and leq(alg, c, a)))
+            if not glb_ok:
+                fail("e*b is the meet of e and b", e, f"b={alg.label(a)}")
+            for b in range(n):
+                if alg.times[alg.times[e][a]][b] != alg.times[a][alg.times[e][b]]:
+                    fail("(e*a)*b = a*(e*b)", e, f"a={alg.label(a)}, b={alg.label(b)}")
+        for members in itertools.chain.from_iterable(
+                itertools.combinations(range(n), k) for k in range(1, n + 1)):
+            joined = alg.join_all(members)
+            left = alg.times[e][joined]
+            right = alg.join_all(alg.times[e][v] for v in members)
+            if left != right:
+                fail("e distributes over finite joins", e,
+                     "family=" + "{" + ", ".join(alg.label(v) for v in members) + "}")
+                break
+    return CentralLawsReport(tuple(failures), elements)
+
+
+def chain_products(max_n):
+    """Every product of Lukasiewicz chains, in every factor order, of size <= max_n."""
+    out = []
+
+    def grow(alg):
+        out.append(alg)
+        for k in range(2, max_n // alg.size + 1):
+            grow(product(alg, luk_chain(k)))
+
+    for k in range(2, max_n + 1):
+        grow(luk_chain(k))
+    return out
+
+
+def test_pair_checked_join_law_matches_the_subset_fold():
+    algebras = pool(INRS, 4) + chain_products(8)
+    assert max(alg.size for alg in algebras) == 8
+    for alg in algebras:
+        assert central_laws_report(alg) == fold_central_laws(alg)
 
 
 def test_polynomial_orbit_closure_is_the_principal_congruence_everywhere():
