@@ -13,7 +13,7 @@ alg = b2_x_l3()
 
 print("element-by-element centrality (equational vs factor-pair):")
 for e in range(alg.size):
-    res = is_central(alg, e, "both")
+    res = is_central(alg, e)
     marks = "central" if res.central else "not central"
     agree = "" if res.methods_agree else "  METHODS DISAGREE"
     print(f"  {alg.label(e):<6} {marks}{agree}")

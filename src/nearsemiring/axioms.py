@@ -4,18 +4,22 @@ Everything here is deliberately brute force (O(n^k) scans over all variable
 assignments) -- these checkers are the oracles the rest of the workbench
 leans on, so they take no algebraic shortcuts.
 
-Witness search scans assignments with the first variable varying fastest;
-the first failing assignment is the reported witness.
+Each identity is compiled, on first use, into one generated Python scan: nested
+loops over the operation tables with the first variable varying fastest, so
+the first failing assignment is the reported witness.  The generated source
+names only the tables and its own loop variables.  ``terms.eval_term`` stays the
+reference semantics the compiled scans are tested against.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Mapping, Optional, Sequence
 
 from .core import FiniteAlgebra, leq
-from .terms import (JOIN_FROM_TIMES, LUK_LHS, LUK_RHS, Term, eval_term, x, y, z)
+from .terms import (JOIN_FROM_TIMES, LUK_LHS, LUK_RHS, ONE, ZERO, Alpha, Const, Plus,
+                    Term, Times, Var, x, y, z)
 
 INRS = "inrs"
 LUK_NRS = "luk-nrs"
@@ -47,24 +51,58 @@ class CheckOutcome:
     detail: str = ""
 
 
-def assignments(variables: Sequence[str], n: int):
-    """All environments, first variable fastest."""
-    k = len(variables)
-    rev = tuple(reversed(variables))
-    for combo in itertools.product(range(n), repeat=k):
-        yield dict(zip(rev, combo))
+def _source(t: Term, slot: Mapping[str, str]) -> str:
+    """t as a Python expression over the tables; a variable reads its slot."""
+    if isinstance(t, Var):
+        return slot[t.name]
+    if isinstance(t, Const):
+        return "Z" if t.which == "0" else "O"
+    if isinstance(t, Plus):
+        return f"P[{_source(t.left, slot)}][{_source(t.right, slot)}]"
+    if isinstance(t, Times):
+        return f"T[{_source(t.left, slot)}][{_source(t.right, slot)}]"
+    if isinstance(t, Alpha):
+        return f"A[{_source(t.arg, slot)}]"
+    raise TypeError(f"not a term: {t!r}")
+
+
+@lru_cache(maxsize=256)
+def _compile(lhs: Term, rhs: Term, fixed: tuple[str, ...]
+             ) -> tuple[tuple[str, ...], Callable]:
+    """The scanned variables and the scan for lhs = rhs.
+
+    ``scan(P, T, A, Z, O, R, *fixed values)`` takes the plus, times and alpha
+    tables, the constants 0 and 1 and range(n), and iterates over the failing
+    assignments, first variable fastest, as tuples (values..., lhs, rhs).
+    """
+    variables = tuple(v for v in dict.fromkeys(lhs.variables() + rhs.variables())
+                      if v not in fixed)
+    slot = {name: f"f{i}" for i, name in enumerate(fixed)}
+    slot.update((name, f"v{i}") for i, name in enumerate(variables))
+    left, right = _source(lhs, slot), _source(rhs, slot)
+    params = ", ".join(["P", "T", "A", "Z", "O", "R"] + [f"f{i}" for i in range(len(fixed))])
+    found = "".join(f"v{i}, " for i in range(len(variables))) + f"{left}, {right}"
+    # an identity without scanned variables is checked at one dummy assignment
+    loops = "".join(f" for v{i} in R" for i in reversed(range(len(variables)))) or " for v0 in (0,)"
+    return variables, eval(f"lambda {params}: (({found}){loops} if {left} != {right})", {})
 
 
 def check_identity(alg: FiniteAlgebra, name: str, lhs: Term, rhs: Term,
-                   detail: str = "") -> CheckOutcome:
-    variables = tuple(dict.fromkeys(lhs.variables() + rhs.variables()))
-    for env in assignments(variables, alg.size):
-        l = eval_term(alg, lhs, env)
-        r = eval_term(alg, rhs, env)
-        if l != r:
-            w = Witness(tuple((v, env[v]) for v in variables), l, r)
-            return CheckOutcome(name, False, w, detail)
-    return CheckOutcome(name, True, detail=detail)
+                   detail: str = "", fixed: Optional[Mapping[str, int]] = None
+                   ) -> CheckOutcome:
+    """Scan every assignment of the variables of lhs = rhs for a failure.
+
+    Variables in ``fixed`` are bound to the given elements: they are not
+    scanned and do not appear in the witness.
+    """
+    fixed = fixed or {}
+    variables, scan = _compile(lhs, rhs, tuple(fixed))
+    hit = next(scan(alg.plus, alg.times, alg.alpha, alg.zero, alg.one,
+                    range(alg.size), *fixed.values()), None)
+    if hit is None:
+        return CheckOutcome(name, True, detail=detail)
+    *values, l, r = hit
+    return CheckOutcome(name, False, Witness(tuple(zip(variables, values)), l, r), detail)
 
 
 def first_failure(alg: FiniteAlgebra, name: str,
@@ -78,7 +116,6 @@ def first_failure(alg: FiniteAlgebra, name: str,
 
 
 def _semilattice(alg: FiniteAlgebra) -> CheckOutcome:
-    from .terms import ONE, ZERO
     laws = [
         ("x+x = x", x + x, x),
         ("x+y = y+x", x + y, y + x),
@@ -90,13 +127,12 @@ def _semilattice(alg: FiniteAlgebra) -> CheckOutcome:
 
 
 def _antitone(alg: FiniteAlgebra) -> CheckOutcome:
-    n = alg.size
-    for env in assignments(("x", "y"), n):
-        a, b = env["x"], env["y"]
-        if leq(alg, a, b) and not leq(alg, alg.alpha[b], alg.alpha[a]):
-            w = Witness((("x", a), ("y", b)),
-                        alg.plus[alg.alpha[b]][alg.alpha[a]], alg.alpha[a])
-            return CheckOutcome("(vi)", False, w, "x<=y but not y^a<=x^a")
+    for b in range(alg.size):
+        for a in range(alg.size):
+            if leq(alg, a, b) and not leq(alg, alg.alpha[b], alg.alpha[a]):
+                w = Witness((("x", a), ("y", b)),
+                            alg.plus[alg.alpha[b]][alg.alpha[a]], alg.alpha[a])
+                return CheckOutcome("(vi)", False, w, "x<=y but not y^a<=x^a")
     return CheckOutcome("(vi)", True)
 
 
@@ -134,7 +170,6 @@ def check_axioms(alg: FiniteAlgebra, algebra_class: str = LUK_NRS) -> AxiomRepor
     """
     if algebra_class not in CLASSES:
         raise ValueError(f"unknown class {algebra_class!r}; expected one of {CLASSES}")
-    from .terms import ONE, ZERO
 
     checks: list[CheckOutcome] = [
         _semilattice(alg),

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .axioms import CheckOutcome
+from .axioms import INRS, CheckOutcome, require_class
 from .center import Interval, central_elements, interval_algebra, syntactic_centrality
 from .core import FiniteAlgebra, Homomorphism, leq, product
 
@@ -307,11 +307,13 @@ def cb_search(algebra_a: FiniteAlgebra, algebra_b: FiniteAlgebra,
 
     For every qualifying pair the full construction runs and the resulting
     isomorphism is verified.  Enumeration is capped at max_pairs central
-    pairs (documented default 256).
+    pairs (documented default 256).  Both algebras must be inrs.
     """
     from .core import find_isomorphism
 
     A, B = algebra_a, algebra_b
+    require_class(A, INRS, "cb_search, algebra A")
+    require_class(B, INRS, "cb_search, algebra B")
     notes: list[str] = []
     found: list[CBFound] = []
     searched = 0

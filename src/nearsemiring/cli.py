@@ -169,7 +169,7 @@ def cmd_decompose(args) -> tuple[str, int]:
     _, alg = _load_table_algebra(args.file)
     require_class(alg, INRS, "decompose")
     e = _resolve_element(alg, args.element)
-    res = is_central(alg, e, "both")
+    res = is_central(alg, e)
     if not res.central:
         raise UsageError(f"element {alg.label(e)} is not central; decomposition needs "
                          "a central element")
@@ -331,6 +331,7 @@ def cmd_dot(args) -> tuple[str, int]:
         lattice = all_ideals(alg, threshold=args.threshold)
         labels = [s.render(alg) for s in lattice.ideals]
         return hasse_dot("ideal_lattice", labels, lattice.leq), 0
+    require_class(alg, INRS, "dot --lattice ce")
     elems = central_elements(alg)
     labels = [alg.label(e) for e in elems]
     return hasse_dot("center", labels,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .axioms import CheckOutcome, assignments
+from .axioms import CheckOutcome, check_identity
 from .core import FiniteAlgebra, SizeLimitError
-from .terms import DIFFERENCE_S, MALCEV_P, eval_term
+from .terms import ZERO, difference_s, malcev_p, x, y
 
 DEFAULT_MAX_UNIVERSE = 256
 
@@ -319,30 +319,10 @@ def malcev_and_regularity_report(alg: FiniteAlgebra,
     On a Lukasiewicz near semiring every check passes; on other inputs the
     report documents what breaks and where.
     """
-    from .axioms import Witness
-
-    checks: list[CheckOutcome] = []
-
-    def scan(name: str, variables: tuple[str, ...], fn) -> None:
-        for env in assignments(variables, alg.size):
-            got, want = fn(env)
-            if got != want:
-                w = Witness(tuple((v, env[v]) for v in variables), got, want)
-                checks.append(CheckOutcome(name, False, w))
-                return
-        checks.append(CheckOutcome(name, True))
-
-    scan("p(x,y,y) = x", ("x", "y"),
-         lambda env: (eval_term(alg, MALCEV_P, {"x": env["x"], "y": env["y"], "z": env["y"]}),
-                      env["x"]))
-    scan("p(x,x,y) = y", ("x", "y"),
-         lambda env: (eval_term(alg, MALCEV_P, {"x": env["x"], "y": env["x"], "z": env["y"]}),
-                      env["y"]))
-    scan("s(x,x) = 0", ("x",),
-         lambda env: (eval_term(alg, DIFFERENCE_S, {"x": env["x"], "y": env["x"]}), alg.zero))
-    scan("s(0,x) = x", ("x",),
-         lambda env: (eval_term(alg, DIFFERENCE_S, {"x": alg.zero, "y": env["x"]}), env["x"]))
-
+    checks = [check_identity(alg, "p(x,y,y) = x", malcev_p(x, y, y), x),
+              check_identity(alg, "p(x,x,y) = y", malcev_p(x, x, y), y),
+              check_identity(alg, "s(x,x) = 0", difference_s(x, x), ZERO),
+              check_identity(alg, "s(0,x) = x", difference_s(ZERO, x), x)]
     cons = congruences if congruences is not None else all_congruences(alg)
 
     bad = next(((p, q) for p, q in itertools.combinations(cons, 2)

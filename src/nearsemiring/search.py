@@ -143,18 +143,6 @@ def _semilattice_ok_partial(P: list[list[Optional[int]]], n: int) -> bool:
     return True
 
 
-def _semilattice_ok_full(P: list[list[int]], n: int) -> bool:
-    for a in range(n):
-        for b in range(n):
-            v = P[a][b]
-            if P[v][a] != v or P[v][b] != v:   # x+y is an upper bound of both
-                return False
-            for c in range(n):
-                if P[P[a][b]][c] != P[a][P[b][c]]:
-                    return False
-    return True
-
-
 def _antitone_involutions(P: list[list[int]], n: int) -> list[tuple[int, ...]]:
     """Involutions with alpha(0) = n-1 that reverse the induced order."""
     mid = list(range(1, n - 1))
@@ -243,9 +231,10 @@ class _Search:
     def _plus_phase(self, P: list[list[Optional[int]]], k: int) -> None:
         n = self.n
         if k == len(self.plus_cells):
-            table = [[v for v in row] for row in P]  # type: ignore[misc]
-            if _semilattice_ok_full(table, n):       # full re-check, pruning is partial
-                self._alpha_phase(table)
+            # every cell is set, so the last partial check covered all of
+            # associativity (for n <= 3 no cell is free and the table is a
+            # chain); commutativity and idempotence hold by construction
+            self._alpha_phase([[v for v in row] for row in P])  # type: ignore[misc]
             return
         i, j = self.plus_cells[k]
         values: Sequence[int] = range(1, n)

@@ -128,11 +128,17 @@ LUK_RHS = (y * x.a).a * x.a
 #: join recovered from the multiplication: x + y = ((x * y^a)^a * y^a)^a
 JOIN_FROM_TIMES = ((x * y.a).a * y.a).a
 
-#: ternary if-then-else witness q(x, y, z) = x*y + x^a*z
-CHURCH_Q = x * y + x.a * z
 
-#: permutability witness p(x,y,z) = (((x*y^a)^a*z^a) + ((z*y^a)^a*x^a))^a
-MALCEV_P = ((x * y.a).a * z.a + (z * y.a).a * x.a).a
+def church_q(x: Term, y: Term, z: Term) -> Term:
+    """Ternary if-then-else witness q(x, y, z) = x*y + x^a*z."""
+    return x * y + x.a * z
 
-#: subtraction-style difference witness s(x, y) = x^a * y
-DIFFERENCE_S = x.a * y
+
+def malcev_p(x: Term, y: Term, z: Term) -> Term:
+    """Permutability witness p(x,y,z) = (((x*y^a)^a*z^a) + ((z*y^a)^a*x^a))^a."""
+    return ((x * y.a).a * z.a + (z * y.a).a * x.a).a
+
+
+def difference_s(x: Term, y: Term) -> Term:
+    """Subtraction-style difference witness s(x, y) = x^a * y."""
+    return x.a * y

@@ -119,7 +119,7 @@ def test_criterion_5_centrality():
     with criterion(5, "centrality and decomposition", 30.0):
         for alg in CORPUS + (godel3(), trivial()):
             for e in range(alg.size):
-                assert is_central(alg, e, "both").methods_agree
+                assert is_central(alg, e).methods_agree
         for alg in CORPUS:
             from nearsemiring.center import center
             report = center(alg)

@@ -71,9 +71,9 @@ def test_trace_elements_are_central():
     for inst in INSTANCES:
         trace = cb_sequences(inst)
         for v in trace.vs + trace.es:
-            assert is_central(inst.algebra_a, v, "both").central
+            assert is_central(inst.algebra_a, v).central
         for u in trace.us + trace.ds:
-            assert is_central(inst.algebra_b, u, "both").central
+            assert is_central(inst.algebra_b, u).central
 
 
 def test_partition_decomposition_b2xl3():

@@ -27,20 +27,20 @@ def test_q_e_1_0_returns_e_on_l3():
 
 
 def test_middle_of_l3_is_not_central():
-    result = is_central(L3, 1, "both")
+    result = is_central(L3, 1)
     assert not result.central
     assert result.methods_agree
-    assert result.syntactic is not None and result.syntactic.witness is not None
+    assert result.syntactic.witness is not None
 
 
 def test_bounds_are_central_everywhere():
     for alg in CORPUS:
         for e in (alg.zero, alg.one):
-            assert is_central(alg, e, "both").central
+            assert is_central(alg, e).central
 
 
 def test_product_coordinate_elements_central():
-    res = is_central(b2_x_l3(), 3, "both")  # (1,0)
+    res = is_central(b2_x_l3(), 3)  # (1,0)
     assert res.central and res.methods_agree
     sem = res.semantic
     assert sem.meet_is_diagonal and sem.join_is_full and sem.permute
@@ -50,7 +50,7 @@ def test_product_coordinate_elements_central():
 def test_methods_agree_on_every_corpus_element():
     for alg in CORPUS:
         for e in range(alg.size):
-            assert is_central(alg, e, "both").methods_agree
+            assert is_central(alg, e).methods_agree
 
 
 def test_center_reports():
@@ -162,11 +162,6 @@ def test_center_order_matches_leq():
         elems = center(alg).elements
         for e, f in itertools.product(elems, repeat=2):
             assert (alg.times[e][f] == e) == leq(alg, e, f)
-
-
-def test_is_central_rejects_unknown_method():
-    with pytest.raises(ValueError, match="unknown method"):
-        is_central(L3, 0, "guess")
 
 
 def test_central_ideal_check_rejects_non_central():

@@ -1,5 +1,11 @@
 import importlib
+import io
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearsemiring import bundled_file
 from nearsemiring.algfile import load, parse
@@ -266,3 +272,51 @@ def test_threads_is_an_enumerate_flag_only(tmp_path, capsys):
         assert status == 0
         listed.append(sorted(os.listdir(out_dir)))
     assert listed[0] == listed[1] and len(listed[0]) == 3
+
+
+# fails axiom (i), since 0+1 = 0 but 1+0 = 1; the interval construction over
+# its central elements used to end in an AssertionError
+NOT_INRS_CENTRAL = ("kind = inrs\nsize = 2\nzero = 0\none = 1\n"
+                    "plus = [[0, 0], [1, 1]]\ntimes = [[1, 1], [0, 1]]\nalpha = [1, 1]\n")
+
+
+def test_cb_search_and_dot_center_reject_non_inrs(tmp_path, capsys):
+    for i, text in enumerate((NOT_INRS, NOT_INRS_CENTRAL)):
+        table = tmp_path / f"t{i}.alg"
+        table.write_text(text)
+        for argv in (("cb", str(table), path("b2.alg"), "--search"),
+                     ("cb", path("b2.alg"), str(table), "--search"),
+                     ("dot", str(table), "--lattice", "ce")):
+            status, out, err = run(capsys, *argv)
+            assert status == 2 and out == ""
+            assert err.startswith("error: algebra fails inrs axiom (i)")
+
+
+TABLE_COMMANDS = (("check",), ("congruences",), ("ideals",), ("center",),
+                  ("decompose", "--element", "1"), ("principal-ideal", "--element", "1"),
+                  ("claims",), ("to-mv",), ("roundtrip",), ("cb", "--search"),
+                  ("dot", "--lattice", "con"), ("dot", "--lattice", "id"),
+                  ("dot", "--lattice", "ce"))
+
+
+@st.composite
+def table_documents(draw):
+    n = draw(st.integers(2, 4))
+    cell = st.integers(0, n - 1)
+    square = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    return (f"kind = inrs\nsize = {n}\nzero = {draw(cell)}\none = {draw(cell)}\n"
+            f"plus = {draw(square)}\ntimes = {draw(square)}\n"
+            f"alpha = {draw(st.lists(cell, min_size=n, max_size=n))}\n")
+
+
+@given(table_documents())
+@settings(max_examples=50, deadline=None)
+def test_every_table_command_exits_with_a_status_on_random_tables(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        table = os.path.join(tmp, "t.alg")
+        with open(table, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command, *extra in TABLE_COMMANDS:
+            argv = [command, table, table, *extra] if command == "cb" else [command, table, *extra]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)

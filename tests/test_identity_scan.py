@@ -1,0 +1,134 @@
+"""The compiled identity scan of check_identity against an interpreted reference.
+
+The reference walks the same assignments (first variable fastest) with
+itertools.product and evaluates both sides with eval_term, so the two must
+return the same CheckOutcome, witness included.
+"""
+
+import itertools
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nearsemiring import axioms
+from nearsemiring.axioms import INRS, LUK_RS, CheckOutcome, Witness, check_axioms, check_identity
+from nearsemiring.catalog import boolean2, full_corpus, l3_x_b2
+from nearsemiring.center import CENTRALITY_LAWS
+from nearsemiring.core import FiniteAlgebra
+from nearsemiring.search import EnumerationTask, enumerate_algebras
+from nearsemiring.terms import (ONE, ZERO, Alpha, Plus, Times, Var, difference_s,
+                                eval_term, malcev_p, x, y)
+
+
+def reference_check(alg, name, lhs, rhs, detail="", fixed=None):
+    fixed = fixed or {}
+    variables = [v for v in dict.fromkeys(lhs.variables() + rhs.variables())
+                 if v not in fixed]
+    for combo in itertools.product(range(alg.size), repeat=len(variables)):
+        env = dict(zip(reversed(variables), combo))
+        l, r = (eval_term(alg, t, {**fixed, **env}) for t in (lhs, rhs))
+        if l != r:
+            w = Witness(tuple((v, env[v]) for v in variables), l, r)
+            return CheckOutcome(name, False, w, detail)
+    return CheckOutcome(name, True, detail=detail)
+
+
+def axiom_identities():
+    """Every (name, lhs, rhs, detail) check_axioms hands to check_identity.
+
+    The 2-element Boolean algebra passes every axiom, so no bundle stops early.
+    """
+    seen = []
+
+    def record(alg, name, lhs, rhs, detail=""):
+        seen.append((name, lhs, rhs, detail))
+        return reference_check(alg, name, lhs, rhs, detail)
+
+    original = axioms.check_identity
+    axioms.check_identity = record
+    try:
+        check_axioms(boolean2(), LUK_RS)
+    finally:
+        axioms.check_identity = original
+    return seen
+
+
+MALCEV_INSTANCES = (("p(x,y,y) = x", malcev_p(x, y, y), x),
+                    ("p(x,x,y) = y", malcev_p(x, x, y), y),
+                    ("s(x,x) = 0", difference_s(x, x), ZERO),
+                    ("s(0,x) = x", difference_s(ZERO, x), x))
+ALGEBRAS = (full_corpus() + (l3_x_b2(),)
+            + tuple(alg for n in range(2, 5)
+                    for alg in enumerate_algebras(EnumerationTask(n, INRS))))
+
+
+def test_axiom_identities_match_the_reference():
+    identities = axiom_identities()
+    assert len(identities) == 19
+    for alg in ALGEBRAS:
+        for name, lhs, rhs, detail in identities:
+            assert (check_identity(alg, name, lhs, rhs, detail)
+                    == reference_check(alg, name, lhs, rhs, detail))
+
+
+def test_centrality_laws_match_the_reference_for_every_element():
+    failures = 0
+    for alg in ALGEBRAS:
+        for e in range(alg.size):
+            for name, lhs, rhs in CENTRALITY_LAWS:
+                got = check_identity(alg, name, lhs, rhs, fixed={"e": e})
+                assert got == reference_check(alg, name, lhs, rhs, fixed={"e": e})
+                if not got.ok:
+                    failures += 1
+                    assert "e" not in dict(got.witness.env)
+    assert failures  # the witness path is exercised too
+
+
+def test_malcev_instances_match_the_reference():
+    for alg in ALGEBRAS:
+        for name, lhs, rhs in MALCEV_INSTANCES:
+            assert check_identity(alg, name, lhs, rhs) == reference_check(alg, name, lhs, rhs)
+
+
+def test_generated_scan_names_only_its_own_identifiers():
+    # variable names never reach the generated source, however odd they are
+    odd, other = Var("__import__('os').getcwd()"), Var("x y")
+    lhs, rhs = (odd + other) * Var("e"), odd
+    variables, scan = axioms._compile(lhs, rhs, ("e",))
+    assert variables == (odd.name, other.name)
+    names, codes = set(), [scan.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names + code.co_varnames + code.co_freevars + code.co_cellvars)
+        codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+    names.discard(".0")  # the implicit iterator argument of a generator expression
+    assert all(re.fullmatch(r"[PTAZOR]|[vf]\d+", n) for n in names), names
+    alg = boolean2()
+    assert (check_identity(alg, "odd", lhs, rhs, fixed={"e": 1})
+            == reference_check(alg, "odd", lhs, rhs, fixed={"e": 1}))
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 4))
+    cell = st.integers(0, n - 1)
+    square = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    return FiniteAlgebra(n, draw(square), draw(square),
+                         draw(st.lists(cell, min_size=n, max_size=n)), draw(cell), draw(cell))
+
+
+TERMS = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), Var("z"), Var("e"), ZERO, ONE]),
+    lambda sub: st.one_of(st.builds(Plus, sub, sub), st.builds(Times, sub, sub),
+                          st.builds(Alpha, sub)),
+    max_leaves=10)
+
+
+@given(tables(), TERMS, TERMS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_terms_on_random_tables_match_the_reference(alg, lhs, rhs, data):
+    e = data.draw(st.none() | st.integers(0, alg.size - 1))
+    fixed = {} if e is None else {"e": e}
+    assert (check_identity(alg, "drawn", lhs, rhs, fixed=fixed)
+            == reference_check(alg, "drawn", lhs, rhs, fixed=fixed))

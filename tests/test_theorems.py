@@ -42,7 +42,7 @@ def test_nonassociative_lukasiewicz_model_exists_at_size_4():
 def test_centrality_methods_agree_on_every_inrs_model():
     for alg in pool(INRS, 4):
         for e in range(alg.size):
-            assert is_central(alg, e, "both").methods_agree
+            assert is_central(alg, e).methods_agree
 
 
 def test_central_laws_and_decompositions_on_every_lukasiewicz_model():
