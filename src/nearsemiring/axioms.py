@@ -13,8 +13,9 @@ reference semantics the compiled scans are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import weakref
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 from .core import FiniteAlgebra, leq
@@ -115,17 +116,6 @@ def first_failure(alg: FiniteAlgebra, name: str,
     return CheckOutcome(name, True)
 
 
-def _semilattice(alg: FiniteAlgebra) -> CheckOutcome:
-    laws = [
-        ("x+x = x", x + x, x),
-        ("x+y = y+x", x + y, y + x),
-        ("(x+y)+z = x+(y+z)", (x + y) + z, x + (y + z)),
-        ("0+x = x", ZERO + x, x),
-        ("x+1 = 1", x + ONE, ONE),
-    ]
-    return first_failure(alg, "(i)", laws)
-
-
 def _antitone(alg: FiniteAlgebra) -> CheckOutcome:
     for b in range(alg.size):
         for a in range(alg.size):
@@ -136,13 +126,57 @@ def _antitone(alg: FiniteAlgebra) -> CheckOutcome:
     return CheckOutcome("(vi)", True)
 
 
+Laws = tuple[tuple[str, tuple[tuple[str, Term, Term], ...]], ...]
+
+#: the identity axioms (i)-(v) of every class; a bundle is checked by
+#: first_failure, and a lone identity carries no sublaw name
+BASE_LAWS: Laws = (
+    ("(i)", (("x+x = x", x + x, x),
+             ("x+y = y+x", x + y, y + x),
+             ("(x+y)+z = x+(y+z)", (x + y) + z, x + (y + z)),
+             ("0+x = x", ZERO + x, x),
+             ("x+1 = 1", x + ONE, ONE))),
+    ("(ii)", (("x*1 = x", x * ONE, x), ("1*x = x", ONE * x, x))),
+    ("(iii)", (("", (x + y) * z, x * z + y * z),)),
+    ("(iv)", (("x*0 = 0", x * ZERO, ZERO), ("0*x = 0", ZERO * x, ZERO))),
+    ("(v)", (("", x.a.a, x),)),
+)
+_INTERCHANGE = ("(vii)", (("", LUK_LHS, LUK_RHS),))
+#: the axioms each class adds after the antitone axiom (vi)
+CLASS_LAWS: dict[str, Laws] = {
+    INRS: (),
+    LUK_NRS: (_INTERCHANGE,),
+    LUK_RS: (_INTERCHANGE,
+             ("(assoc)", (("", (x * y) * z, x * (y * z)),)),
+             ("(comm)", (("", x * y, y * x),)),
+             ("(rdist)", (("", z * (x + y), z * x + z * y),))),
+}
+#: consequences of the Lukasiewicz axioms, reported but never admitting
+DERIVED_LAWS: Laws = (
+    ("(viii)", (("", (x + y).a + x.a, x.a),)),
+    ("x*x^a = x^a*x = 0", (("x*x^a = 0", x * x.a, ZERO), ("x^a*x = 0", x.a * x, ZERO))),
+    ("x+y = ((x*y^a)^a*y^a)^a", (("", x + y, JOIN_FROM_TIMES),)),
+)
+
+
+def _check_all(alg: FiniteAlgebra, laws: Laws) -> tuple[CheckOutcome, ...]:
+    return tuple(first_failure(alg, name, bundle) for name, bundle in laws)
+
+
 @dataclass(frozen=True)
 class AxiomReport:
-    """Per-axiom verdicts for a requested class, plus always-run derived checks."""
+    """Per-axiom verdicts for a requested class, plus the derived checks.
+
+    The derived identities are evaluated on first access of ``derived``.
+    """
 
     algebra_class: str
     axioms: tuple[CheckOutcome, ...]
-    derived: tuple[CheckOutcome, ...]
+    alg: FiniteAlgebra = field(repr=False, compare=False)
+
+    @cached_property
+    def derived(self) -> tuple[CheckOutcome, ...]:
+        return _check_all(self.alg, DERIVED_LAWS)
 
     @property
     def ok(self) -> bool:
@@ -165,38 +199,30 @@ def check_axioms(alg: FiniteAlgebra, algebra_class: str = LUK_NRS) -> AxiomRepor
     further requires multiplication to be a monoid operation and then also
     records commutativity and right distributivity (they are theorems for
     Lukasiewicz semirings, but are re-verified rather than trusted).
-    Derived identities -- (viii) and the two recovered laws -- always run and
-    are reported separately; they never affect admission for the class.
+    Derived identities -- (viii) and the two recovered laws -- are reported
+    separately when read; they never affect admission for the class.
     """
     if algebra_class not in CLASSES:
         raise ValueError(f"unknown class {algebra_class!r}; expected one of {CLASSES}")
-
-    checks: list[CheckOutcome] = [
-        _semilattice(alg),
-        first_failure(alg, "(ii)", [("x*1 = x", x * ONE, x), ("1*x = x", ONE * x, x)]),
-        check_identity(alg, "(iii)", (x + y) * z, x * z + y * z),
-        first_failure(alg, "(iv)", [("x*0 = 0", x * ZERO, ZERO), ("0*x = 0", ZERO * x, ZERO)]),
-        check_identity(alg, "(v)", x.a.a, x),
-        _antitone(alg),
-    ]
-    if algebra_class in (LUK_NRS, LUK_RS):
-        checks.append(check_identity(alg, "(vii)", LUK_LHS, LUK_RHS))
-    if algebra_class == LUK_RS:
-        checks.append(check_identity(alg, "(assoc)", (x * y) * z, x * (y * z)))
-        checks.append(check_identity(alg, "(comm)", x * y, y * x))
-        checks.append(check_identity(alg, "(rdist)", z * (x + y), z * x + z * y))
-
-    derived = (
-        check_identity(alg, "(viii)", (x + y).a + x.a, x.a),
-        first_failure(alg, "x*x^a = x^a*x = 0",
-                      [("x*x^a = 0", x * x.a, ZERO), ("x^a*x = 0", x.a * x, ZERO)]),
-        check_identity(alg, "x+y = ((x*y^a)^a*y^a)^a", x + y, JOIN_FROM_TIMES),
-    )
-    return AxiomReport(algebra_class, tuple(checks), derived)
+    checks = (_check_all(alg, BASE_LAWS) + (_antitone(alg),)
+              + _check_all(alg, CLASS_LAWS[algebra_class]))
+    return AxiomReport(algebra_class, checks, alg)
 
 
 def classify(alg: FiniteAlgebra) -> Optional[str]:
-    """Best class the algebra passes, or None if not even an inrs."""
+    """Best class the algebra passes, or None if not even an inrs.
+
+    Computed once per algebra and remembered while the algebra lives.
+    """
+    if alg not in _classes:
+        _classes[alg] = _best_class(alg)
+    return _classes[alg]
+
+
+_classes: "weakref.WeakKeyDictionary[FiniteAlgebra, Optional[str]]" = weakref.WeakKeyDictionary()
+
+
+def _best_class(alg: FiniteAlgebra) -> Optional[str]:
     if not check_axioms(alg, INRS).ok:
         return None
     if not check_axioms(alg, LUK_NRS).ok:

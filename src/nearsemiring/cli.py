@@ -23,7 +23,8 @@ from .hasse import covering_pairs, hasse_dot
 from .ideals import (all_ideals, principal_ideal_report, semiring_claims_report)
 from .mv import AdjudicationError, MVAlgebra, from_mv, roundtrip_check, to_mv
 from .reports import EXIT_USAGE, Report
-from .search import EnumerationTask, canonical_form, enumerate_algebras
+from .search import (EnumerationCapExceeded, EnumerationTask, canonical_form,
+                     enumerate_algebras)
 
 
 class UsageError(Exception):
@@ -441,7 +442,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AdjudicationError as err:
         print(f"adjudication: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
+    except (ValueError, EnumerationCapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(text)

@@ -27,8 +27,16 @@ class SizeLimitError(AlgebraError):
     """A construction would exceed the configured maximum universe size."""
 
 
+def _ints(values: Sequence[int]) -> tuple[int, ...]:
+    """The values as a tuple of ints; a tuple of ints is kept, not copied, so
+    algebras can share their rows."""
+    if type(values) is tuple and all(type(v) is int for v in values):
+        return values
+    return tuple(int(v) for v in values)
+
+
 def _as_table(rows: Sequence[Sequence[int]], n: int, what: str) -> Table:
-    rows = tuple(tuple(int(v) for v in row) for row in rows)
+    rows = tuple(map(_ints, rows))
     if len(rows) != n:
         raise AlgebraError(f"{what} must have {n} rows, got {len(rows)}")
     for i, row in enumerate(rows):
@@ -41,7 +49,7 @@ def _as_table(rows: Sequence[Sequence[int]], n: int, what: str) -> Table:
 
 
 def _as_vector(vals: Sequence[int], n: int, what: str) -> tuple[int, ...]:
-    vals = tuple(int(v) for v in vals)
+    vals = _ints(vals)
     if len(vals) != n:
         raise AlgebraError(f"{what} must have {n} entries, got {len(vals)}")
     for i, v in enumerate(vals):

@@ -3,9 +3,14 @@
 Search order: bounded join-semilattice tables first (few at small sizes),
 then antitone involutions of the induced order, then the multiplication
 table cell by cell with forward checking of left distributivity and of the
-interchange/associativity axioms of the requested class.  Isomorphic copies
-are rejected by a brute-force canonical form (minimum table encoding over
-all permutations fixing 0 and 1).
+interchange/associativity axioms of the requested class.  The forward check
+is incremental: one check of the preset cells before the first free cell,
+then after each assignment only the constraint instances that read the new
+cell, found through indices by the cells they read.  An instance can only
+newly fail when it reads the new cell, so this prunes exactly the nodes a
+full rescan would.  Isomorphic copies are rejected by a brute-force
+canonical form (minimum table encoding over all permutations fixing 0 and
+1), each permutation encoded straight from the tables.
 
 Enumerated algebras place zero at index 0 and one at index n-1.
 """
@@ -18,6 +23,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .axioms import CLASSES, LUK_NRS, LUK_RS, check_axioms
@@ -43,11 +49,14 @@ class EnumerationTask:
 
 
 class EnumerationCapExceeded(Exception):
-    """Node cap hit; carries the deduplicated partial results and a resume token."""
+    """Node cap hit; carries the nodes visited, the deduplicated partial
+    results and a resume token."""
 
-    def __init__(self, partial: tuple[FiniteAlgebra, ...], resume: tuple[int, ...]):
-        super().__init__(f"node cap exceeded after {len(partial)} models; "
-                         "pass resume= the attached token to continue")
+    def __init__(self, nodes: int, partial: tuple[FiniteAlgebra, ...],
+                 resume: tuple[int, ...]):
+        super().__init__(f"node cap exceeded after {nodes} nodes with {len(partial)} "
+                         f"model(s) found; resume token {','.join(map(str, resume))}")
+        self.nodes = nodes
         self.partial = partial
         self.resume = resume
 
@@ -81,44 +90,36 @@ def relabel(alg: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
                          zero=perm[alg.zero], one=perm[alg.one], names=names)
 
 
-def _encode(alg: FiniteAlgebra) -> bytes:
-    flat = [alg.size, alg.zero, alg.one]
-    for row in alg.plus:
-        flat.extend(row)
-    for row in alg.times:
-        flat.extend(row)
-    flat.extend(alg.alpha)
-    return bytes(flat)
-
-
 def canonical_form(alg: FiniteAlgebra) -> CanonicalForm:
     """Lexicographically least encoding over permutations fixing zero and one.
 
-    The algebra is first moved to the normal placement (zero at 0, one at
-    n-1); the minimum then ranges over all permutations of the remaining
-    elements, so equal forms characterize isomorphism.
+    The encoding of a relabelled copy is its size, zero, one, then the plus
+    and times tables row by row and the alpha vector.  Zero goes to 0 and
+    one to n-1; the minimum ranges over all orders of the remaining
+    elements, so equal forms characterize isomorphism.  Each order is
+    encoded straight from the tables: gather rows and columns in the new
+    order, then translate the old labels to the new ones.
     """
     n = alg.size
     if n == 1:
-        return CanonicalForm(_encode(alg))
+        return CanonicalForm(bytes([1, alg.zero, alg.one, alg.plus[0][0],
+                                    alg.times[0][0], alg.alpha[0]]))
     if alg.zero == alg.one:
         raise AlgebraError("designated constants coincide on a non-trivial "
                            "universe; such tables admit no bounded order")
-    base = [0] * n
-    base[alg.zero] = 0
-    base[alg.one] = n - 1
+    plus, times = tuple(map(bytes, alg.plus)), tuple(map(bytes, alg.times))
+    alpha = (bytes(alg.alpha),)
+    new_labels = bytes(range(n))
+
+    def encode(middle: tuple[int, ...]) -> bytes:
+        old = (alg.zero, *middle, alg.one)      # new label -> old label
+        gather = itemgetter(*old)
+        return b"".join(map(bytes, map(gather, gather(plus) + gather(times) + alpha))
+                        ).translate(bytes.maketrans(bytes(old), new_labels))
+
     rest = [i for i in range(n) if i not in (alg.zero, alg.one)]
-    for pos, i in enumerate(rest, start=1):
-        base[i] = pos
-    normal = relabel(alg, base)
-    middle = list(range(1, n - 1))
-    best: Optional[bytes] = None
-    for sigma in itertools.permutations(middle):
-        perm = [0] + list(sigma) + [n - 1]
-        enc = _encode(relabel(normal, perm))
-        if best is None or enc < best:
-            best = enc
-    return CanonicalForm(best if best is not None else _encode(normal))
+    return CanonicalForm(bytes([n, 0, n - 1])
+                         + min(map(encode, itertools.permutations(rest))))
 
 
 # -- the backtracking search ------------------------------------------------
@@ -186,6 +187,7 @@ class _Search:
         self.nodes = 0
         self.path: list[int] = []
         self.found: dict[bytes, FiniteAlgebra] = {}
+        self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         n = self.n
         self.mid = list(range(1, n - 1))
         self.plus_cells = [(i, j) for k, i in enumerate(self.mid)
@@ -205,7 +207,7 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             token = tuple(self.path + [value])
-            raise EnumerationCapExceeded(self._results(), token)
+            raise EnumerationCapExceeded(self.max_nodes, self._results(), token)
         self.path.append(value)
 
     def _leave(self) -> None:
@@ -257,69 +259,108 @@ class _Search:
 
     def _times_phase(self, P: list[list[int]], alpha: tuple[int, ...]) -> None:
         n = self.n
-        T: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-        for i in range(n):
+        R = range(n)
+        T: list[list[Optional[int]]] = [[None] * n for _ in R]
+        for i in R:
             T[0][i] = T[i][0] = 0
             T[n - 1][i] = T[i][n - 1] = i
         T[n - 1][n - 1] = n - 1
+        interchange = self.cls in (LUK_NRS, LUK_RS)
+        assoc = self.cls == LUK_RS
+        # left distributivity (x+y)*z = x*z + y*z at z = j reads rows x, y
+        # and x+y of column j; dist[i] lists the pairs x < y that read row i
+        # (x = 0 and x = y give trivial instances)
+        dist: list[list[tuple[int, int, int]]] = [[] for _ in R]
+        for a in range(1, n):
+            for b in range(a + 1, n):
+                s = P[a][b]
+                for r in {a, b, s}:
+                    dist[r].append((a, b, s))
+        # where[v]: the set cells holding v, for the associativity instances
+        # that read a cell through a product
+        where: list[list[tuple[int, int]]] = [[] for _ in R]
+        for a in R:
+            for b in R:
+                if T[a][b] is not None:
+                    where[T[a][b]].append((a, b))
 
-        def determined_ok() -> bool:
-            # left distributivity: (x+y)*z = x*z + y*z
-            for a in range(n):
-                for b in range(n):
-                    s = P[a][b]
-                    for c in range(n):
-                        lhs = T[s][c]
-                        r1, r2 = T[a][c], T[b][c]
-                        if lhs is not None and r1 is not None and r2 is not None:
-                            if lhs != P[r1][r2]:
-                                return False
-            if self.cls in (LUK_NRS, LUK_RS):
-                for a in range(n):
-                    for b in range(n):
-                        u1 = T[a][alpha[b]]
-                        u2 = T[b][alpha[a]]
-                        if u1 is None or u2 is None:
-                            continue
-                        l = T[alpha[u1]][alpha[b]]
-                        r = T[alpha[u2]][alpha[a]]
+        def cell_ok(i: int, j: int) -> bool:
+            """Every determined constraint instance that reads T[i][j] holds."""
+            v = T[i][j]
+            for a, b, s in dist[i]:
+                lhs, r1, r2 = T[s][j], T[a][j], T[b][j]
+                if (lhs is not None and r1 is not None and r2 is not None
+                        and lhs != P[r1][r2]):
+                    return False
+            if interchange:
+                # (x*y^a)^a*y^a = (y*x^a)^a*x^a reads T[i][j] only if y = j^a
+                # or x = j^a; swapping x and y swaps the sides, so the
+                # instances with y = j^a cover both
+                b = alpha[j]
+                Tb = T[b]
+                for a in R:
+                    u1, u2 = T[a][j], Tb[alpha[a]]
+                    if u1 is None or u2 is None:
+                        continue
+                    l, r = T[alpha[u1]][j], T[alpha[u2]][alpha[a]]
+                    if l is not None and r is not None and l != r:
+                        return False
+            if assoc:
+                # (x*y)*z = x*(y*z) reads T[x][y], T[y][z], T[xy][z], T[x][yz]
+                Ti, Tj, Tv = T[i], T[j], T[v]
+                for c in R:                     # (x, y) = (i, j)
+                    bc = Tj[c]
+                    if bc is not None:
+                        l, r = Tv[c], Ti[bc]
                         if l is not None and r is not None and l != r:
                             return False
-            if self.cls == LUK_RS:
-                for a in range(n):
-                    for b in range(n):
-                        ab = T[a][b]
-                        if ab is None:
-                            continue
-                        for c in range(n):
-                            bc = T[b][c]
-                            if bc is None:
-                                continue
-                            l, r = T[ab][c], T[a][bc]
-                            if l is not None and r is not None and l != r:
-                                return False
+                for Ta in T:                    # (y, z) = (i, j)
+                    ab = Ta[i]
+                    if ab is not None:
+                        l, r = T[ab][j], Ta[v]
+                        if l is not None and r is not None and l != r:
+                            return False
+                for a, b in where[i]:           # (xy, z) = (i, j)
+                    bc = T[b][j]
+                    if bc is not None:
+                        r = T[a][bc]
+                        if r is not None and r != v:
+                            return False
+                for b, c in where[j]:           # (x, yz) = (i, j)
+                    ab = Ti[b]
+                    if ab is not None:
+                        l = T[ab][c]
+                        if l is not None and l != v:
+                            return False
             return True
 
+        cells = self.times_cells
+
         def fill(k: int) -> None:
-            if k == len(self.times_cells):
+            if k == len(cells):
                 self._emit(P, alpha, T)
                 return
-            i, j = self.times_cells[k]
-            for v in self._candidates(range(n)):
+            i, j = cells[k]
+            Ti = T[i]
+            for v in self._candidates(R):
                 self._enter(v)
-                T[i][j] = v
-                if determined_ok():
+                Ti[j] = v
+                where[v].append((i, j))
+                if cell_ok(i, j):
                     fill(k + 1)
-                T[i][j] = None
+                where[v].pop()
+                Ti[j] = None
                 self._leave()
 
-        if not determined_ok():
-            return
-        fill(0)
+        # before the first cell: every determined instance reads a set cell
+        if all(cell_ok(a, b) for v in R for a, b in where[v]):
+            fill(0)
 
     def _emit(self, P, alpha, T) -> None:
-        alg = FiniteAlgebra(self.n, tuple(tuple(r) for r in P),
-                            tuple(tuple(r) for r in T), alpha, 0, self.n - 1)
+        # a search meets few distinct rows, so the models it keeps share them
+        row = self.rows.setdefault
+        alg = FiniteAlgebra(self.n, tuple(row(r, r) for r in map(tuple, P)),
+                            tuple(row(r, r) for r in map(tuple, T)), alpha, 0, self.n - 1)
         if check_axioms(alg, self.cls).ok:
             form = canonical_form(alg).data
             self.found.setdefault(form, alg)
@@ -332,7 +373,8 @@ def enumerate_algebras(task: EnumerationTask,
 
     Output is sorted by canonical form, so it is deterministic regardless of
     thread count.  A node-cap overrun raises EnumerationCapExceeded with the
-    partial results and a resume token (resume is supported for threads=1).
+    nodes visited, the partial results and a resume token (resume is
+    supported for threads=1).
     """
     if task.threads > 1:
         if resume is not None:

@@ -51,8 +51,32 @@ class Term:
         walk(self)
         return tuple(out)
 
+    def __getstate__(self) -> dict:
+        # the cached hash depends on this process's string hashing
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
-@dataclass(frozen=True)
+
+def _node(cls: type) -> type:
+    """A frozen dataclass term node that computes its hash once.
+
+    The generated hash walks the whole tree, and terms key the cache of
+    compiled scans that every identity check looks up.
+    """
+    cls = dataclass(frozen=True)(cls)
+    tree_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = tree_hash(self)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Var(Term):
     name: str
 
@@ -60,7 +84,7 @@ class Var(Term):
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Term):
     which: str  # "0" or "1", resolved against the algebra's designated indices
 
@@ -68,7 +92,7 @@ class Const(Term):
         return self.which
 
 
-@dataclass(frozen=True)
+@_node
 class Plus(Term):
     left: Term
     right: Term
@@ -77,7 +101,7 @@ class Plus(Term):
         return f"({self.left} + {self.right})"
 
 
-@dataclass(frozen=True)
+@_node
 class Times(Term):
     left: Term
     right: Term
@@ -86,7 +110,7 @@ class Times(Term):
         return f"({self.left} * {self.right})"
 
 
-@dataclass(frozen=True)
+@_node
 class Alpha(Term):
     arg: Term
 

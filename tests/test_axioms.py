@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from nearsemiring.axioms import (INRS, LUK_NRS, LUK_RS, check_axioms, classify,
@@ -18,6 +20,23 @@ def test_l3_passes_luk_nrs_and_luk_rs():
         report = check_axioms(luk_chain(3), cls)
         assert report.ok, report.failures()
         assert all(c.ok for c in report.derived)
+
+
+def test_admission_evaluates_no_derived_identity(monkeypatch):
+    axioms = importlib.import_module("nearsemiring.axioms")
+    names = []
+    check = axioms.check_identity
+
+    def recording(alg, name, *args, **kwargs):
+        names.append(name)
+        return check(alg, name, *args, **kwargs)
+
+    monkeypatch.setattr(axioms, "check_identity", recording)
+    derived = {name for name, _ in axioms.DERIVED_LAWS}
+    report = check_axioms(luk_chain(4), LUK_RS)
+    assert report.ok and names and not derived & set(names)
+    assert [c.name for c in report.derived] == [name for name, _ in axioms.DERIVED_LAWS]
+    assert derived <= set(names)
 
 
 def test_corpus_passes_luk_rs():

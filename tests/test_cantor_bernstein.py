@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+
 import pytest
 
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, l3_x_b2,
@@ -5,6 +8,7 @@ from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, l3_x_b2,
 from nearsemiring.cantor_bernstein import (cb_isomorphism, cb_search,
                                            cb_sequences, make_cb_instance,
                                            partition_decomposition)
+from nearsemiring.center import decompose
 from nearsemiring.core import find_isomorphism
 
 
@@ -158,3 +162,46 @@ def test_make_instance_rejects_non_central_b():
 def test_partition_decomposition_rejects_empty_family():
     with pytest.raises(ValueError, match="non-empty"):
         partition_decomposition(b2_x_b2(), [])
+
+
+def test_interval_parents_are_classified_once_per_call(monkeypatch):
+    axioms = importlib.import_module("nearsemiring.axioms")
+    center_module = importlib.import_module("nearsemiring.center")
+    cb_module = importlib.import_module("nearsemiring.cantor_bernstein")
+    checked, intervals = [], []
+    check, interval = axioms.check_axioms, center_module.interval_algebra
+
+    def counting_check(alg, algebra_class):
+        checked.append(alg)
+        return check(alg, algebra_class)
+
+    def counting_interval(alg, e):
+        intervals.append(alg)
+        return interval(alg, e)
+
+    monkeypatch.setattr(axioms, "check_axioms", counting_check)
+    monkeypatch.setattr(center_module, "check_axioms", counting_check)
+    monkeypatch.setattr(center_module, "interval_algebra", counting_interval)
+    monkeypatch.setattr(cb_module, "interval_algebra", counting_interval)
+
+    def fresh(alg, tag):
+        # names no other algebra of the session carries
+        return dataclasses.replace(alg, names=tuple(f"{tag}{i}" for i in range(alg.size)))
+
+    def calls_on(alg):
+        return sum(c is alg for c in checked)
+
+    a, b = fresh(b2_x_l3(), "cb-a"), fresh(l3_x_b2(), "cb-b")
+    assert cb_search(a, b).any_found
+    # require_class, then classify: inrs, luk-nrs and luk-rs all pass
+    assert calls_on(a) == calls_on(b) == 4
+    assert len(intervals) > 2
+    # the sub-algebra of every interval is still checked, once
+    assert len(checked) - calls_on(a) - calls_on(b) == len(intervals)
+
+    checked.clear()
+    intervals.clear()
+    d = fresh(b2_x_l3(), "dec")
+    decompose(d, 3)
+    assert calls_on(d) == 3
+    assert len(checked) - calls_on(d) == len(intervals) == 2

@@ -1,9 +1,11 @@
+import functools
 import importlib
 import io
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,6 +171,20 @@ def test_enumerate_writes_directory(tmp_path, capsys):
     assert len(files) == 1 and files[0].endswith(".alg")
     alg = load(out_dir / files[0]).to_algebra()
     assert check_axioms(alg, "luk-nrs").ok
+
+
+def test_enumerate_node_cap_is_an_error_with_the_resume_token(monkeypatch, capsys):
+    cli = importlib.import_module("nearsemiring.cli")
+    search = importlib.import_module("nearsemiring.search")
+    monkeypatch.setattr(cli, "EnumerationTask",
+                        functools.partial(search.EnumerationTask, max_nodes=40))
+    status, out, err = run(capsys, "enumerate", "--size", "4", "--class", "inrs")
+    assert status == 2 and out == ""
+    with pytest.raises(search.EnumerationCapExceeded) as cap:
+        search.enumerate_algebras(search.EnumerationTask(4, "inrs", max_nodes=40))
+    token = ",".join(map(str, cap.value.resume))
+    assert err == (f"error: node cap exceeded after 40 nodes with {len(cap.value.partial)}"
+                   f" model(s) found; resume token {token}\n")
 
 
 def test_dot_exports(capsys):

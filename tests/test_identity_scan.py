@@ -35,7 +35,8 @@ def reference_check(alg, name, lhs, rhs, detail="", fixed=None):
 
 
 def axiom_identities():
-    """Every (name, lhs, rhs, detail) check_axioms hands to check_identity.
+    """Every (name, lhs, rhs, detail) check_axioms hands to check_identity,
+    the derived identities (evaluated when read) included.
 
     The 2-element Boolean algebra passes every axiom, so no bundle stops early.
     """
@@ -48,7 +49,7 @@ def axiom_identities():
     original = axioms.check_identity
     axioms.check_identity = record
     try:
-        check_axioms(boolean2(), LUK_RS)
+        check_axioms(boolean2(), LUK_RS).derived
     finally:
         axioms.check_identity = original
     return seen

@@ -4,12 +4,103 @@ import random
 import pytest
 
 from nearsemiring.axioms import INRS, LUK_NRS, LUK_RS, check_axioms
-from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, l3_x_b2,
+from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3, l3_x_b2,
                                   luk_chain)
-from nearsemiring.core import FiniteAlgebra, find_isomorphism
+from nearsemiring.core import FiniteAlgebra, find_isomorphism, product
 from nearsemiring.search import (CanonicalForm, EnumerationCapExceeded,
-                                 EnumerationTask, canonical_form, count,
+                                 EnumerationTask, _Search, canonical_form, count,
                                  enumerate_algebras, frozen_counts, relabel)
+
+
+class FullRescanSearch(_Search):
+    """Reference search: after every times cell, rescan every constraint.
+
+    The search re-tests only the instances that read the new cell; both must
+    visit the same nodes and find the same models.
+    """
+
+    def _times_phase(self, P, alpha):
+        n = self.n
+        T = [[None] * n for _ in range(n)]
+        for i in range(n):
+            T[0][i] = T[i][0] = 0
+            T[n - 1][i] = T[i][n - 1] = i
+        T[n - 1][n - 1] = n - 1
+
+        def determined_ok():
+            # left distributivity: (x+y)*z = x*z + y*z
+            for a in range(n):
+                for b in range(n):
+                    s = P[a][b]
+                    for c in range(n):
+                        lhs = T[s][c]
+                        r1, r2 = T[a][c], T[b][c]
+                        if lhs is not None and r1 is not None and r2 is not None:
+                            if lhs != P[r1][r2]:
+                                return False
+            if self.cls in (LUK_NRS, LUK_RS):
+                for a in range(n):
+                    for b in range(n):
+                        u1 = T[a][alpha[b]]
+                        u2 = T[b][alpha[a]]
+                        if u1 is None or u2 is None:
+                            continue
+                        l = T[alpha[u1]][alpha[b]]
+                        r = T[alpha[u2]][alpha[a]]
+                        if l is not None and r is not None and l != r:
+                            return False
+            if self.cls == LUK_RS:
+                for a in range(n):
+                    for b in range(n):
+                        ab = T[a][b]
+                        if ab is None:
+                            continue
+                        for c in range(n):
+                            bc = T[b][c]
+                            if bc is None:
+                                continue
+                            l, r = T[ab][c], T[a][bc]
+                            if l is not None and r is not None and l != r:
+                                return False
+            return True
+
+        def fill(k):
+            if k == len(self.times_cells):
+                self._emit(P, alpha, T)
+                return
+            i, j = self.times_cells[k]
+            for v in self._candidates(range(n)):
+                self._enter(v)
+                T[i][j] = v
+                if determined_ok():
+                    fill(k + 1)
+                T[i][j] = None
+                self._leave()
+
+        if not determined_ok():
+            return
+        fill(0)
+
+
+def relabel_canonical_form(alg):
+    """Reference canonical form: relabel and encode every permutation."""
+    def encode(a):
+        flat = [a.size, a.zero, a.one]
+        for row in a.plus + a.times:
+            flat.extend(row)
+        return bytes(flat + list(a.alpha))
+
+    n = alg.size
+    if n == 1:
+        return encode(alg)
+    rest = [i for i in range(n) if i not in (alg.zero, alg.one)]
+    base = [0] * n
+    base[alg.one] = n - 1
+    for pos, i in enumerate(rest, start=1):
+        base[i] = pos
+    normal = relabel(alg, base)
+    return min(encode(relabel(normal, [0, *sigma, n - 1]))
+               for sigma in itertools.permutations(range(1, n - 1)))
 
 
 def brute_force_models(n, cls):
@@ -62,6 +153,51 @@ def test_counts_match_frozen_table():
     for key, expected in table.items():
         n, cls = key.split(",")
         assert count(int(n), cls) == expected, key
+
+
+def test_incremental_checks_visit_the_same_nodes_as_a_full_rescan():
+    # at n = 6 the first plus cell 1+2 = 3 gives a join whose row is filled
+    # after the rows it joins; up to n = 5 no plus table with such a join
+    # admits an antitone involution
+    cases = [(n, cls, None) for n in range(1, 6) for cls in (INRS, LUK_NRS, LUK_RS)]
+    for n, cls, first in cases + [(6, LUK_NRS, 3), (6, LUK_RS, 3)]:
+        fast = _Search(EnumerationTask(n, cls), None, first_value=first)
+        full = FullRescanSearch(EnumerationTask(n, cls), None, first_value=first)
+        forms = [sorted(canonical_form(a).data for a in s.run()) for s in (fast, full)]
+        assert fast.nodes == full.nodes, (n, cls, first)
+        assert forms[0] == forms[1], (n, cls, first)
+
+
+def test_canonical_form_matches_the_relabel_reference():
+    rng = random.Random(20261018)
+    pool = (list(enumerate_algebras(EnumerationTask(4, INRS)))
+            + [luk_chain(1), godel3(), b2_x_l3(), luk_chain(8),
+               product(boolean2(), luk_chain(4)), product(b2_x_b2(), boolean2())])
+    for alg in pool:
+        for _ in range(3):
+            perm = list(range(alg.size))
+            rng.shuffle(perm)
+            shuffled = relabel(alg, perm)
+            assert canonical_form(shuffled).data == relabel_canonical_form(shuffled)
+
+
+def unordered_factorizations(n, smallest=2):
+    """Ways to write n as a product of factors >= 2, ignoring order."""
+    return 1 + sum(unordered_factorizations(n // d, d)
+                   for d in range(smallest, int(n ** 0.5) + 1) if n % d == 0)
+
+
+def test_luk_rs_counts_are_the_factorizations_of_n():
+    # finite MV-algebras are exactly the finite products of Lukasiewicz chains
+    counts = [len(enumerate_algebras(EnumerationTask(n, LUK_RS))) for n in range(1, 7)]
+    assert counts == [unordered_factorizations(n) for n in range(1, 7)]
+    assert counts == [1, 1, 1, 2, 1, 2]
+
+
+def test_models_share_equal_rows():
+    models = enumerate_algebras(EnumerationTask(4, INRS))
+    rows = [r for m in models for r in m.plus + m.times]
+    assert len({id(r) for r in rows}) == len(set(rows)) < len(rows)
 
 
 def test_required_counts():
@@ -132,6 +268,7 @@ def test_cap_raises_and_resume_completes():
     capped = EnumerationTask(4, INRS, max_nodes=40)
     with pytest.raises(EnumerationCapExceeded) as err:
         enumerate_algebras(capped)
+    assert err.value.nodes == 40
     token = err.value.resume
     collected = {canonical_form(a).data for a in err.value.partial}
     resumed = enumerate_algebras(task_full, resume=token)
