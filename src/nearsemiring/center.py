@@ -276,8 +276,8 @@ def center(alg: FiniteAlgebra,
         if (p.meet(r).is_discrete() and p.join(r).is_full() and p.permutes_with(r)):
             factor_members.add(p)
             factor_members.add(r)
-    pairs = tuple((e, principal_congruence(alg, e, alg.zero),
-                   principal_congruence(alg, e, alg.one)) for e in elements)
+    pairs = tuple((r.element, r.semantic.theta_zero, r.semantic.theta_one)
+                  for r in results if r.central)
     images = [t0 for _, t0, _ in pairs]
     bijection_ok = (len(set(images)) == len(images)
                     and set(images) == factor_members)

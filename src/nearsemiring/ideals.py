@@ -9,6 +9,7 @@ surface as report findings, never as crashes.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -82,6 +83,64 @@ def set_sort_key(s: ElementSet):
     return (len(s), s.members())
 
 
+class _IdealRules:
+    """(I1) and (I2) of one algebra as element tables over bitmask subsets.
+
+    ``i1[b][a] = a*b^alpha``; ``hyp[a][b] = a^alpha*b``; ``i2[a][b]`` is the
+    mask of every ``(a*c)^alpha*(b*c)`` and ``(c*a)^alpha*(c*b)``, which (I2)
+    requires once ``hyp[a][b]`` and ``hyp[b][a]`` are in.  Built once per
+    algebra (see ``_ideal_rules``).
+    """
+
+    def __init__(self, alg: FiniteAlgebra):
+        n, t, al = alg.size, alg.times, alg.alpha
+        self.n = n
+        self.zero = alg.zero
+        self.i1 = [[t[a][al[b]] for a in range(n)] for b in range(n)]
+        self.hyp = [[t[al[a]][b] for b in range(n)] for a in range(n)]
+        i2 = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                req = 0
+                for c in range(n):
+                    req |= 1 << t[al[t[a][c]]][t[b][c]]
+                    req |= 1 << t[al[t[c][a]]][t[c][b]]
+                i2[a][b] = req
+        self.i2 = i2
+
+    def first_failure(self, mask: int) -> Optional[tuple[str, int, int]]:
+        """The first rule the subset breaks, with its (a, b), or None.
+
+        Order: "0 in I" (a = b = zero), then "(I1)" and "(I2)", each with b
+        outer and a inner.  For "0 in I" and "(I1)" the missing element is a.
+        """
+        if not mask >> self.zero & 1:
+            return "0 in I", self.zero, self.zero
+        n, i1 = self.n, self.i1
+        for b in range(n):
+            if mask >> b & 1:
+                row = i1[b]
+                for a in range(n):
+                    if (mask >> row[a] & 1) and not (mask >> a & 1):
+                        return "(I1)", a, b
+        hyp, i2 = self.hyp, self.i2
+        for b in range(n):
+            for a in range(n):
+                if (mask >> hyp[a][b] & 1) and (mask >> hyp[b][a] & 1) and i2[a][b] & ~mask:
+                    return "(I2)", a, b
+        return None
+
+
+_rules: "weakref.WeakKeyDictionary[FiniteAlgebra, _IdealRules]" = weakref.WeakKeyDictionary()
+
+
+def _ideal_rules(alg: FiniteAlgebra) -> _IdealRules:
+    """The rule table of alg, remembered while the algebra lives."""
+    if alg not in _rules:
+        _rules[alg] = _IdealRules(alg)
+    return _rules[alg]
+
+
 @dataclass(frozen=True)
 class IdealCheck:
     """Verdict of the (I1)/(I2) predicate with a witness on failure."""
@@ -90,8 +149,6 @@ class IdealCheck:
     failed: Optional[str] = None          # "0 in I" | "(I1)" | "(I2)"
     witness: tuple[tuple[str, int], ...] = ()
     detail: str = ""
-    i3_ok: bool = True
-    i3_witness: tuple[tuple[str, int], ...] = ()
 
     def render_witness(self, alg: FiniteAlgebra) -> str:
         return ", ".join(f"{k}={alg.label(v)}" for k, v in self.witness)
@@ -100,73 +157,41 @@ class IdealCheck:
 def is_ideal(alg: FiniteAlgebra, s: ElementSet) -> IdealCheck:
     """0 in s plus closure conditions (I1) and (I2), checked exhaustively.
 
-    The derived condition (I3) is always evaluated and reported separately;
-    it does not affect the verdict.
+    The first failure is reported: 0 in s, then (I1), then (I2), each scanned
+    with b outer and a inner; an (I2) witness adds the first c whose product
+    escapes s.
     """
-    n, t, al = alg.size, alg.times, alg.alpha
-    inside = s.__contains__
-
-    i3_ok, i3_witness = True, ()
-    for b in range(n):
-        for a in range(n):
-            if inside(t[al[a]][b]) and inside(t[al[b]][a]) and not inside(t[a][al[b]]):
-                i3_ok, i3_witness = False, (("a", a), ("b", b))
-                break
-        if not i3_ok:
-            break
-
-    if alg.zero not in s:
-        return IdealCheck(False, "0 in I", (), "the designated zero is missing",
-                          i3_ok, i3_witness)
-    # (I1): a*b^alpha in I and b in I force a in I  (first variable fastest)
-    for b in range(n):
-        for a in range(n):
-            if inside(t[a][al[b]]) and inside(b) and not inside(a):
-                return IdealCheck(False, "(I1)", (("a", a), ("b", b)),
-                                  "a*b^a in S and b in S but a not in S",
-                                  i3_ok, i3_witness)
-    # (I2): a^alpha*b and b^alpha*a in I force both translated products in, for every c
-    for b in range(n):
-        for a in range(n):
-            if inside(t[al[a]][b]) and inside(t[al[b]][a]):
-                for c in range(n):
-                    if not inside(t[al[t[a][c]]][t[b][c]]):
-                        return IdealCheck(False, "(I2)", (("a", a), ("b", b), ("c", c)),
-                                          "(a*c)^a*(b*c) escapes S", i3_ok, i3_witness)
-                    if not inside(t[al[t[c][a]]][t[c][b]]):
-                        return IdealCheck(False, "(I2)", (("a", a), ("b", b), ("c", c)),
-                                          "(c*a)^a*(c*b) escapes S", i3_ok, i3_witness)
-    return IdealCheck(True, i3_ok=i3_ok, i3_witness=i3_witness)
+    failure = _ideal_rules(alg).first_failure(s.mask)
+    if failure is None:
+        return IdealCheck(True)
+    rule, a, b = failure
+    if rule == "0 in I":
+        return IdealCheck(False, rule, (), "the designated zero is missing")
+    if rule == "(I1)":
+        return IdealCheck(False, rule, (("a", a), ("b", b)),
+                          "a*b^a in S and b in S but a not in S")
+    t, al = alg.times, alg.alpha
+    c, detail = next((c, detail) for c in range(alg.size)
+                     for v, detail in ((t[al[t[a][c]]][t[b][c]], "(a*c)^a*(b*c) escapes S"),
+                                       (t[al[t[c][a]]][t[c][b]], "(c*a)^a*(c*b) escapes S"))
+                     if v not in s)
+    return IdealCheck(False, rule, (("a", a), ("b", b), ("c", c)), detail)
 
 
 def generate_ideal(alg: FiniteAlgebra, seed: ElementSet) -> ElementSet:
-    """Least fixpoint of the Horn rules behind (I1) and (I2), plus 0."""
-    n, t, al = alg.size, alg.times, alg.alpha
-    mask = seed.mask | (1 << alg.zero)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            if mask >> a & 1:
-                continue
-            for b in range(n):
-                if (mask >> b & 1) and (mask >> t[a][al[b]] & 1):
-                    mask |= 1 << a
-                    changed = True
-                    break
-        for a in range(n):
-            for b in range(n):
-                if (mask >> t[al[a]][b] & 1) and (mask >> t[al[b]][a] & 1):
-                    for c in range(n):
-                        for v in (t[al[t[a][c]]][t[b][c]], t[al[t[c][a]]][t[c][b]]):
-                            if not mask >> v & 1:
-                                mask |= 1 << v
-                                changed = True
-    out = ElementSet(alg.size, mask)
-    check = is_ideal(alg, out)
-    if not check.ok:  # the rules mirror the conditions; failing here is a bug
-        raise AssertionError(f"generate_ideal produced a non-ideal: {check}")
-    return out
+    """Least ideal containing seed: (I1)/(I2) read as Horn rules, plus 0.
+
+    Each failure adds what its rule forces (the missing a for "0 in I" and
+    (I1), the (I2) requirement of (a, b) otherwise); the loop stops only when
+    no rule fires, so the result is an ideal, and only forced elements were
+    added, so it is the least one.
+    """
+    rules = _ideal_rules(alg)
+    mask = seed.mask
+    while (failure := rules.first_failure(mask)) is not None:
+        rule, a, b = failure
+        mask |= rules.i2[a][b] if rule == "(I2)" else 1 << a
+    return ElementSet(alg.size, mask)
 
 
 @dataclass(frozen=True)
@@ -190,9 +215,9 @@ class ThetaResult:
 
 def theta_of_ideal(alg: FiniteAlgebra, s: ElementSet) -> ThetaResult:
     """The relation a ~ b iff a^alpha*b and b^alpha*a both land in s."""
-    n, t, al = alg.size, alg.times, alg.alpha
+    n, hyp = alg.size, _ideal_rules(alg).hyp
     rel = frozenset((a, b) for a in range(n) for b in range(n)
-                    if (s.mask >> t[al[a]][b] & 1) and (s.mask >> t[al[b]][a] & 1))
+                    if (s.mask >> hyp[a][b] & 1) and (s.mask >> hyp[b][a] & 1))
     for a in range(n):
         if (a, a) not in rel:
             return ThetaResult(rel, None, "not reflexive", (a,))
@@ -225,44 +250,6 @@ def theta_partition(alg: FiniteAlgebra, s: ElementSet) -> Partition:
 
 
 # -- the ideal lattice ----------------------------------------------------
-
-
-class _ScanTables:
-    """Precomputed element tables for the mask-only ideal predicate."""
-
-    def __init__(self, alg: FiniteAlgebra):
-        n, t, al = alg.size, alg.times, alg.alpha
-        self.n = n
-        self.zero_bit = 1 << alg.zero
-        self.i1 = [[t[a][al[b]] for a in range(n)] for b in range(n)]
-        self.hyp = [[t[al[a]][b] for b in range(n)] for a in range(n)]
-        i2 = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                req = 0
-                for c in range(n):
-                    req |= 1 << t[al[t[a][c]]][t[b][c]]
-                    req |= 1 << t[al[t[c][a]]][t[c][b]]
-                i2[a][b] = req
-        self.i2 = i2
-
-    def is_ideal_mask(self, mask: int) -> bool:
-        if not mask & self.zero_bit:
-            return False
-        n = self.n
-        for b in range(n):
-            if mask >> b & 1:
-                row = self.i1[b]
-                for a in range(n):
-                    if (mask >> row[a] & 1) and not (mask >> a & 1):
-                        return False
-        hyp, i2 = self.hyp, self.i2
-        for a in range(n):
-            for b in range(n):
-                if (mask >> hyp[a][b] & 1) and (mask >> hyp[b][a] & 1):
-                    if i2[a][b] & ~mask:
-                        return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -333,10 +320,8 @@ def all_ideals(alg: FiniteAlgebra,
 
     oracle_partial = n > threshold
     if not oracle_partial:
-        tables = _ScanTables(alg)
-        zero_bit = 1 << alg.zero
-        scanned = [m for m in range(1 << n)
-                   if (m & zero_bit) and tables.is_ideal_mask(m)]
+        rules = _ideal_rules(alg)
+        scanned = [m for m in range(1 << n) if rules.first_failure(m) is None]
         if set(scanned) != kernels:
             raise AssertionError(
                 "ideal predicate and congruence kernels disagree on a "
@@ -541,12 +526,13 @@ def subset_conditions(alg: FiniteAlgebra, s: ElementSet):
     """The commutative-semiring-style conditions (i)-(iii) for a subset."""
     if alg.zero not in s:
         return False, "(i) 0 not in S", ()
-    for b in s.members():
-        for a in s.members():
+    members = s.members()
+    for b in members:
+        for a in members:
             if alg.plus[a][b] not in s:
                 return False, "(ii) not closed under +", (("a", a), ("b", b))
     for c in range(alg.size):
-        for a in s.members():
+        for a in members:
             if alg.times[a][c] not in s:
                 return False, "(iii) a*c escapes S", (("a", a), ("c", c))
             if alg.times[c][a] not in s:

@@ -1,9 +1,11 @@
 import functools
 import importlib
 import io
+import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -336,3 +338,17 @@ def test_every_table_command_exits_with_a_status_on_random_tables(text):
             argv = [command, table, table, *extra] if command == "cb" else [command, table, *extra]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 assert main(argv) in (0, 1, 2)
+
+
+# Recorded stdout and exit status of every command on every bundled document
+# (the benchmark's corpus answers); the key split on spaces is the argv.
+CORPUS_ANSWERS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "corpus.json")
+    .read_text(encoding="utf-8"))["answers"]
+
+
+@pytest.mark.parametrize("key", sorted(CORPUS_ANSWERS))
+def test_corpus_outputs_are_unchanged(key, capsys, monkeypatch):
+    monkeypatch.chdir(Path(path("b2.alg")).parent)
+    status, out, _ = run(capsys, *key.split(" "))
+    assert (status, out) == (CORPUS_ANSWERS[key]["status"], CORPUS_ANSWERS[key]["stdout"])

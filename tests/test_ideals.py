@@ -5,12 +5,12 @@ import pytest
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
 from nearsemiring.congruences import all_congruences
-from nearsemiring.ideals import (ElementSet, all_ideals, generate_ideal,
-                                 ideal_join_via_coset, is_ideal,
+from nearsemiring.ideals import (ElementSet, IdealCheck, all_ideals,
+                                 generate_ideal, ideal_join_via_coset, is_ideal,
                                  principal_ideal, principal_ideal_report,
                                  pseudocomplement, semiring_claims_report,
                                  skeleton, theta_of_ideal, theta_partition)
-from nearsemiring.core import leq
+from nearsemiring.core import leq, product
 
 L3 = luk_chain(3)
 LUK_CORPUS = (boolean2(), L3, luk_chain(4), b2_x_b2(), b2_x_l3(), trivial())
@@ -20,25 +20,32 @@ def es(alg, *members):
     return ElementSet.from_members(alg.size, members)
 
 
-def ideal_predicate_oracle(alg, members):
-    """Test-local reimplementation of the two closure conditions."""
-    s = set(members)
+def reference_is_ideal(alg, s):
+    """The predicate written out on the raw tables: the reference for is_ideal.
+
+    Same scan order and witnesses: 0 in s, then (I1), then (I2), each with b
+    outer and a inner, and for (I2) the first c with its escaping product.
+    """
     n, t, al = alg.size, alg.times, alg.alpha
+    inside = s.__contains__
     if alg.zero not in s:
-        return False
-    for a in range(n):
-        for b in range(n):
-            if t[a][al[b]] in s and b in s and a not in s:
-                return False
-    for a in range(n):
-        for b in range(n):
-            if t[al[a]][b] in s and t[al[b]][a] in s:
+        return IdealCheck(False, "0 in I", (), "the designated zero is missing")
+    for b in range(n):
+        for a in range(n):
+            if inside(t[a][al[b]]) and inside(b) and not inside(a):
+                return IdealCheck(False, "(I1)", (("a", a), ("b", b)),
+                                  "a*b^a in S and b in S but a not in S")
+    for b in range(n):
+        for a in range(n):
+            if inside(t[al[a]][b]) and inside(t[al[b]][a]):
                 for c in range(n):
-                    if t[al[t[a][c]]][t[b][c]] not in s:
-                        return False
-                    if t[al[t[c][a]]][t[c][b]] not in s:
-                        return False
-    return True
+                    if not inside(t[al[t[a][c]]][t[b][c]]):
+                        return IdealCheck(False, "(I2)", (("a", a), ("b", b), ("c", c)),
+                                          "(a*c)^a*(b*c) escapes S")
+                    if not inside(t[al[t[c][a]]][t[c][b]]):
+                        return IdealCheck(False, "(I2)", (("a", a), ("b", b), ("c", c)),
+                                          "(c*a)^a*(c*b) escapes S")
+    return IdealCheck(True)
 
 
 def test_is_ideal_l3_middle_pair_fails_i1():
@@ -56,19 +63,25 @@ def test_is_ideal_trivial_cases():
 
 
 def test_is_ideal_matches_test_oracle_on_all_subsets():
-    for alg in LUK_CORPUS + (godel3(),):
+    # verdict, failed condition, witness and detail, on every subset
+    b2 = boolean2()
+    for alg in LUK_CORPUS + (godel3(), product(b2_x_b2(), b2), product(L3, L3)):
         for mask in range(1 << alg.size):
             s = ElementSet(alg.size, mask)
-            assert is_ideal(alg, s).ok == ideal_predicate_oracle(alg, s.members())
+            assert is_ideal(alg, s) == reference_is_ideal(alg, s)
 
 
 def test_i3_reported():
-    # on Lukasiewicz algebras (I3) follows wherever (I1)/(I2) hold
+    # on Lukasiewicz algebras (I3) follows wherever (I1)/(I2) hold:
+    # a^alpha*b and b^alpha*a in I force a*b^alpha in I
     for alg in LUK_CORPUS:
-        for mask in range(1 << alg.size):
-            check = is_ideal(alg, ElementSet(alg.size, mask))
-            if check.ok:
-                assert check.i3_ok
+        n, t, al = alg.size, alg.times, alg.alpha
+        for mask in range(1 << n):
+            s = ElementSet(n, mask)
+            if is_ideal(alg, s).ok:
+                for a, b in itertools.product(range(n), repeat=2):
+                    if t[al[a]][b] in s and t[al[b]][a] in s:
+                        assert t[a][al[b]] in s
 
 
 def test_generate_ideal_examples():
@@ -262,7 +275,6 @@ def test_claims_reject_non_semiring():
 
 
 def test_oracle_partial_path_above_threshold():
-    from nearsemiring.core import product
     big = product(boolean2(), luk_chain(8))  # 16 elements
     lat = all_ideals(big)                     # default threshold 14: kernels only
     assert lat.oracle_partial and len(lat.ideals) == 4
