@@ -43,7 +43,7 @@ for a in range(alg.size):
     pair = d.pair_map(a)
     print(f"  {alg.label(a):<6} -> ({d.part.algebra.label(pair // m)}, "
           f"{d.co_part.algebra.label(pair % m)})")
-print("verified isomorphism onto the product:", d.verified)
+print("verified isomorphism onto the product:", d.pair_map.bijective)
 
 check = central_ideal_check(alg, e)
 print(f"\nI({alg.label(e)}) = [0, {alg.label(e)}]:", check.ideal_is_interval)

@@ -204,6 +204,17 @@ def _want_int(entries: dict[str, _Value], key: str, lo: int = 0,
     return v.payload
 
 
+def _want_entries(key: str, items: Sequence[_Value], n: int) -> tuple[int, ...]:
+    """The entries of a vector or of one matrix row: integers in [0, n)."""
+    for item in items:
+        if not isinstance(item.payload, int):
+            raise ParseError(f"{key} entries must be integers", item.line, item.col)
+        if not 0 <= item.payload < n:
+            raise ParseError(f"{key} entry {item.payload} is outside the universe [0, {n})",
+                             item.line, item.col)
+    return tuple(item.payload for item in items)
+
+
 def _want_vector(entries: dict[str, _Value], key: str, n: int) -> tuple[int, ...]:
     v = entries[key]
     if not isinstance(v.payload, tuple):
@@ -211,15 +222,7 @@ def _want_vector(entries: dict[str, _Value], key: str, n: int) -> tuple[int, ...
     if len(v.payload) != n:
         raise ParseError(f"{key} must have {n} entries, got {len(v.payload)}",
                          v.line, v.col)
-    out = []
-    for item in v.payload:
-        if not isinstance(item.payload, int):
-            raise ParseError(f"{key} entries must be integers", item.line, item.col)
-        if not 0 <= item.payload < n:
-            raise ParseError(f"{key} entry {item.payload} is outside the universe [0, {n})",
-                             item.line, item.col)
-        out.append(item.payload)
-    return tuple(out)
+    return _want_entries(key, v.payload, n)
 
 
 def _want_matrix(entries: dict[str, _Value], key: str, n: int) -> tuple[tuple[int, ...], ...]:
@@ -235,16 +238,7 @@ def _want_matrix(entries: dict[str, _Value], key: str, n: int) -> tuple[tuple[in
         if len(row.payload) != n:
             raise ParseError(f"{key} row {r} must have {n} entries, got {len(row.payload)}",
                              row.line, row.col)
-        vals = []
-        for item in row.payload:
-            if not isinstance(item.payload, int):
-                raise ParseError(f"{key} entries must be integers", item.line, item.col)
-            if not 0 <= item.payload < n:
-                raise ParseError(
-                    f"{key} entry {item.payload} is outside the universe [0, {n})",
-                    item.line, item.col)
-            vals.append(item.payload)
-        rows.append(tuple(vals))
+        rows.append(_want_entries(key, row.payload, n))
     return tuple(rows)
 
 

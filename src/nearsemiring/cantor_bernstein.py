@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .axioms import INRS, CheckOutcome, require_class
 from .center import Interval, central_elements, interval_algebra, syntactic_centrality
-from .core import FiniteAlgebra, Homomorphism, leq, product
+from .core import FiniteAlgebra, Homomorphism, leq
 
 
 @dataclass(frozen=True)
@@ -243,43 +243,6 @@ def cb_isomorphism(inst: CBInstance) -> Homomorphism:
         raise ValueError(f"construction checks failed: {failed}")
     assert trace.iso is not None
     return trace.iso
-
-
-def partition_decomposition(alg: FiniteAlgebra,
-                            parts: Sequence[int]) -> Homomorphism:
-    """a |-> (a ^ part_i)_i onto the product of the interval algebras.
-
-    Parts must be central, pairwise disjoint (product zero) and join to 1;
-    the violated clause is named.  Product indexing is the left fold of the
-    row-major pair indexing.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("parts must be a non-empty family")
-    for p in parts:
-        if not syntactic_centrality(alg, p).ok:
-            raise ValueError(f"part {alg.label(p)} is not central")
-    for p, q in itertools.combinations(parts, 2):
-        if alg.times[p][q] != alg.zero:
-            raise ValueError(f"parts {alg.label(p)} and {alg.label(q)} overlap")
-    if alg.join_all(parts) != alg.one:
-        raise ValueError("parts do not join to 1")
-
-    intervals = [interval_algebra(alg, p) for p in parts]
-    target = intervals[0].algebra
-    for iv in intervals[1:]:
-        target = product(target, iv.algebra)
-
-    def index(a: int) -> int:
-        idx = 0
-        for p, iv in zip(parts, intervals):
-            idx = idx * iv.algebra.size + iv.to_local(alg.times[p][a])
-        return idx
-
-    hom = Homomorphism(alg, target, tuple(index(a) for a in range(alg.size)))
-    if not hom.bijective:
-        raise AssertionError("partition decomposition is not bijective")
-    return hom
 
 
 @dataclass(frozen=True)

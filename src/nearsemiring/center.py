@@ -347,36 +347,62 @@ def interval_algebra(alg: FiniteAlgebra, e: int) -> Interval:
     return Interval(alg, e, members, sub)
 
 
+def _product_map(alg: FiniteAlgebra, parts: Sequence[int]
+                 ) -> tuple[list[Interval], Homomorphism]:
+    """The intervals [0, p] and a |-> (p*a)_p onto the left fold of their products."""
+    intervals = [interval_algebra(alg, p) for p in parts]
+    target = intervals[0].algebra
+    for iv in intervals[1:]:
+        target = product(target, iv.algebra)
+
+    def index(a: int) -> int:
+        idx = 0
+        for p, iv in zip(parts, intervals):
+            idx = idx * iv.algebra.size + iv.to_local(alg.times[p][a])
+        return idx
+
+    hom = Homomorphism(alg, target, tuple(index(a) for a in range(alg.size)))
+    if not hom.bijective:
+        raise AssertionError("partition decomposition is not bijective")
+    return intervals, hom
+
+
+def partition_decomposition(alg: FiniteAlgebra,
+                            parts: Sequence[int]) -> Homomorphism:
+    """a |-> (a ^ part_i)_i onto the product of the interval algebras.
+
+    Parts must be central, pairwise disjoint (product zero) and join to 1;
+    the violated clause is named.  Product indexing is the left fold of the
+    row-major pair indexing.
+    """
+    parts = list(parts)
+    if not parts:
+        raise ValueError("parts must be a non-empty family")
+    for p in parts:
+        if not syntactic_centrality(alg, p).ok:
+            raise ValueError(f"part {alg.label(p)} is not central")
+    for p, r in itertools.combinations(parts, 2):
+        if alg.times[p][r] != alg.zero:
+            raise ValueError(f"parts {alg.label(p)} and {alg.label(r)} overlap")
+    if alg.join_all(parts) != alg.one:
+        raise ValueError("parts do not join to 1")
+    return _product_map(alg, parts)[1]
+
+
 @dataclass(frozen=True)
 class Decomposition:
-    """A = [0,e] x [0,e^a] with all three maps verified."""
+    """A = [0,e] x [0,e^a]; its projections are a |-> e*a and a |-> e^a*a."""
 
     element: int
     part: Interval
     co_part: Interval
-    onto_part: Homomorphism       # a |-> e*a, surjective
-    onto_co_part: Homomorphism    # a |-> e^a*a, surjective
-    pair_map: Homomorphism        # a |-> (e*a, e^a*a) into the product
-    verified: bool
+    pair_map: Homomorphism        # a |-> (e*a, e^a*a), bijective onto the product
 
 
 def decompose(alg: FiniteAlgebra, e: int) -> Decomposition:
-    """Split the algebra along a central element and verify the isomorphism."""
-    part = interval_algebra(alg, e)
-    co_part = interval_algebra(alg, alg.alpha[e])
-    prod = product(part.algebra, co_part.algebra)
-    m = co_part.algebra.size
-    onto_part = Homomorphism(alg, part.algebra,
-                             tuple(part.to_local(alg.times[e][a]) for a in range(alg.size)))
-    onto_co = Homomorphism(alg, co_part.algebra,
-                           tuple(co_part.to_local(alg.times[alg.alpha[e]][a])
-                                 for a in range(alg.size)))
-    pair = Homomorphism(alg, prod,
-                        tuple(onto_part(a) * m + onto_co(a) for a in range(alg.size)))
-    verified = (pair.bijective and onto_part.surjective() and onto_co.surjective())
-    if not verified:
-        raise AssertionError(f"pair map along {alg.label(e)} is not an isomorphism")
-    return Decomposition(e, part, co_part, onto_part, onto_co, pair, verified)
+    """Split the algebra along a central e: partition_decomposition of [e, e^a]."""
+    (part, co_part), pair = _product_map(alg, [e, alg.alpha[e]])
+    return Decomposition(e, part, co_part, pair)
 
 
 @dataclass(frozen=True)

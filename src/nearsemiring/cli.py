@@ -16,7 +16,7 @@ from . import algfile
 from .algfile import AlgebraDocument, ParseError
 from .axioms import CLASSES, INRS, LUK_NRS, check_axioms, require_class
 from .cantor_bernstein import cb_search, cb_sequences, make_cb_instance
-from .center import center, central_elements, decompose, is_central
+from .center import center, central_elements, decompose, syntactic_centrality
 from .congruences import all_congruences, malcev_and_regularity_report
 from .core import FiniteAlgebra
 from .hasse import covering_pairs, hasse_dot
@@ -170,8 +170,7 @@ def cmd_decompose(args) -> tuple[str, int]:
     _, alg = _load_table_algebra(args.file)
     require_class(alg, INRS, "decompose")
     e = _resolve_element(alg, args.element)
-    res = is_central(alg, e)
-    if not res.central:
+    if not syntactic_centrality(alg, e).ok:
         raise UsageError(f"element {alg.label(e)} is not central; decomposition needs "
                          "a central element")
     d = decompose(alg, e)
@@ -182,7 +181,7 @@ def cmd_decompose(args) -> tuple[str, int]:
                 f"members {{{', '.join(alg.label(v) for v in d.part.members)}}}")
     report.info(f"interval [0, {alg.label(alg.alpha[e])}]: size {d.co_part.algebra.size}, "
                 f"members {{{', '.join(alg.label(v) for v in d.co_part.members)}}}")
-    report.verdict(d.verified, "pair map is an isomorphism onto the product")
+    report.verdict(d.pair_map.bijective, "pair map is an isomorphism onto the product")
     report.section("pair map table")
     m = d.co_part.algebra.size
     for a in range(alg.size):

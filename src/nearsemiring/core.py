@@ -198,10 +198,6 @@ class Homomorphism:
         return len(set(self.mapping)) == self.target.size
 
 
-def identity_map(alg: FiniteAlgebra) -> Homomorphism:
-    return Homomorphism(alg, alg, tuple(range(alg.size)))
-
-
 def projections(a: FiniteAlgebra, b: FiniteAlgebra,
                 prod: Optional[FiniteAlgebra] = None) -> tuple[Homomorphism, Homomorphism]:
     """The two coordinate projections of product(a, b), verified."""
@@ -247,15 +243,6 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[Homomorphis
     mapping: list[Optional[int]] = [None] * n
     used = [False] * n
 
-    def assign(x: int, y: int) -> bool:
-        if mapping[x] is not None:
-            return mapping[x] == y
-        if used[y] or prof_a[x] != prof_b[y]:
-            return False
-        mapping[x] = y
-        used[y] = True
-        return True
-
     def consistent(x: int) -> bool:
         # checks involving x and previously assigned elements only
         y = mapping[x]
@@ -276,33 +263,25 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[Homomorphis
 
     order = list(dict.fromkeys([a.zero, a.one] + list(range(n))))
 
-    def full_check() -> bool:
-        m = mapping
-        for u in range(n):
-            if m[a.alpha[u]] != b.alpha[m[u]]:
-                return False
-            for v in range(n):
-                if m[a.plus[u][v]] != b.plus[m[u]][m[v]]:
-                    return False
-                if m[a.times[u][v]] != b.times[m[u]][m[v]]:
-                    return False
-        return True
-
-    def backtrack(k: int) -> bool:
+    def backtrack(k: int) -> Optional[Homomorphism]:
         if k == len(order):
-            return full_check()
+            # consistent() skips a result assigned after its arguments, so the
+            # complete map goes through the Homomorphism preservation test
+            try:
+                return Homomorphism(a, b, tuple(mapping))  # type: ignore[arg-type]
+            except AlgebraError:
+                return None
         x = order[k]
-        if mapping[x] is not None:
-            return consistent(x) and backtrack(k + 1)
         forced = b.zero if x == a.zero else b.one if x == a.one else None
-        candidates = [forced] if forced is not None else [y for y in range(n) if not used[y]]
-        for y in candidates:
-            snapshot = (mapping.copy(), used.copy())
-            if assign(x, y) and consistent(x) and backtrack(k + 1):
-                return True
-            mapping[:], used[:] = snapshot
-        return False
-
-    if not backtrack(0):
+        for y in ([forced] if forced is not None else range(n)):
+            if used[y] or prof_a[x] != prof_b[y]:
+                continue
+            mapping[x], used[y] = y, True
+            if consistent(x):
+                hom = backtrack(k + 1)
+                if hom is not None:
+                    return hom
+            mapping[x], used[y] = None, False
         return None
-    return Homomorphism(a, b, tuple(int(v) for v in mapping))  # type: ignore[arg-type]
+
+    return backtrack(0)

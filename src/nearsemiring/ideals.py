@@ -229,8 +229,6 @@ def theta_of_ideal(alg: FiniteAlgebra, s: ElementSet) -> ThetaResult:
             if c not in by_first[a]:
                 return ThetaResult(rel, None, "not transitive", (a, b, c))
     part = Partition.from_pairs(n, rel)
-    if part.pairs() != rel:  # cannot happen once reflexive+symmetric+transitive
-        return ThetaResult(rel, None, "not an equivalence", ())
     defect = part.congruence_defect(alg)
     if defect is not None:
         return ThetaResult(rel, None, f"not a congruence: {defect}", ())

@@ -6,9 +6,8 @@ import pytest
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, l3_x_b2,
                                   luk_chain)
 from nearsemiring.cantor_bernstein import (cb_isomorphism, cb_search,
-                                           cb_sequences, make_cb_instance,
-                                           partition_decomposition)
-from nearsemiring.center import decompose
+                                           cb_sequences, make_cb_instance)
+from nearsemiring.center import decompose, partition_decomposition
 from nearsemiring.core import find_isomorphism
 
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3, l3_x_b2,
@@ -108,6 +111,40 @@ def test_find_isomorphism_swaps_coordinates():
     # (i,j) at i*3+j must land on (j,i) at j*2+i
     expected = tuple((p % 3) * 2 + (p // 3) for p in range(6))
     assert iso.mapping == expected
+
+
+def _preserves(a, b, m):
+    return (m[a.zero] == b.zero and m[a.one] == b.one
+            and all(m[a.alpha[u]] == b.alpha[m[u]] for u in range(a.size))
+            and all(m[a.plus[u][v]] == b.plus[m[u]][m[v]]
+                    and m[a.times[u][v]] == b.times[m[u]][m[v]]
+                    for u in range(a.size) for v in range(a.size)))
+
+
+def test_find_isomorphism_is_the_least_preserving_bijection():
+    # a relabelled copy, with two times entries swapped in half the cases: the
+    # swap keeps the occurrence profiles, so only the full test at a complete
+    # map can reject some of those copies
+    rng = random.Random(20261018)
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        table = lambda: [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        a = FiniteAlgebra(n, table(), table(), [rng.randrange(n) for _ in range(n)], 0, n - 1)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        plus, times, alpha = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)], [0] * n
+        for i in range(n):
+            alpha[perm[i]] = perm[a.alpha[i]]
+            for j in range(n):
+                plus[perm[i]][perm[j]] = perm[a.plus[i][j]]
+                times[perm[i]][perm[j]] = perm[a.times[i][j]]
+        if rng.random() < 0.5:
+            i, j, k, l = (rng.randrange(n) for _ in range(4))
+            times[i][j], times[k][l] = times[k][l], times[i][j]
+        b = FiniteAlgebra(n, plus, times, alpha, perm[0], perm[n - 1])
+        least = next((m for m in itertools.permutations(range(n)) if _preserves(a, b, m)), None)
+        iso = find_isomorphism(a, b)
+        assert (None if iso is None else iso.mapping) == least
 
 
 def test_isomorphism_relation_reflexive_symmetric_on_corpus():

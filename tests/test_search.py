@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -223,9 +224,29 @@ def test_n3_models_are_l3_and_g3():
 
 
 def test_every_output_passes_its_class():
-    for n in (2, 3, 4, 5):
-        for alg in enumerate_algebras(EnumerationTask(n, LUK_NRS)):
-            assert check_axioms(alg, LUK_NRS).ok
+    # the search admits a leaf without check_axioms; this is the full check
+    cases = [(n, cls) for n in range(1, 6) for cls in (INRS, LUK_NRS, LUK_RS)]
+    for n, cls in cases + [(6, LUK_NRS), (6, LUK_RS)]:
+        for alg in enumerate_algebras(EnumerationTask(n, cls)):
+            assert check_axioms(alg, cls).ok, (n, cls)
+
+
+def test_admission_checks_only_the_laws_the_search_leaves_open(monkeypatch):
+    axioms = importlib.import_module("nearsemiring.axioms")
+    checked = []
+    check = axioms.check_identity
+
+    def recording(alg, name, lhs, rhs, *args, **kwargs):
+        checked.append((lhs, rhs))
+        return check(alg, name, lhs, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(axioms, "check_identity", recording)
+    for cls in (INRS, LUK_NRS):
+        assert enumerate_algebras(EnumerationTask(4, cls)) and not checked
+    assert len(enumerate_algebras(EnumerationTask(4, LUK_RS))) == 2
+    laws = dict(axioms.CLASS_LAWS[LUK_RS])
+    assert set(checked) == {(lhs, rhs) for name in ("(comm)", "(rdist)")
+                            for _, lhs, rhs in laws[name]}
 
 
 def test_outputs_pairwise_non_isomorphic():
