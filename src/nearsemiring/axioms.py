@@ -214,9 +214,11 @@ def classify(alg: FiniteAlgebra) -> Optional[str]:
 
     Computed once per algebra and remembered while the algebra lives.
     """
-    if alg not in _classes:
-        _classes[alg] = _best_class(alg)
-    return _classes[alg]
+    try:
+        return _classes[alg]
+    except KeyError:
+        best = _classes[alg] = _best_class(alg)
+        return best
 
 
 _classes: "weakref.WeakKeyDictionary[FiniteAlgebra, Optional[str]]" = weakref.WeakKeyDictionary()

@@ -326,6 +326,11 @@ def interval_algebra(alg: FiniteAlgebra, e: int) -> Interval:
     if not syntactic_centrality(alg, e).ok:
         raise ValueError(f"element {alg.label(e)} is not central; "
                          "interval algebras exist only over central elements")
+    return _interval(alg, e)
+
+
+def _interval(alg: FiniteAlgebra, e: int) -> Interval:
+    """interval_algebra for an e its caller has already found central."""
     n = alg.size
     members = tuple(sorted({alg.times[e][b] for b in range(n)}))
     downset = tuple(sorted(x for x in range(n) if leq(alg, x, e)))
@@ -347,24 +352,22 @@ def interval_algebra(alg: FiniteAlgebra, e: int) -> Interval:
     return Interval(alg, e, members, sub)
 
 
-def _product_map(alg: FiniteAlgebra, parts: Sequence[int]
-                 ) -> tuple[list[Interval], Homomorphism]:
-    """The intervals [0, p] and a |-> (p*a)_p onto the left fold of their products."""
-    intervals = [interval_algebra(alg, p) for p in parts]
+def _product_map(alg: FiniteAlgebra, intervals: Sequence[Interval]) -> Homomorphism:
+    """a |-> (p*a)_p onto the left fold of the products of the intervals [0, p]."""
     target = intervals[0].algebra
     for iv in intervals[1:]:
         target = product(target, iv.algebra)
 
     def index(a: int) -> int:
         idx = 0
-        for p, iv in zip(parts, intervals):
-            idx = idx * iv.algebra.size + iv.to_local(alg.times[p][a])
+        for iv in intervals:
+            idx = idx * iv.algebra.size + iv.to_local(alg.times[iv.element][a])
         return idx
 
     hom = Homomorphism(alg, target, tuple(index(a) for a in range(alg.size)))
     if not hom.bijective:
         raise AssertionError("partition decomposition is not bijective")
-    return intervals, hom
+    return hom
 
 
 def partition_decomposition(alg: FiniteAlgebra,
@@ -386,7 +389,7 @@ def partition_decomposition(alg: FiniteAlgebra,
             raise ValueError(f"parts {alg.label(p)} and {alg.label(r)} overlap")
     if alg.join_all(parts) != alg.one:
         raise ValueError("parts do not join to 1")
-    return _product_map(alg, parts)[1]
+    return _product_map(alg, [_interval(alg, p) for p in parts])
 
 
 @dataclass(frozen=True)
@@ -401,8 +404,8 @@ class Decomposition:
 
 def decompose(alg: FiniteAlgebra, e: int) -> Decomposition:
     """Split the algebra along a central e: partition_decomposition of [e, e^a]."""
-    (part, co_part), pair = _product_map(alg, [e, alg.alpha[e]])
-    return Decomposition(e, part, co_part, pair)
+    part, co_part = interval_algebra(alg, e), interval_algebra(alg, alg.alpha[e])
+    return Decomposition(e, part, co_part, _product_map(alg, [part, co_part]))
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,20 @@ class FiniteAlgebra:
                 raise AlgebraError(f"names must have {n} entries, got {len(names)}")
             object.__setattr__(self, "names", names)
 
+    def __hash__(self) -> int:
+        # the generated hash walks every table, and the per-algebra memos
+        # (axioms.classify, ideals._ideal_rules) look an algebra up often
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.size, self.plus, self.times, self.alpha,
+                                               self.zero, self.one, self.names))
+            return h
+
+    def __getstate__(self) -> dict:
+        # the cached hash depends on this process's string hashing
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     # -- display ------------------------------------------------------
 
     def label(self, x: int) -> str:

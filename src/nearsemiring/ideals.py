@@ -136,9 +136,11 @@ _rules: "weakref.WeakKeyDictionary[FiniteAlgebra, _IdealRules]" = weakref.WeakKe
 
 def _ideal_rules(alg: FiniteAlgebra) -> _IdealRules:
     """The rule table of alg, remembered while the algebra lives."""
-    if alg not in _rules:
-        _rules[alg] = _IdealRules(alg)
-    return _rules[alg]
+    try:
+        return _rules[alg]
+    except KeyError:
+        rules = _rules[alg] = _IdealRules(alg)
+        return rules
 
 
 @dataclass(frozen=True)

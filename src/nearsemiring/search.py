@@ -8,9 +8,22 @@ is incremental: one check of the preset cells before the first free cell,
 then after each assignment only the constraint instances that read the new
 cell, found through indices by the cells they read.  An instance can only
 newly fail when it reads the new cell, so this prunes exactly the nodes a
-full rescan would.  Isomorphic copies are rejected by a brute-force
-canonical form (minimum table encoding over all permutations fixing 0 and
-1), each permutation encoded straight from the tables.
+full rescan would.
+
+Isomorphic copies are never searched twice.  The relabellings are the
+permutations fixing 0 and n-1, and tables are compared in the search's own
+order (row by row, which for a plus table is the order of its free cells).
+A complete plus table P is kept only if it is the least of its relabellings;
+the same scan collects its automorphisms Aut(P).  An antitone involution
+alpha is kept only if it is the least of its conjugates under Aut(P), which
+also yields Aut(P, alpha).  Each kept pair is one root per isomorphism
+orbit of (P, alpha), and the times phase runs from the roots alone.  Inside
+a root a leaf is kept only if its times table is the least of its
+relabellings under Aut(P, alpha).  The search visits leaves in this same
+order, so every model is kept exactly once, as the first copy a search over
+all labelled pairs would meet.  The brute-force canonical form (minimum
+encoding over all permutations fixing zero and one) is computed once per kept
+model, for the sort order and the file names of `nsr enumerate --out`.
 
 A leaf is admitted without re-running the axiom checker, because the search
 already guarantees every axiom of inrs and luk-nrs: the bounds, idempotence
@@ -120,17 +133,50 @@ def canonical_form(alg: FiniteAlgebra) -> CanonicalForm:
                            "universe; such tables admit no bounded order")
     plus, times = tuple(map(bytes, alg.plus)), tuple(map(bytes, alg.times))
     alpha = (bytes(alg.alpha),)
-    new_labels = bytes(range(n))
 
-    def encode(middle: tuple[int, ...]) -> bytes:
-        old = (alg.zero, *middle, alg.one)      # new label -> old label
-        gather = itemgetter(*old)
+    def encode(gather: itemgetter, trans: bytes) -> bytes:
         return b"".join(map(bytes, map(gather, gather(plus) + gather(times) + alpha))
-                        ).translate(bytes.maketrans(bytes(old), new_labels))
+                        ).translate(trans)
 
     rest = [i for i in range(n) if i not in (alg.zero, alg.one)]
-    return CanonicalForm(bytes([n, 0, n - 1])
-                         + min(map(encode, itertools.permutations(rest))))
+    return CanonicalForm(bytes([n, 0, n - 1]) + min(
+        itertools.starmap(encode, _relabellings(alg.zero, rest, alg.one))))
+
+
+_Relabelling = tuple[itemgetter, bytes]
+
+
+def _relabellings(zero: int, rest: Sequence[int], one: int) -> Iterable[_Relabelling]:
+    """Every order of rest between zero and one, in lexicographic order.
+
+    Each order old (new label -> old label) comes as (gather, trans):
+    gather(seq)[k] = seq[old[k]] and trans translates old labels to new, so
+    a table's image has rows and columns gathered, then labels translated.
+    """
+    new_labels = bytes(range(len(rest) + 2))
+    for middle in itertools.permutations(rest):
+        old = (zero, *middle, one)
+        yield itemgetter(*old), bytes.maketrans(bytes(old), new_labels)
+
+
+def _table_image(rows: tuple[bytes, ...], gather: itemgetter, trans: bytes) -> bytes:
+    return b"".join(map(bytes, map(gather, gather(rows)))).translate(trans)
+
+
+def _least(base: bytes, images: Iterable[tuple[bytes, _Relabelling]]
+           ) -> Optional[list[_Relabelling]]:
+    """The relabellings whose image is base, or None if an image is smaller.
+
+    None means base is not the least of its orbit; otherwise the result is
+    its stabilizer among the relabellings offered.
+    """
+    fixed = []
+    for image, relabelling in images:
+        if image < base:
+            return None
+        if image == base:
+            fixed.append(relabelling)
+    return fixed
 
 
 # -- the backtracking search ------------------------------------------------
@@ -204,6 +250,8 @@ class _Search:
         self.plus_cells = [(i, j) for k, i in enumerate(self.mid)
                            for j in self.mid[k + 1:]]
         self.times_cells = [(i, j) for i in self.mid for j in self.mid]
+        # every relabelling fixing 0 and n-1 except the identity (the first order)
+        self.relabellings = list(itertools.islice(_relabellings(0, self.mid, n - 1), 1, None))
 
     # cursor-aware candidate iteration: skip branches before the resume point
     def _candidates(self, values: Sequence[int]) -> Iterable[int]:
@@ -247,7 +295,10 @@ class _Search:
             # every cell is set, so the last partial check covered all of
             # associativity (for n <= 3 no cell is free and the table is a
             # chain); commutativity and idempotence hold by construction
-            self._alpha_phase([[v for v in row] for row in P])  # type: ignore[misc]
+            full: list[list[int]] = [[v for v in row] for row in P]  # type: ignore[misc]
+            autos = self._plus_automorphisms(full)
+            if autos is not None:
+                self._alpha_phase(full, autos)
             return
         i, j = self.plus_cells[k]
         values: Sequence[int] = range(1, n)
@@ -261,14 +312,28 @@ class _Search:
             P[i][j] = P[j][i] = None
             self._leave()
 
-    def _alpha_phase(self, P: list[list[int]]) -> None:
-        candidates = _antitone_involutions(P, self.n)
-        for idx in self._candidates(range(len(candidates))):
+    def _plus_automorphisms(self, P: list[list[int]]) -> Optional[list[_Relabelling]]:
+        """Aut(P) but the identity, or None if a relabelling of P is smaller."""
+        rows = tuple(map(bytes, P))
+        return _least(b"".join(rows), ((_table_image(rows, *r), r)
+                                       for r in self.relabellings))
+
+    def _alpha_phase(self, P: list[list[int]], autos: list[_Relabelling]) -> None:
+        # the roots: each involution least among its conjugates under Aut(P),
+        # with Aut(P, alpha); resume tokens index this list
+        roots = []
+        for alpha in _antitone_involutions(P, self.n):
+            vec = bytes(alpha)
+            fixed = _least(vec, ((bytes(g(vec)).translate(t), (g, t)) for g, t in autos))
+            if fixed is not None:
+                roots.append((alpha, fixed))
+        for idx in self._candidates(range(len(roots))):
             self._enter(idx)
-            self._times_phase(P, candidates[idx])
+            self._times_phase(P, *roots[idx])
             self._leave()
 
-    def _times_phase(self, P: list[list[int]], alpha: tuple[int, ...]) -> None:
+    def _times_phase(self, P: list[list[int]], alpha: tuple[int, ...],
+                     autos: list[_Relabelling]) -> None:
         n = self.n
         R = range(n)
         T: list[list[Optional[int]]] = [[None] * n for _ in R]
@@ -349,7 +414,7 @@ class _Search:
 
         def fill(k: int) -> None:
             if k == len(cells):
-                self._emit(P, alpha, T)
+                self._emit(P, alpha, autos, T)
                 return
             i, j = cells[k]
             Ti = T[i]
@@ -367,13 +432,17 @@ class _Search:
         if all(cell_ok(a, b) for v in R for a, b in where[v]):
             fill(0)
 
-    def _emit(self, P, alpha, T) -> None:
+    def _emit(self, P, alpha, autos, T) -> None:
+        if autos:
+            rows = tuple(map(bytes, T))
+            if _least(b"".join(rows), ((_table_image(rows, *r), r) for r in autos)) is None:
+                return      # its least relabelling is another leaf of this root
         # a search meets few distinct rows, so the models it keeps share them
         row = self.rows.setdefault
         alg = FiniteAlgebra(self.n, tuple(row(r, r) for r in map(tuple, P)),
                             tuple(row(r, r) for r in map(tuple, T)), alpha, 0, self.n - 1)
         if self.cls != LUK_RS or first_failure(alg, LUK_RS, _RS_UNCHECKED).ok:
-            self.found.setdefault(canonical_form(alg).data, alg)
+            self.found[canonical_form(alg).data] = alg
 
 
 def enumerate_algebras(task: EnumerationTask,
@@ -381,10 +450,13 @@ def enumerate_algebras(task: EnumerationTask,
                        ) -> tuple[FiniteAlgebra, ...]:
     """All models of the class at the given size, one per isomorphism type.
 
-    Output is sorted by canonical form, so it is deterministic regardless of
-    thread count.  A node-cap overrun raises EnumerationCapExceeded with the
-    nodes visited, the partial results and a resume token (resume is
-    supported for threads=1).
+    The multiplication table is searched once per orbit root (plus, alpha),
+    and leaves are deduplicated under Aut(plus, alpha); each model is the
+    first labelled copy in search order.  Output is sorted by canonical
+    form, so it is deterministic regardless of thread count.  A node-cap
+    overrun raises EnumerationCapExceeded with the nodes visited, the
+    partial results and a resume token, whose involution entry indexes the
+    roots of its plus table (resume is supported for threads=1).
     """
     if task.threads > 1:
         if resume is not None:

@@ -101,6 +101,22 @@ def test_partition_decomposition_names_failed_clause():
         partition_decomposition(alg, [3])
 
 
+def test_partition_decomposition_tests_each_part_once(monkeypatch):
+    center_module = importlib.import_module("nearsemiring.center")
+    tested = []
+    syntactic = center_module.syntactic_centrality
+
+    def counting(alg, e):
+        tested.append(e)
+        return syntactic(alg, e)
+
+    monkeypatch.setattr(center_module, "syntactic_centrality", counting)
+    alg = b2_x_l3()
+    parts = [3, alg.alpha[3]]
+    assert partition_decomposition(alg, parts).bijective
+    assert tested == parts
+
+
 def test_make_instance_validation():
     sq = b2_x_b2()
     with pytest.raises(ValueError, match="not central"):

@@ -175,6 +175,13 @@ def test_enumerate_writes_directory(tmp_path, capsys):
     assert check_axioms(alg, "luk-nrs").ok
 
 
+def test_enumerate_size_7_luk_rs_finishes_under_the_default_cap(capsys):
+    # one model: 7 has one unordered factorization
+    status, out, err = run(capsys, "enumerate", "--size", "7", "--class", "luk-rs")
+    assert (status, err) == (0, "")
+    assert "1 model(s) of class luk-rs at size 7" in out
+
+
 def test_enumerate_node_cap_is_an_error_with_the_resume_token(monkeypatch, capsys):
     cli = importlib.import_module("nearsemiring.cli")
     search = importlib.import_module("nearsemiring.search")

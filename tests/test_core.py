@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -186,3 +188,14 @@ def test_term_rendering_and_error_message():
     assert str(LUK_LHS) == "((x * y^a)^a * y^a)"
     err = UnboundVariableError("y")
     assert "variable 'y' is not bound" in str(err)
+
+
+def test_hash_is_cached_and_equality_is_by_tables_and_names():
+    a = luk_chain(5)
+    b = dataclasses.replace(a)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.__dict__["_hash"] == hash(a)
+    renamed = dataclasses.replace(a, names=tuple("abcde"))
+    assert renamed != a and renamed.same_tables(a)
+    copy = pickle.loads(pickle.dumps(a))
+    assert "_hash" not in copy.__dict__ and copy == a and hash(copy) == hash(a)

@@ -1,14 +1,15 @@
 import importlib
 import itertools
+import math
 import random
 
 import pytest
 
-from nearsemiring.axioms import INRS, LUK_NRS, LUK_RS, check_axioms
+from nearsemiring.axioms import INRS, LUK_NRS, LUK_RS, check_axioms, first_failure
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3, l3_x_b2,
                                   luk_chain)
 from nearsemiring.core import FiniteAlgebra, find_isomorphism, product
-from nearsemiring.search import (CanonicalForm, EnumerationCapExceeded,
+from nearsemiring.search import (_RS_UNCHECKED, CanonicalForm, EnumerationCapExceeded,
                                  EnumerationTask, _Search, canonical_form, count,
                                  enumerate_algebras, frozen_counts, relabel)
 
@@ -20,7 +21,7 @@ class FullRescanSearch(_Search):
     visit the same nodes and find the same models.
     """
 
-    def _times_phase(self, P, alpha):
+    def _times_phase(self, P, alpha, autos):
         n = self.n
         T = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -67,7 +68,7 @@ class FullRescanSearch(_Search):
 
         def fill(k):
             if k == len(self.times_cells):
-                self._emit(P, alpha, T)
+                self._emit(P, alpha, autos, T)
                 return
             i, j = self.times_cells[k]
             for v in self._candidates(range(n)):
@@ -81,6 +82,39 @@ class FullRescanSearch(_Search):
         if not determined_ok():
             return
         fill(0)
+
+
+class LabelledSearch(_Search):
+    """Reference search: every labelled (plus, alpha) pair is a root.
+
+    Isomorphic leaves are dropped by canonical form, keeping the first copy
+    met, and `admitted` counts the labelled leaves that pass admission.
+    """
+
+    admitted = 0
+
+    def _plus_automorphisms(self, P):
+        return []
+
+    def _emit(self, P, alpha, autos, T):
+        alg = FiniteAlgebra(self.n, tuple(map(tuple, P)), tuple(map(tuple, T)),
+                            alpha, 0, self.n - 1)
+        if self.cls != LUK_RS or first_failure(alg, LUK_RS, _RS_UNCHECKED).ok:
+            self.admitted += 1
+            self.found.setdefault(canonical_form(alg).data, alg)
+
+
+class LabelledFullRescan(FullRescanSearch):
+    """The full rescan over every labelled (plus, alpha) pair."""
+
+    _plus_automorphisms = LabelledSearch._plus_automorphisms
+
+
+def automorphism_count(alg):
+    """|Aut(A)|: relabellings fixing 0 and n-1 that map every table to itself."""
+    n = alg.size
+    return sum(relabel(alg, [0, *sigma, n - 1]) == alg
+               for sigma in itertools.permutations(range(1, n - 1)))
 
 
 def relabel_canonical_form(alg):
@@ -159,14 +193,44 @@ def test_counts_match_frozen_table():
 def test_incremental_checks_visit_the_same_nodes_as_a_full_rescan():
     # at n = 6 the first plus cell 1+2 = 3 gives a join whose row is filled
     # after the rows it joins; up to n = 5 no plus table with such a join
-    # admits an antitone involution
+    # admits an antitone involution.  No plus table with 1+2 = 3 is an orbit
+    # root, so those cases search every labelled pair
     cases = [(n, cls, None) for n in range(1, 6) for cls in (INRS, LUK_NRS, LUK_RS)]
     for n, cls, first in cases + [(6, LUK_NRS, 3), (6, LUK_RS, 3)]:
-        fast = _Search(EnumerationTask(n, cls), None, first_value=first)
-        full = FullRescanSearch(EnumerationTask(n, cls), None, first_value=first)
+        fast_search, full_search = ((LabelledSearch, LabelledFullRescan) if first
+                                    else (_Search, FullRescanSearch))
+        fast = fast_search(EnumerationTask(n, cls), None, first_value=first)
+        full = full_search(EnumerationTask(n, cls), None, first_value=first)
         forms = [sorted(canonical_form(a).data for a in s.run()) for s in (fast, full)]
         assert fast.nodes == full.nodes, (n, cls, first)
         assert forms[0] == forms[1], (n, cls, first)
+
+
+#: every class up to n = 5 and 6,luk-*: the cases checked against a reference
+CHECKED_CASES = ([(n, cls) for n in range(1, 6) for cls in (INRS, LUK_NRS, LUK_RS)]
+                 + [(6, LUK_RS), (6, LUK_NRS)])
+
+
+def test_orbit_roots_match_the_labelled_search():
+    # the reference searches every labelled (plus, alpha) pair; the search
+    # must emit the same tables in the same order, and by orbit-stabilizer a
+    # model has (n-2)!/|Aut(A)| labelled copies with 0 and n-1 in place
+    orbit_sums, nodes = {}, {}
+    for n, cls in CHECKED_CASES:
+        search, reference = (S(EnumerationTask(n, cls), None)
+                             for S in (_Search, LabelledSearch))
+        models = search.run()
+        assert ([(a.plus, a.times, a.alpha) for a in models]
+                == [(a.plus, a.times, a.alpha) for a in reference.run()]), (n, cls)
+        if n > 1:       # the one-element model is not a leaf of either search
+            orbit_sums[n, cls] = sum(math.factorial(n - 2) // automorphism_count(alg)
+                                     for alg in models)
+            assert orbit_sums[n, cls] == reference.admitted, (n, cls)
+        nodes[n, cls] = search.nodes, reference.nodes
+    assert [orbit_sums[case] for case in ((4, INRS), (5, INRS), (5, LUK_NRS),
+                                          (6, LUK_RS), (6, LUK_NRS))] == [54, 5824, 16, 48, 154]
+    assert [nodes[case] for case in ((4, INRS), (5, INRS), (6, LUK_RS), (6, LUK_NRS))] == [
+        (198, 271), (9953, 46030), (12422, 107394), (35216, 422388)]
 
 
 def test_canonical_form_matches_the_relabel_reference():
@@ -225,8 +289,7 @@ def test_n3_models_are_l3_and_g3():
 
 def test_every_output_passes_its_class():
     # the search admits a leaf without check_axioms; this is the full check
-    cases = [(n, cls) for n in range(1, 6) for cls in (INRS, LUK_NRS, LUK_RS)]
-    for n, cls in cases + [(6, LUK_NRS), (6, LUK_RS)]:
+    for n, cls in CHECKED_CASES:
         for alg in enumerate_algebras(EnumerationTask(n, cls)):
             assert check_axioms(alg, cls).ok, (n, cls)
 
