@@ -225,13 +225,15 @@ _classes: "weakref.WeakKeyDictionary[FiniteAlgebra, Optional[str]]" = weakref.We
 
 
 def _best_class(alg: FiniteAlgebra) -> Optional[str]:
-    if not check_axioms(alg, INRS).ok:
-        return None
-    if not check_axioms(alg, LUK_NRS).ok:
-        return INRS
-    if check_axioms(alg, LUK_RS).ok:
-        return LUK_RS
-    return LUK_NRS
+    # each class's axioms are a prefix of the luk-rs report, so one check
+    # holds every verdict
+    axioms = check_axioms(alg, LUK_RS).axioms
+    best = None
+    for cls in CLASSES:
+        if not all(c.ok for c in axioms[:len(BASE_LAWS) + 1 + len(CLASS_LAWS[cls])]):
+            break
+        best = cls
+    return best
 
 
 def require_class(alg: FiniteAlgebra, algebra_class: str, context: str = "") -> None:

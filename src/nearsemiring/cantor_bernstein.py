@@ -15,13 +15,15 @@ against the general formulas.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .axioms import INRS, CheckOutcome, require_class
-from .center import Interval, central_elements, interval_algebra, syntactic_centrality
-from .core import FiniteAlgebra, Homomorphism, leq
+from .center import (Interval, _interval, central_elements, interval_algebra,
+                     syntactic_centrality)
+from .core import FiniteAlgebra, Homomorphism, find_isomorphism, leq
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,8 @@ def make_cb_instance(algebra_a: FiniteAlgebra, algebra_b: FiniteAlgebra,
         raise ValueError(f"{algebra_a.label(a)} is not central in the first algebra")
     if not syntactic_centrality(algebra_b, b).ok:
         raise ValueError(f"{algebra_b.label(b)} is not central in the second algebra")
-    int_a = interval_algebra(algebra_a, a)
-    int_b = interval_algebra(algebra_b, b)
+    int_a = _interval(algebra_a, a)
+    int_b = _interval(algebra_b, b)
     gamma = Homomorphism(algebra_a, int_b.algebra,
                          tuple(int_b.to_local(v) for v in gamma_elements))
     beta = Homomorphism(algebra_b, int_a.algebra,
@@ -270,10 +272,9 @@ def cb_search(algebra_a: FiniteAlgebra, algebra_b: FiniteAlgebra,
 
     For every qualifying pair the full construction runs and the resulting
     isomorphism is verified.  Enumeration is capped at max_pairs central
-    pairs (documented default 256).  Both algebras must be inrs.
+    pairs (documented default 256).  Both algebras must be inrs.  Each
+    interval and its isomorphism is built at most once per central element.
     """
-    from .core import find_isomorphism
-
     A, B = algebra_a, algebra_b
     require_class(A, INRS, "cb_search, algebra A")
     require_class(B, INRS, "cb_search, algebra B")
@@ -286,10 +287,15 @@ def cb_search(algebra_a: FiniteAlgebra, algebra_b: FiniteAlgebra,
         notes.append(f"sizes differ (|A|={A.size}, |B|={B.size}): on finite algebras "
                      "mutual interval embeddings force equal sizes, so no instance exists")
 
+    @functools.cache
+    def beta_for(a: int) -> tuple[Interval, Optional[Homomorphism]]:
+        # built on the first pair that reaches a, so max_pairs bounds the work
+        int_a = _interval(A, a)
+        return int_a, find_isomorphism(B, int_a.algebra)
+
     ce_a = central_elements(A)
-    ce_b = central_elements(B)
-    for b in ce_b:
-        int_b = interval_algebra(B, b)
+    for b in central_elements(B):
+        int_b = _interval(B, b)
         gamma = find_isomorphism(A, int_b.algebra)
         if gamma is None:
             continue
@@ -298,16 +304,11 @@ def cb_search(algebra_a: FiniteAlgebra, algebra_b: FiniteAlgebra,
             if searched > max_pairs:
                 capped = True
                 break
-            int_a = interval_algebra(A, a)
-            beta = find_isomorphism(B, int_a.algebra)
+            int_a, beta = beta_for(a)
             if beta is None:
                 continue
-            inst = make_cb_instance(
-                A, B, a, b,
-                tuple(int_b.to_parent(gamma(v)) for v in range(A.size)),
-                tuple(int_a.to_parent(beta(u)) for u in range(B.size)))
-            iso = cb_isomorphism(inst)
-            found.append(CBFound(a, b, iso))
+            inst = CBInstance(A, B, a, b, int_a, int_b, gamma, beta)
+            found.append(CBFound(a, b, cb_isomorphism(inst)))
         if capped:
             break
     if not found and A.size == B.size and not capped:

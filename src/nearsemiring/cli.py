@@ -16,7 +16,7 @@ from . import algfile
 from .algfile import AlgebraDocument, ParseError
 from .axioms import CLASSES, INRS, LUK_NRS, check_axioms, require_class
 from .cantor_bernstein import cb_search, cb_sequences, make_cb_instance
-from .center import center, central_elements, decompose, syntactic_centrality
+from .center import center, central_elements, decompose
 from .congruences import all_congruences, malcev_and_regularity_report
 from .core import FiniteAlgebra
 from .hasse import covering_pairs, hasse_dot
@@ -170,9 +170,6 @@ def cmd_decompose(args) -> tuple[str, int]:
     _, alg = _load_table_algebra(args.file)
     require_class(alg, INRS, "decompose")
     e = _resolve_element(alg, args.element)
-    if not syntactic_centrality(alg, e).ok:
-        raise UsageError(f"element {alg.label(e)} is not central; decomposition needs "
-                         "a central element")
     d = decompose(alg, e)
     report = Report(_echo(args))
     report.universe(alg)
@@ -303,8 +300,7 @@ def cmd_cb(args) -> tuple[str, int]:
 
 
 def cmd_enumerate(args) -> tuple[str, int]:
-    task = EnumerationTask(args.size, args.algebra_class or LUK_NRS,
-                           threads=args.threads)
+    task = EnumerationTask(args.size, args.algebra_class or LUK_NRS)
     algs = enumerate_algebras(task)
     report = Report(_echo(args))
     report.info(f"{len(algs)} model(s) of class {task.algebra_class} at size {args.size}")
@@ -413,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--class", dest="algebra_class", choices=CLASSES, default=None)
     p.add_argument("--out", help="directory for the enumerated .alg files")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the enumeration split")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("dot", parents=[common], help="Hasse diagram as DOT text")

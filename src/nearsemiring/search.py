@@ -40,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from operator import itemgetter
@@ -61,15 +60,17 @@ class EnumerationTask:
     size: int
     algebra_class: str = LUK_NRS
     max_nodes: int = DEFAULT_MAX_NODES
-    threads: int = 1
+    threads: int = 1    # kept for callers that still pass threads=1; no other value
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("size must be positive")
         if self.algebra_class not in CLASSES:
             raise ValueError(f"unknown class {self.algebra_class!r}")
-        if self.max_nodes < 1 or self.threads < 1:
+        if self.max_nodes < 1:
             raise ValueError("caps must be positive")
+        if self.threads != 1:
+            raise ValueError("the search is single-threaded")
 
 
 class EnumerationCapExceeded(Exception):
@@ -234,13 +235,11 @@ def _antitone_involutions(P: list[list[int]], n: int) -> list[tuple[int, ...]]:
 
 
 class _Search:
-    def __init__(self, task: EnumerationTask, resume: Optional[tuple[int, ...]],
-                 first_value: Optional[int] = None):
+    def __init__(self, task: EnumerationTask, resume: Optional[tuple[int, ...]]):
         self.n = task.size
         self.cls = task.algebra_class
         self.max_nodes = task.max_nodes
         self.cursor = resume
-        self.first_value = first_value   # restricts the first plus cell (thread split)
         self.nodes = 0
         self.path: list[int] = []
         self.found: dict[bytes, FiniteAlgebra] = {}
@@ -301,10 +300,7 @@ class _Search:
                 self._alpha_phase(full, autos)
             return
         i, j = self.plus_cells[k]
-        values: Sequence[int] = range(1, n)
-        if k == 0 and self.first_value is not None:
-            values = [self.first_value]
-        for v in self._candidates(values):
+        for v in self._candidates(range(1, n)):
             self._enter(v)
             P[i][j] = P[j][i] = v
             if _semilattice_ok_partial(P, n):
@@ -453,38 +449,18 @@ def enumerate_algebras(task: EnumerationTask,
     The multiplication table is searched once per orbit root (plus, alpha),
     and leaves are deduplicated under Aut(plus, alpha); each model is the
     first labelled copy in search order.  Output is sorted by canonical
-    form, so it is deterministic regardless of thread count.  A node-cap
-    overrun raises EnumerationCapExceeded with the nodes visited, the
-    partial results and a resume token, whose involution entry indexes the
-    roots of its plus table (resume is supported for threads=1).
+    form, so it is deterministic.  A node-cap overrun raises
+    EnumerationCapExceeded with the nodes visited, the partial results and a
+    resume token, whose involution entry indexes the roots of its plus table.
     """
-    if task.threads > 1:
-        if resume is not None:
-            raise ValueError("resume tokens are only supported with threads=1")
-        single = EnumerationTask(task.size, task.algebra_class, task.max_nodes)
-        if not _Search(single, None).plus_cells:   # nothing to split on
-            return _Search(single, None).run()
-
-        def branch(v: int) -> dict[bytes, FiniteAlgebra]:
-            s = _Search(single, None, first_value=v)
-            s.run()
-            return dict(s.found)
-
-        with ThreadPoolExecutor(max_workers=task.threads) as pool:
-            merged: dict[bytes, FiniteAlgebra] = {}
-            for part in pool.map(branch, range(1, task.size)):
-                merged.update(part)
-        return tuple(alg for _, alg in sorted(merged.items()))
-
     return _Search(task, resume).run()
 
 
-def count(size: int, algebra_class: str = LUK_NRS, threads: int = 1) -> int:
+def count(size: int, algebra_class: str = LUK_NRS) -> int:
     """Number of models up to isomorphism (cached per size and class)."""
     key = (size, algebra_class)
     if key not in _count_cache:
-        _count_cache[key] = len(enumerate_algebras(
-            EnumerationTask(size, algebra_class, threads=threads)))
+        _count_cache[key] = len(enumerate_algebras(EnumerationTask(size, algebra_class)))
     return _count_cache[key]
 
 
