@@ -29,8 +29,8 @@ from .ideals import (ClaimsReport, ElementSet, IdealLattice, all_ideals,
 from .mv import (AdjudicationError, MVAlgebra, check_mv_axioms, from_mv,
                  ideal_correspondence_report, roundtrip_check, to_mv)
 from .search import (CanonicalForm, EnumerationCapExceeded, EnumerationTask,
-                     canonical_form, count, enumerate_algebras, frozen_counts,
-                     relabel)
+                     canonical_form, count, enumerate_algebras,
+                     enumerate_with_forms, frozen_counts, relabel)
 from .terms import Term, Var, eval_term
 
 __all__ = [name for name in dir() if not name.startswith("_")]

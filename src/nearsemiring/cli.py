@@ -23,8 +23,7 @@ from .hasse import covering_pairs, hasse_dot
 from .ideals import (all_ideals, principal_ideal_report, semiring_claims_report)
 from .mv import AdjudicationError, MVAlgebra, from_mv, roundtrip_check, to_mv
 from .reports import EXIT_USAGE, Report
-from .search import (EnumerationCapExceeded, EnumerationTask, canonical_form,
-                     enumerate_algebras)
+from .search import EnumerationCapExceeded, EnumerationTask, enumerate_with_forms
 
 
 class UsageError(Exception):
@@ -301,13 +300,13 @@ def cmd_cb(args) -> tuple[str, int]:
 
 def cmd_enumerate(args) -> tuple[str, int]:
     task = EnumerationTask(args.size, args.algebra_class or LUK_NRS)
-    algs = enumerate_algebras(task)
+    models = enumerate_with_forms(task)
     report = Report(_echo(args))
-    report.info(f"{len(algs)} model(s) of class {task.algebra_class} at size {args.size}")
+    report.info(f"{len(models)} model(s) of class {task.algebra_class} at size {args.size}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        for alg in algs:
-            name = canonical_form(alg).hexdigest() + ".alg"
+        for form, alg in models:
+            name = form.hexdigest() + ".alg"
             path = os.path.join(args.out, name)
             doc = AlgebraDocument.from_algebra(alg, task.algebra_class)
             with open(path, "w", encoding="utf-8") as fh:

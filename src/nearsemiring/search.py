@@ -456,6 +456,14 @@ def enumerate_algebras(task: EnumerationTask,
     return _Search(task, resume).run()
 
 
+def enumerate_with_forms(task: EnumerationTask
+                         ) -> tuple[tuple[CanonicalForm, FiniteAlgebra], ...]:
+    """enumerate_algebras(task) with the canonical form the search kept for each model."""
+    search = _Search(task, None)
+    search.run()
+    return tuple((CanonicalForm(data), alg) for data, alg in sorted(search.found.items()))
+
+
 def count(size: int, algebra_class: str = LUK_NRS) -> int:
     """Number of models up to isomorphism (cached per size and class)."""
     key = (size, algebra_class)

@@ -208,8 +208,8 @@ def test_interval_parents_are_classified_once_per_call(monkeypatch):
 
     a, b = fresh(b2_x_l3(), "cb-a"), fresh(l3_x_b2(), "cb-b")
     assert cb_search(a, b).any_found
-    # require_class, then classify: one luk-rs check holds every class verdict
-    assert calls_on(a) == calls_on(b) == 2
+    # require_class answers from classify: one luk-rs check holds every class verdict
+    assert calls_on(a) == calls_on(b) == 1
     assert len(intervals) > 2
     # the sub-algebra of every interval is still checked, once
     assert len(checked) - calls_on(a) - calls_on(b) == len(intervals)

@@ -1,13 +1,19 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nearsemiring.axioms import INRS, LUK_RS, CheckOutcome, check_identity, classify
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
-from nearsemiring.center import (center, central_elements, central_ideal_check,
+from nearsemiring.center import (_PLUS_LAW, _TIMES_LAW, CENTRALITY_LAWS, _reduced_law_holds,
+                                 center, central_elements, central_ideal_check,
                                  central_laws_report, decompose,
-                                 interval_algebra, is_central, q)
-from nearsemiring.core import FiniteAlgebra, find_isomorphism, leq
+                                 interval_algebra, is_central, q, syntactic_centrality)
+from nearsemiring.core import FiniteAlgebra, find_isomorphism, leq, product
+from nearsemiring.search import EnumerationTask, enumerate_algebras
 
 L3 = luk_chain(3)
 CORPUS = (boolean2(), L3, luk_chain(4), b2_x_b2(), b2_x_l3(), godel3(), trivial())
@@ -167,3 +173,97 @@ def test_center_order_matches_leq():
 def test_central_ideal_check_rejects_non_central():
     with pytest.raises(ValueError, match="not central"):
         central_ideal_check(L3, 1)
+
+
+def power(alg, k):
+    out = alg
+    for _ in range(k - 1):
+        out = product(out, alg)
+    return out
+
+
+def reference_syntactic_centrality(alg, e):
+    """syntactic_centrality by the full n^4 scans of every law, no reduction."""
+    for name, lhs, rhs in CENTRALITY_LAWS:
+        out = check_identity(alg, name, lhs, rhs, fixed={"e": e})
+        if not out.ok:
+            return out
+    return CheckOutcome("syntactic centrality", True)
+
+
+@functools.lru_cache(maxsize=None)
+def reduction_pool():
+    """Every inrs up to n = 5 and every product of two of l2, l3 and l4."""
+    chains = [luk_chain(k) for k in (2, 3, 4)]
+    return (tuple(alg for n in range(1, 6)
+                  for alg in enumerate_algebras(EnumerationTask(n, INRS)))
+            + tuple(product(a, b) for a, b in itertools.product(chains, repeat=2)))
+
+
+def test_reduced_centrality_equals_the_full_scans():
+    # the reduction only applies to inrs tables; the outcome, witness
+    # included, must be the one the full scans give
+    for alg in reduction_pool():
+        assert classify(alg) is not None
+        for e in range(alg.size):
+            assert syntactic_centrality(alg, e) == reference_syntactic_centrality(alg, e)
+
+
+def test_reduced_check_alone_decides_each_c_law():
+    # taken alone, for every element and not only past (a) and (b)
+    seen = set()
+    for alg in reduction_pool():
+        z = alg.zero
+        for e in range(alg.size):
+            for law in (_PLUS_LAW, _TIMES_LAW):
+                name, lhs, rhs = law
+                full = check_identity(alg, name, lhs, rhs, fixed={"e": e}).ok
+                assert _reduced_law_holds(alg, e, law) == full, (alg, e, name)
+                edges = all(check_identity(alg, name, lhs, rhs, fixed=edge).ok
+                            for edge in ({"e": e, "b1": z, "b2": z}, {"e": e, "a1": z, "a2": z}))
+                seen.add((name, edges, full))
+    # both laws pass and fail, and some * failures pass the edge instances:
+    # only the E^2 x E'^2 scan refutes those
+    assert {(law[0], full) for law in (_PLUS_LAW, _TIMES_LAW) for full in (True, False)} == {
+        (name, full) for name, _, full in seen}
+    assert (_TIMES_LAW[0], True, False) in seen
+
+
+@st.composite
+def small_tables(draw):
+    n = draw(st.integers(2, 4))
+    cell = st.integers(0, n - 1)
+    table = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    return FiniteAlgebra(size=n, plus=draw(table), times=draw(table),
+                         alpha=draw(st.lists(cell, min_size=n, max_size=n)),
+                         zero=draw(cell), one=draw(cell))
+
+
+@given(small_tables())
+@settings(max_examples=150, deadline=None)
+def test_centrality_on_arbitrary_tables_is_the_full_scan(alg):
+    # almost every drawn table is not an inrs, so this is the fallback path
+    for e in range(alg.size):
+        assert syntactic_centrality(alg, e) == reference_syntactic_centrality(alg, e)
+
+
+def test_luk_rs_center_is_the_boolean_elements():
+    # the center of an MV-algebra is its Boolean center {e : e + e^a = 1}
+    # (Cignoli, D'Ottaviano and Mundici 2000)
+    chains = [luk_chain(k) for k in (2, 3, 4)]
+    pool = ([alg for n in range(1, 8)
+             for alg in enumerate_algebras(EnumerationTask(n, LUK_RS))]
+            + [product(a, b) for a, b in itertools.product(chains, repeat=2)]
+            + [power(luk_chain(2), 3), product(product(luk_chain(2), luk_chain(3)), luk_chain(2))])
+    for alg in pool:
+        assert classify(alg) == LUK_RS
+        boolean = tuple(e for e in range(alg.size) if alg.plus[e][alg.alpha[e]] == alg.one)
+        assert central_elements(alg) == boolean
+
+
+@pytest.mark.parametrize("alg, size", [(power(luk_chain(3), 3), 8),
+                                       (power(boolean2(), 5), 32)])
+def test_center_on_the_largest_products(alg, size):
+    report = center(alg)
+    assert len(report.elements) == size
+    assert report.ok and report.laws.ok

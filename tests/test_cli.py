@@ -16,6 +16,7 @@ from nearsemiring.algfile import load, parse
 from nearsemiring.axioms import check_axioms
 from nearsemiring.catalog import luk_chain
 from nearsemiring.cli import main
+from nearsemiring.search import canonical_form
 
 
 def path(name):
@@ -173,6 +174,7 @@ def test_enumerate_writes_directory(tmp_path, capsys):
     assert len(files) == 1 and files[0].endswith(".alg")
     alg = load(out_dir / files[0]).to_algebra()
     assert check_axioms(alg, "luk-nrs").ok
+    assert files[0] == canonical_form(alg).hexdigest() + ".alg"
 
 
 def test_enumerate_size_7_luk_rs_finishes_under_the_default_cap(capsys):

@@ -11,7 +11,8 @@ from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3, l3_x_b2,
 from nearsemiring.core import FiniteAlgebra, find_isomorphism, product
 from nearsemiring.search import (_RS_UNCHECKED, CanonicalForm, EnumerationCapExceeded,
                                  EnumerationTask, _Search, canonical_form, count,
-                                 enumerate_algebras, frozen_counts, relabel)
+                                 enumerate_algebras, enumerate_with_forms, frozen_counts,
+                                 relabel)
 
 
 class FullRescanSearch(_Search):
@@ -265,6 +266,14 @@ def test_luk_rs_counts_are_the_factorizations_of_n():
     counts = [len(enumerate_algebras(EnumerationTask(n, LUK_RS))) for n in range(1, 7)]
     assert counts == [unordered_factorizations(n) for n in range(1, 7)]
     assert counts == [1, 1, 1, 2, 1, 2]
+
+
+def test_enumerate_with_forms_pairs_each_model_with_its_canonical_form():
+    for n, cls in ((1, INRS), (4, INRS), (5, LUK_NRS)):
+        task = EnumerationTask(n, cls)
+        pairs = enumerate_with_forms(task)
+        assert tuple(alg for _, alg in pairs) == enumerate_algebras(task)
+        assert all(form == canonical_form(alg) for form, alg in pairs)
 
 
 def test_models_share_equal_rows():
