@@ -300,10 +300,10 @@ def cb_search(algebra_a: FiniteAlgebra, algebra_b: FiniteAlgebra,
         if gamma is None:
             continue
         for a in ce_a:
-            searched += 1
-            if searched > max_pairs:
+            if searched >= max_pairs:
                 capped = True
                 break
+            searched += 1
             int_a, beta = beta_for(a)
             if beta is None:
                 continue

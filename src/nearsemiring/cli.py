@@ -18,7 +18,7 @@ from .axioms import CLASSES, INRS, LUK_NRS, check_axioms, require_class
 from .cantor_bernstein import cb_search, cb_sequences, make_cb_instance
 from .center import center, central_elements, decompose
 from .congruences import all_congruences, malcev_and_regularity_report
-from .core import FiniteAlgebra
+from .core import FiniteAlgebra, SizeLimitError
 from .hasse import covering_pairs, hasse_dot
 from .ideals import (all_ideals, principal_ideal_report, semiring_claims_report)
 from .mv import AdjudicationError, MVAlgebra, from_mv, roundtrip_check, to_mv
@@ -434,7 +434,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AdjudicationError as err:
         print(f"adjudication: {err}", file=sys.stderr)
         return 1
-    except (ValueError, EnumerationCapExceeded) as err:
+    except (ValueError, SizeLimitError, EnumerationCapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(text)

@@ -2,13 +2,13 @@
 
 Search order: bounded join-semilattice tables first (few at small sizes),
 then antitone involutions of the induced order, then the multiplication
-table cell by cell with forward checking of left distributivity and of the
-interchange/associativity axioms of the requested class.  The forward check
-is incremental: one check of the preset cells before the first free cell,
-then after each assignment only the constraint instances that read the new
-cell, found through indices by the cells they read.  An instance can only
-newly fail when it reads the new cell, so this prunes exactly the nodes a
-full rescan would.
+table.  Both tables are filled cell by cell with an incremental forward
+check: after each assignment only the constraint instances that read the
+new cell are re-tested (associativity of + for the plus table; left
+distributivity and the interchange/associativity axioms of the requested
+class for the multiplication table), found through indices by the cells
+they read.  An instance can only newly fail when it reads the new cell, so
+this prunes exactly the nodes a full rescan would.
 
 Isomorphic copies are never searched twice.  The relabellings are the
 permutations fixing 0 and n-1, and tables are compared in the search's own
@@ -28,9 +28,9 @@ model, for the sort order and the file names of `nsr enumerate --out`.
 A leaf is admitted without re-running the axiom checker, because the search
 already guarantees every axiom of inrs and luk-nrs: the bounds, idempotence
 and commutativity of (i) and all of (ii), (iv) and (v) are built into the
-tables, associativity of + is checked in full by the partial semilattice
-check, (vi) by the involution builder, and (iii), (vii) and (assoc) by the
-forward check.  luk-rs re-checks only (comm) and (rdist) at each leaf.
+tables, (vi) by the involution builder, and associativity of +, (iii),
+(vii) and (assoc) by the forward checks.  luk-rs re-checks only (comm) and
+(rdist) at each leaf.
 
 Enumerated algebras place zero at index 0 and one at index n-1.
 """
@@ -183,22 +183,47 @@ def _least(base: bytes, images: Iterable[tuple[bytes, _Relabelling]]
 # -- the backtracking search ------------------------------------------------
 
 
-def _semilattice_ok_partial(P: list[list[Optional[int]]], n: int) -> bool:
-    """All fully determined associativity instances hold (other laws are built in)."""
-    for a in range(n):
-        Pa = P[a]
-        for b in range(n):
-            ab = Pa[b]
-            if ab is None:
-                continue
-            for c in range(n):
-                bc = P[b][c]
-                if bc is None:
-                    continue
-                left = P[ab][c]
-                right = Pa[bc]
-                if left is not None and right is not None and left != right:
-                    return False
+def _where(T: list[list[Optional[int]]]) -> list[list[tuple[int, int]]]:
+    """where[v]: the set cells of T holding v (read by _assoc_ok)."""
+    R = range(len(T))
+    where: list[list[tuple[int, int]]] = [[] for _ in R]
+    for a in R:
+        for b in R:
+            if T[a][b] is not None:
+                where[T[a][b]].append((a, b))
+    return where
+
+
+def _assoc_ok(T: list[list[Optional[int]]], where: list[list[tuple[int, int]]],
+              i: int, j: int) -> bool:
+    """Every determined instance of (x.y).z = x.(y.z) that reads T[i][j] holds
+    (the four loops take (i, j) as T[x][y], T[y][z], T[xy][z] and T[x][yz])."""
+    v = T[i][j]
+    Ti, Tj, Tv = T[i], T[j], T[v]
+    for c in range(len(T)):             # (x, y) = (i, j)
+        bc = Tj[c]
+        if bc is not None:
+            l, r = Tv[c], Ti[bc]
+            if l is not None and r is not None and l != r:
+                return False
+    for Ta in T:                        # (y, z) = (i, j)
+        ab = Ta[i]
+        if ab is not None:
+            l, r = T[ab][j], Ta[v]
+            if l is not None and r is not None and l != r:
+                return False
+    for a, b in where[i]:               # (xy, z) = (i, j)
+        bc = T[b][j]
+        if bc is not None:
+            r = T[a][bc]
+            if r is not None and r != v:
+                return False
+    for b, c in where[j]:               # (x, yz) = (i, j)
+        ab = Ti[b]
+        if ab is not None:
+            l = T[ab][c]
+            if l is not None and l != v:
+                return False
     return True
 
 
@@ -285,26 +310,33 @@ class _Search:
             P[i][i] = i
             P[0][i] = P[i][0] = i
             P[n - 1][i] = P[i][n - 1] = n - 1
-        self._plus_phase(P, 0)
+        # the preset cells hold every determined associativity instance: 0 is
+        # neutral, n-1 absorbs, and the only set middle cells are a+a = a
+        self._plus_phase(P, _where(P), 0)
         return self._results()
 
-    def _plus_phase(self, P: list[list[Optional[int]]], k: int) -> None:
+    def _plus_phase(self, P: list[list[Optional[int]]],
+                    where: list[list[tuple[int, int]]], k: int) -> None:
         n = self.n
         if k == len(self.plus_cells):
-            # every cell is set, so the last partial check covered all of
-            # associativity (for n <= 3 no cell is free and the table is a
-            # chain); commutativity and idempotence hold by construction
+            # every cell is set and was forward-checked when set, so P is
+            # associative; commutativity and idempotence hold by construction
             full: list[list[int]] = [[v for v in row] for row in P]  # type: ignore[misc]
             autos = self._plus_automorphisms(full)
             if autos is not None:
                 self._alpha_phase(full, autos)
             return
+        # an instance (a, b, c) that reads P[j][i] has the mirror (c, b, a),
+        # which reads the transposed cells, P[i][j] among them, and has the
+        # same two sides swapped: checking (i, j) covers both new cells
         i, j = self.plus_cells[k]
         for v in self._candidates(range(1, n)):
             self._enter(v)
             P[i][j] = P[j][i] = v
-            if _semilattice_ok_partial(P, n):
-                self._plus_phase(P, k + 1)
+            where[v] += (i, j), (j, i)
+            if _assoc_ok(P, where, i, j):
+                self._plus_phase(P, where, k + 1)
+            del where[v][-2:]
             P[i][j] = P[j][i] = None
             self._leave()
 
@@ -348,17 +380,10 @@ class _Search:
                 s = P[a][b]
                 for r in {a, b, s}:
                     dist[r].append((a, b, s))
-        # where[v]: the set cells holding v, for the associativity instances
-        # that read a cell through a product
-        where: list[list[tuple[int, int]]] = [[] for _ in R]
-        for a in R:
-            for b in R:
-                if T[a][b] is not None:
-                    where[T[a][b]].append((a, b))
+        where = _where(T)
 
         def cell_ok(i: int, j: int) -> bool:
             """Every determined constraint instance that reads T[i][j] holds."""
-            v = T[i][j]
             for a, b, s in dist[i]:
                 lhs, r1, r2 = T[s][j], T[a][j], T[b][j]
                 if (lhs is not None and r1 is not None and r2 is not None
@@ -377,34 +402,7 @@ class _Search:
                     l, r = T[alpha[u1]][j], T[alpha[u2]][alpha[a]]
                     if l is not None and r is not None and l != r:
                         return False
-            if assoc:
-                # (x*y)*z = x*(y*z) reads T[x][y], T[y][z], T[xy][z], T[x][yz]
-                Ti, Tj, Tv = T[i], T[j], T[v]
-                for c in R:                     # (x, y) = (i, j)
-                    bc = Tj[c]
-                    if bc is not None:
-                        l, r = Tv[c], Ti[bc]
-                        if l is not None and r is not None and l != r:
-                            return False
-                for Ta in T:                    # (y, z) = (i, j)
-                    ab = Ta[i]
-                    if ab is not None:
-                        l, r = T[ab][j], Ta[v]
-                        if l is not None and r is not None and l != r:
-                            return False
-                for a, b in where[i]:           # (xy, z) = (i, j)
-                    bc = T[b][j]
-                    if bc is not None:
-                        r = T[a][bc]
-                        if r is not None and r != v:
-                            return False
-                for b, c in where[j]:           # (x, yz) = (i, j)
-                    ab = Ti[b]
-                    if ab is not None:
-                        l = T[ab][c]
-                        if l is not None and l != v:
-                            return False
-            return True
+            return not assoc or _assoc_ok(T, where, i, j)
 
         cells = self.times_cells
 

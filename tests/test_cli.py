@@ -295,6 +295,12 @@ def test_threads_is_not_a_flag(capsys):
         assert status == 2 and out == ""
 
 
+def test_size_guard_is_a_usage_error(capsys):
+    status, out, err = run(capsys, "congruences", path("b2xl3.alg"), "--max-size", "4")
+    assert (status, out) == (2, "")
+    assert err == "error: universe size 6 exceeds the 4 limit\n"
+
+
 # fails axiom (i), since 0+1 = 0 but 1+0 = 1; the interval construction over
 # its central elements used to end in an AssertionError
 NOT_INRS_CENTRAL = ("kind = inrs\nsize = 2\nzero = 0\none = 1\n"
@@ -330,14 +336,14 @@ def table_documents(draw):
             f"alpha = {draw(st.lists(cell, min_size=n, max_size=n))}\n")
 
 
-@given(table_documents())
+@given(table_documents(), st.integers(1, 5))
 @settings(max_examples=50, deadline=None)
-def test_every_table_command_exits_with_a_status_on_random_tables(text):
+def test_every_table_command_exits_with_a_status_on_random_tables(text, max_size):
     with tempfile.TemporaryDirectory() as tmp:
         table = os.path.join(tmp, "t.alg")
         with open(table, "w", encoding="utf-8") as fh:
             fh.write(text)
-        for command, *extra in TABLE_COMMANDS:
+        for command, *extra in TABLE_COMMANDS + (("congruences", "--max-size", str(max_size)),):
             argv = [command, table, table, *extra] if command == "cb" else [command, table, *extra]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 assert main(argv) in (0, 1, 2)
