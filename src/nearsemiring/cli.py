@@ -336,64 +336,74 @@ def cmd_dot(args) -> tuple[str, int]:
 # -- argument parsing --------------------------------------------------------
 
 
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-size", type=int, default=4096,
-                        help="guard for products / search caps")
-    common.add_argument("--threshold", type=int, default=14,
-                        help="universe-size bound for brute-force subset scans")
+    # each flag goes only to the commands that read it
+    max_size = argparse.ArgumentParser(add_help=False)
+    max_size.add_argument("--max-size", type=_positive, default=4096,
+                          help="universe-size guard (congruences) or central-pair cap (cb)")
+    threshold = argparse.ArgumentParser(add_help=False)
+    threshold.add_argument("--threshold", type=_positive, default=14,
+                           help="universe-size bound for brute-force subset scans")
 
     parser = argparse.ArgumentParser(
         prog="nsr", description="finite near-semiring workbench")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="axiom report for a file")
+    p = sub.add_parser("check", help="axiom report for a file")
     p.add_argument("file")
     p.add_argument("--class", dest="algebra_class", choices=CLASSES, default=None)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("congruences", parents=[common], help="Con(A) and structure checks")
+    p = sub.add_parser("congruences", parents=[max_size], help="Con(A) and structure checks")
     p.add_argument("file")
     p.set_defaults(func=cmd_congruences)
 
-    p = sub.add_parser("ideals", parents=[common], help="Id(A) with pseudocomplements")
+    p = sub.add_parser("ideals", parents=[threshold], help="Id(A) with pseudocomplements")
     p.add_argument("file")
     p.set_defaults(func=cmd_ideals)
 
-    p = sub.add_parser("center", parents=[common], help="central elements and laws")
+    p = sub.add_parser("center", help="central elements and laws")
     p.add_argument("file")
     p.set_defaults(func=cmd_center)
 
-    p = sub.add_parser("decompose", parents=[common],
-                       help="direct decomposition along a central element")
+    p = sub.add_parser("decompose", help="direct decomposition along a central element")
     p.add_argument("file")
     p.add_argument("--element", required=True)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("principal-ideal", parents=[common],
-                       help="I(a) with the polynomial cross-check")
+    p = sub.add_parser("principal-ideal", help="I(a) with the polynomial cross-check")
     p.add_argument("file")
     p.add_argument("--element", required=True)
     p.set_defaults(func=cmd_principal_ideal)
 
-    p = sub.add_parser("claims", parents=[common],
+    p = sub.add_parser("claims", parents=[threshold],
                        help="adjudicate the semiring-style ideal claims")
     p.add_argument("file")
     p.set_defaults(func=cmd_claims)
 
-    p = sub.add_parser("to-mv", parents=[common], help="translate to the mv document")
+    p = sub.add_parser("to-mv", help="translate to the mv document")
     p.add_argument("file")
     p.set_defaults(func=cmd_to_mv)
 
-    p = sub.add_parser("from-mv", parents=[common], help="translate an mv document back")
+    p = sub.add_parser("from-mv", help="translate an mv document back")
     p.add_argument("file")
     p.set_defaults(func=cmd_from_mv)
 
-    p = sub.add_parser("roundtrip", parents=[common], help="verify the double translation")
+    p = sub.add_parser("roundtrip", help="verify the double translation")
     p.add_argument("file")
     p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("cb", parents=[common],
+    p = sub.add_parser("cb", parents=[max_size],
                        help="run or search the interval-isomorphism construction")
     p.add_argument("file_a")
     p.add_argument("file_b")
@@ -404,13 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search", action="store_true")
     p.set_defaults(func=cmd_cb)
 
-    p = sub.add_parser("enumerate", parents=[common], help="models up to isomorphism")
+    p = sub.add_parser("enumerate", help="models up to isomorphism")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--class", dest="algebra_class", choices=CLASSES, default=None)
     p.add_argument("--out", help="directory for the enumerated .alg files")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("dot", parents=[common], help="Hasse diagram as DOT text")
+    p = sub.add_parser("dot", parents=[threshold], help="Hasse diagram as DOT text")
     p.add_argument("file")
     p.add_argument("--lattice", choices=("con", "id", "ce"), required=True)
     p.set_defaults(func=cmd_dot)

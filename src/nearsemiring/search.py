@@ -25,12 +25,14 @@ all labelled pairs would meet.  The brute-force canonical form (minimum
 encoding over all permutations fixing zero and one) is computed once per kept
 model, for the sort order and the file names of `nsr enumerate --out`.
 
-A leaf is admitted without re-running the axiom checker, because the search
-already guarantees every axiom of inrs and luk-nrs: the bounds, idempotence
-and commutativity of (i) and all of (ii), (iv) and (v) are built into the
+Every leaf is admitted without the axiom checker, because the search
+guarantees every axiom of its class: the bounds, idempotence and
+commutativity of (i) and all of (ii), (iv) and (v) are built into the
 tables, (vi) by the involution builder, and associativity of +, (iii),
-(vii) and (assoc) by the forward checks.  luk-rs re-checks only (comm) and
-(rdist) at each leaf.
+(vii) and (assoc) by the forward checks.  For luk-rs the times phase fills
+only the cells i <= j and writes each value to T[i][j] and T[j][i], so
+(comm) holds by construction, and (rdist) follows from (iii) and (comm):
+z*(x+y) = (x+y)*z = x*z + y*z = z*x + z*y.
 
 Enumerated algebras place zero at index 0 and one at index n-1.
 """
@@ -45,14 +47,10 @@ from importlib import resources
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .axioms import CLASS_LAWS, CLASSES, LUK_NRS, LUK_RS, first_failure
+from .axioms import CLASSES, LUK_NRS, LUK_RS
 from .core import AlgebraError, FiniteAlgebra
 
 DEFAULT_MAX_NODES = 5_000_000
-
-#: the luk-rs axioms the search neither builds in nor forward-checks
-_RS_UNCHECKED = tuple(law for name, bundle in CLASS_LAWS[LUK_RS]
-                      if name in ("(comm)", "(rdist)") for law in bundle)
 
 
 @dataclass(frozen=True)
@@ -273,7 +271,9 @@ class _Search:
         self.mid = list(range(1, n - 1))
         self.plus_cells = [(i, j) for k, i in enumerate(self.mid)
                            for j in self.mid[k + 1:]]
-        self.times_cells = [(i, j) for i in self.mid for j in self.mid]
+        # luk-rs sets only the cells i <= j, each with its mirror (j, i)
+        self.times_cells = [(i, j) for i in self.mid for j in self.mid
+                            if self.cls != LUK_RS or i <= j]
         # every relabelling fixing 0 and n-1 except the identity (the first order)
         self.relabellings = list(itertools.islice(_relabellings(0, self.mid, n - 1), 1, None))
 
@@ -411,13 +411,20 @@ class _Search:
                 self._emit(P, alpha, autos, T)
                 return
             i, j = cells[k]
-            Ti = T[i]
+            Ti, Tj = T[i], T[j]
+            twin = self.cls == LUK_RS and i != j    # the mirror cell (j, i) too
             for v in self._candidates(R):
                 self._enter(v)
                 Ti[j] = v
                 where[v].append((i, j))
-                if cell_ok(i, j):
+                if twin:
+                    Tj[i] = v
+                    where[v].append((j, i))
+                if cell_ok(i, j) and (not twin or cell_ok(j, i)):
                     fill(k + 1)
+                if twin:
+                    where[v].pop()
+                    Tj[i] = None
                 where[v].pop()
                 Ti[j] = None
                 self._leave()
@@ -435,8 +442,7 @@ class _Search:
         row = self.rows.setdefault
         alg = FiniteAlgebra(self.n, tuple(row(r, r) for r in map(tuple, P)),
                             tuple(row(r, r) for r in map(tuple, T)), alpha, 0, self.n - 1)
-        if self.cls != LUK_RS or first_failure(alg, LUK_RS, _RS_UNCHECKED).ok:
-            self.found[canonical_form(alg).data] = alg
+        self.found[canonical_form(alg).data] = alg
 
 
 def enumerate_algebras(task: EnumerationTask,

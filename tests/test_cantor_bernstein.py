@@ -201,7 +201,8 @@ def test_interval_parents_are_classified_once_per_call(monkeypatch):
         return interval(alg, e)
 
     monkeypatch.setattr(axioms, "check_axioms", counting_check)
-    monkeypatch.setattr(center_module, "check_axioms", counting_check)
+    # center imports no check_axioms; a re-added import would be counted too
+    monkeypatch.setattr(center_module, "check_axioms", counting_check, raising=False)
     monkeypatch.setattr(center_module, "_interval", counting_interval)
     monkeypatch.setattr(cb_module, "_interval", counting_interval)
 
@@ -217,12 +218,13 @@ def test_interval_parents_are_classified_once_per_call(monkeypatch):
     # require_class answers from classify: one luk-rs check holds every class verdict
     assert calls_on(a) == calls_on(b) == 1
     assert len(intervals) > 2
-    # the sub-algebra of every interval is still checked, once
-    assert len(checked) - calls_on(a) - calls_on(b) == len(intervals)
+    # an interval over a central element keeps its parent's class: no
+    # interval is re-checked
+    assert len(checked) == calls_on(a) + calls_on(b)
 
     checked.clear()
     intervals.clear()
     d = fresh(b2_x_l3(), "dec")
     decompose(d, 3)
-    assert calls_on(d) == 1
-    assert len(checked) - calls_on(d) == len(intervals) == 2
+    assert calls_on(d) == len(checked) == 1
+    assert len(intervals) == 2

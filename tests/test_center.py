@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearsemiring.axioms import INRS, LUK_RS, CheckOutcome, check_identity, classify
+from nearsemiring import bundled_file
+from nearsemiring.algfile import load
+from nearsemiring.axioms import (INRS, LUK_RS, CheckOutcome, check_axioms, check_identity,
+                                 classify)
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
 from nearsemiring.center import (_PLUS_LAW, _TIMES_LAW, CENTRALITY_LAWS, _reduced_law_holds,
@@ -13,6 +16,7 @@ from nearsemiring.center import (_PLUS_LAW, _TIMES_LAW, CENTRALITY_LAWS, _reduce
                                  central_laws_report, decompose,
                                  interval_algebra, is_central, q, syntactic_centrality)
 from nearsemiring.core import FiniteAlgebra, find_isomorphism, leq, product
+from nearsemiring.mv import from_mv
 from nearsemiring.search import EnumerationTask, enumerate_algebras
 
 L3 = luk_chain(3)
@@ -115,6 +119,29 @@ def test_interval_algebra_rejects_non_central():
 def test_interval_names_follow_parent():
     iv = interval_algebra(b2_x_l3(), 3)
     assert iv.algebra.names == ("(0,0)", "(1,0)")
+
+
+BUNDLED = ("b2", "b2xb2", "b2xl3", "g3", "l3-mv", "l3", "l3xb2", "l4", "trivial")
+
+
+def test_intervals_keep_the_class_of_their_parent():
+    # interval_algebra does not re-check the class axioms: this is the theorem
+    # it relies on, checked over every central element of a corpus
+    def table_algebra(name):
+        structure = load(bundled_file(name + ".alg")).to_algebra()
+        return structure if isinstance(structure, FiniteAlgebra) else from_mv(structure)
+
+    b2_4 = functools.reduce(product, [boolean2()] * 4)
+    parents = [table_algebra(name) for name in BUNDLED] + [
+        product(L3, L3), b2_4, product(L3, luk_chain(4))]
+    intervals = 0
+    for alg in parents:
+        cls = classify(alg)
+        assert cls is not None
+        for e in central_elements(alg):
+            assert check_axioms(interval_algebra(alg, e).algebra, cls).ok, (alg.size, e)
+            intervals += 1
+    assert intervals > len(parents) * 2
 
 
 def test_decompose_b2xl3():

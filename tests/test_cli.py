@@ -301,6 +301,42 @@ def test_size_guard_is_a_usage_error(capsys):
     assert err == "error: universe size 6 exceeds the 4 limit\n"
 
 
+#: each command with the arguments it needs, and the flag it reads, if any
+FLAG_READERS = {("congruences",): "--max-size", ("cb", "--search"): "--max-size",
+                ("ideals",): "--threshold", ("claims",): "--threshold",
+                ("dot", "--lattice", "id"): "--threshold",
+                ("check",): None, ("center",): None, ("roundtrip",): None}
+
+
+def test_max_size_and_threshold_go_only_to_the_commands_that_read_them(capsys):
+    b2 = path("b2.alg")
+    for (command, *extra), reader in FLAG_READERS.items():
+        files = [b2, b2] if command == "cb" else [b2]
+        for flag in ("--max-size", "--threshold"):
+            status, out, err = run(capsys, command, *files, *extra, flag, "3")
+            if flag == reader:
+                assert status == 0 and out, (command, flag)
+            else:
+                assert (status, out) == (2, ""), (command, flag)
+                assert f"unrecognized arguments: {flag} 3" in err
+    # the search takes neither flag
+    status, out, _ = run(capsys, "enumerate", "--size", "3", "--max-size", "3")
+    assert (status, out) == (2, "")
+
+
+def test_max_size_and_threshold_below_one_are_usage_errors(capsys):
+    b2 = path("b2.alg")
+    for argv in (("congruences", b2, "--max-size"), ("cb", b2, b2, "--search", "--max-size"),
+                 ("ideals", b2, "--threshold"), ("claims", b2, "--threshold"),
+                 ("dot", b2, "--lattice", "id", "--threshold")):
+        for value in ("0", "-1"):
+            status, out, err = run(capsys, *argv, value)
+            assert (status, out) == (2, ""), (argv, value)
+            assert f"must be at least 1, got {value}" in err
+        status, out, err = run(capsys, *argv, "many")
+        assert (status, out) == (2, "") and "invalid integer 'many'" in err
+
+
 # fails axiom (i), since 0+1 = 0 but 1+0 = 1; the interval construction over
 # its central elements used to end in an AssertionError
 NOT_INRS_CENTRAL = ("kind = inrs\nsize = 2\nzero = 0\none = 1\n"

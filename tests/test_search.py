@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import math
@@ -5,14 +6,13 @@ import random
 
 import pytest
 
-from nearsemiring.axioms import INRS, LUK_NRS, LUK_RS, check_axioms, first_failure
+from nearsemiring.axioms import INRS, LUK_NRS, LUK_RS, check_axioms
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3, l3_x_b2,
                                   luk_chain)
 from nearsemiring.core import FiniteAlgebra, find_isomorphism, product
-from nearsemiring.search import (_RS_UNCHECKED, CanonicalForm, EnumerationCapExceeded,
-                                 EnumerationTask, _Search, canonical_form, count,
-                                 enumerate_algebras, enumerate_with_forms, frozen_counts,
-                                 relabel)
+from nearsemiring.search import (CanonicalForm, EnumerationCapExceeded, EnumerationTask,
+                                 _Search, canonical_form, count, enumerate_algebras,
+                                 enumerate_with_forms, frozen_counts, relabel)
 
 
 def semilattice_ok_partial(P, n):
@@ -103,12 +103,16 @@ class FullRescanSearch(_Search):
                 self._emit(P, alpha, autos, T)
                 return
             i, j = self.times_cells[k]
+            # luk-rs sets the cells i <= j and their mirrors
+            cells = {(i, j), (j, i)} if self.cls == LUK_RS else {(i, j)}
             for v in self._candidates(range(n)):
                 self._enter(v)
-                T[i][j] = v
+                for a, b in cells:
+                    T[a][b] = v
                 if determined_ok():
                     fill(k + 1)
-                T[i][j] = None
+                for a, b in cells:
+                    T[a][b] = None
                 self._leave()
 
         if not determined_ok():
@@ -120,7 +124,7 @@ class LabelledSearch(_Search):
     """Reference search: every labelled (plus, alpha) pair is a root.
 
     Isomorphic leaves are dropped by canonical form, keeping the first copy
-    met, and `admitted` counts the labelled leaves that pass admission.
+    met, and `admitted` counts the labelled leaves.
     """
 
     admitted = 0
@@ -131,9 +135,8 @@ class LabelledSearch(_Search):
     def _emit(self, P, alpha, autos, T):
         alg = FiniteAlgebra(self.n, tuple(map(tuple, P)), tuple(map(tuple, T)),
                             alpha, 0, self.n - 1)
-        if self.cls != LUK_RS or first_failure(alg, LUK_RS, _RS_UNCHECKED).ok:
-            self.admitted += 1
-            self.found.setdefault(canonical_form(alg).data, alg)
+        self.admitted += 1
+        self.found.setdefault(canonical_form(alg).data, alg)
 
 
 class LabelledFullRescan(FullRescanSearch):
@@ -222,16 +225,33 @@ def brute_force_models(n, cls):
     return found
 
 
+@functools.lru_cache(maxsize=None)
+def searched(n, cls):
+    """(models, nodes) of one search; the size-7 runs are too slow to repeat."""
+    search = _Search(EnumerationTask(n, cls), None)
+    return search.run(), search.nodes
+
+
+def tables(models):
+    return [(a.plus, a.times, a.alpha) for a in models]
+
+
 def test_counts_match_frozen_table():
-    # the size-7 searches are too slow to repeat, so their node counts are
-    # pinned on the runs that check their model counts
     nodes = {}
     for key, expected in frozen_counts()["counts"].items():
         n, cls = key.split(",")
-        search = _Search(EnumerationTask(int(n), cls), None)
-        assert len(search.run()) == expected, key
-        nodes[key] = search.nodes
-    assert (nodes["7,luk-rs"], nodes["7,luk-nrs"]) == (219766, 1137795)
+        models, nodes[key] = searched(int(n), cls)
+        assert len(models) == expected, key
+    assert (nodes["7,luk-rs"], nodes["7,luk-nrs"]) == (59543, 1137795)
+
+
+def test_luk_rs_models_are_the_luk_nrs_models_that_pass_luk_rs():
+    # the luk-rs search checks no law at its leaves; its output must be the
+    # luk-nrs output filtered by the full axiom check, tables and order alike
+    for n in range(1, 8):
+        luk_nrs, _ = searched(n, LUK_NRS)
+        assert tables(searched(n, LUK_RS)[0]) == tables(
+            a for a in luk_nrs if check_axioms(a, LUK_RS).ok), n
 
 
 #: every class up to n = 5 and 6,luk-*: the cases checked against a reference
@@ -265,8 +285,7 @@ def test_orbit_roots_match_the_labelled_search():
         search, reference = (S(EnumerationTask(n, cls), None)
                              for S in (_Search, LabelledSearch))
         models = search.run()
-        assert ([(a.plus, a.times, a.alpha) for a in models]
-                == [(a.plus, a.times, a.alpha) for a in reference.run()]), (n, cls)
+        assert tables(models) == tables(reference.run()), (n, cls)
         if n > 1:       # the one-element model is not a leaf of either search
             orbit_sums[n, cls] = sum(math.factorial(n - 2) // automorphism_count(alg)
                                      for alg in models)
@@ -275,7 +294,7 @@ def test_orbit_roots_match_the_labelled_search():
     assert [orbit_sums[case] for case in ((4, INRS), (5, INRS), (5, LUK_NRS),
                                           (6, LUK_RS), (6, LUK_NRS))] == [54, 5824, 16, 48, 154]
     assert [nodes[case] for case in ((4, INRS), (5, INRS), (6, LUK_RS), (6, LUK_NRS))] == [
-        (198, 271), (9953, 46030), (12422, 107394), (35216, 422388)]
+        (198, 271), (9953, 46030), (3506, 17400), (35216, 422388)]
 
 
 def test_canonical_form_matches_the_relabel_reference():
@@ -302,6 +321,13 @@ def test_luk_rs_counts_are_the_factorizations_of_n():
     counts = [len(enumerate_algebras(EnumerationTask(n, LUK_RS))) for n in range(1, 7)]
     assert counts == [unordered_factorizations(n) for n in range(1, 7)]
     assert counts == [1, 1, 1, 2, 1, 2]
+    # and so must every frozen luk-rs count, offline ones included
+    table = frozen_counts()
+    frozen = {int(key.split(",")[0]): v for key, v in
+              {**table["counts"], **table["offline_counts"]}.items()
+              if key.endswith("," + LUK_RS)}
+    assert sorted(frozen) == list(range(1, 9))
+    assert all(v == unordered_factorizations(n) for n, v in frozen.items())
 
 
 def test_enumerate_with_forms_pairs_each_model_with_its_canonical_form():
@@ -348,21 +374,19 @@ def test_every_output_passes_its_class():
 
 
 def test_admission_checks_only_the_laws_the_search_leaves_open(monkeypatch):
+    # the search leaves no law open: no leaf of any class reaches an identity check
     axioms = importlib.import_module("nearsemiring.axioms")
     checked = []
     check = axioms.check_identity
 
-    def recording(alg, name, lhs, rhs, *args, **kwargs):
-        checked.append((lhs, rhs))
-        return check(alg, name, lhs, rhs, *args, **kwargs)
+    def recording(*args, **kwargs):
+        checked.append(args)
+        return check(*args, **kwargs)
 
     monkeypatch.setattr(axioms, "check_identity", recording)
-    for cls in (INRS, LUK_NRS):
-        assert enumerate_algebras(EnumerationTask(4, cls)) and not checked
-    assert len(enumerate_algebras(EnumerationTask(4, LUK_RS))) == 2
-    laws = dict(axioms.CLASS_LAWS[LUK_RS])
-    assert set(checked) == {(lhs, rhs) for name in ("(comm)", "(rdist)")
-                            for _, lhs, rhs in laws[name]}
+    assert [len(enumerate_algebras(EnumerationTask(n, cls)))
+            for n, cls in ((4, INRS), (4, LUK_NRS), (4, LUK_RS), (6, LUK_RS))] == [30, 3, 2, 2]
+    assert not checked
 
 
 def test_outputs_pairwise_non_isomorphic():
@@ -433,22 +457,28 @@ def test_enumeration_task_validation():
 
 
 def test_chained_resume_reaches_the_full_enumeration():
-    full = {canonical_form(a).data
-            for a in enumerate_algebras(EnumerationTask(4, INRS))}
-    for cap in (37, 113):
-        collected, token = set(), None
-        for _ in range(200):
-            try:
-                out = enumerate_algebras(
-                    EnumerationTask(4, INRS, max_nodes=cap), resume=token)
-                collected |= {canonical_form(a).data for a in out}
-                break
-            except EnumerationCapExceeded as err:
-                collected |= {canonical_form(a).data for a in err.partial}
-                token = err.resume
-        else:
-            raise AssertionError("resume chain did not terminate")
-        assert collected == full
+    # a token holds the plus cells and the involution index (the root
+    # depth), then one entry per times cell: all 4 middle cells at 4,inrs,
+    # the 10 of 16 with i <= j at 6,luk-rs
+    for n, cls, caps, root, times in ((4, INRS, (37, 113), 1 + 1, 4),
+                                      (6, LUK_RS, (97, 401), 6 + 1, 10)):
+        full = {canonical_form(a).data
+                for a in enumerate_algebras(EnumerationTask(n, cls))}
+        for cap in caps:
+            collected, tokens = set(), []
+            for _ in range(200):
+                try:
+                    out = enumerate_algebras(EnumerationTask(n, cls, max_nodes=cap),
+                                             resume=tokens[-1] if tokens else None)
+                    collected |= {canonical_form(a).data for a in out}
+                    break
+                except EnumerationCapExceeded as err:
+                    collected |= {canonical_form(a).data for a in err.partial}
+                    tokens.append(err.resume)
+            else:
+                raise AssertionError("resume chain did not terminate")
+            assert collected == full, (n, cls, cap)
+            assert root < max(map(len, tokens)) <= root + times, (n, cls, cap)
 
 
 def test_canonical_form_rejects_coinciding_constants():
