@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .axioms import INRS, LUK_NRS, CheckOutcome, check_identity, classify, require_class
-from .congruences import Partition, all_congruences, principal_congruence
+from .axioms import INRS, LUK_NRS, LUK_RS, CheckOutcome, check_identity, classify, require_class
+from .congruences import Partition, all_congruences, kernel, principal_congruence
 from .core import FiniteAlgebra, Homomorphism, leq, product
 from .ideals import ElementSet, generate_ideal, pseudocomplement, principal_ideal
 from .terms import ONE, ZERO, Term, Var, church_q
@@ -117,8 +117,14 @@ class SemanticCentrality:
 
 
 def semantic_centrality(alg: FiniteAlgebra, e: int) -> SemanticCentrality:
-    t0 = principal_congruence(alg, e, alg.zero)
-    t1 = principal_congruence(alg, e, alg.one)
+    """theta(e,0) is the kernel K[e].  On luk-nrs and above theta(e,1) is
+    K[e^a]: s(e,1) = e^a and s(1,e) = 0 for the difference term s, and
+    Cg(a,b) = Cg(s(a,b),0) v Cg(s(b,a),0) there (see all_congruences)."""
+    t0 = kernel(alg, e)
+    if classify(alg) in (LUK_NRS, LUK_RS):
+        t1 = kernel(alg, alg.alpha[e])
+    else:
+        t1 = principal_congruence(alg, e, alg.one)
     pairs = {(t0.block_index[a], t1.block_index[a]) for a in range(alg.size)}
     return SemanticCentrality(
         theta_zero=t0,

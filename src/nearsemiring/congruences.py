@@ -5,16 +5,24 @@ then merge the images of every basic translation of the merged pair until
 stable).  The unary-polynomial pair closure is computed independently as the
 subalgebra of A x A generated by the pair together with the diagonal; the two
 routes are compared rather than assumed to agree.
+
+The kernels K[x] = Cg(x, 0) are computed once per algebra (kernel) and shared
+by Con(A), principal ideals and semantic centrality.  On a Lukasiewicz near
+semiring they generate Con(A): with the difference term s(x, y) = x^a * y,
+Cg(a, b) = Cg(s(a, b), 0) v Cg(s(b, a), 0), so n kernels replace the
+n(n-1)/2 principal pairs.  The identity fails on some inrs tables, so
+all_congruences uses the kernels only where classify finds luk-nrs or above.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .axioms import CheckOutcome, check_identity
+from .axioms import LUK_NRS, LUK_RS, CheckOutcome, check_identity, classify
 from .core import FiniteAlgebra, SizeLimitError
 from .terms import ZERO, difference_s, malcev_p, x, y
 
@@ -238,20 +246,46 @@ def polynomial_pairs(alg: FiniteAlgebra, a: int, b: int) -> PairSet:
     return PairSet(n, frozenset(pairs))
 
 
+_kernels: "weakref.WeakKeyDictionary[FiniteAlgebra, list[Optional[Partition]]]" = (
+    weakref.WeakKeyDictionary())
+
+
+def kernel(alg: FiniteAlgebra, x: int) -> Partition:
+    """K[x] = Cg(x, 0), computed once per element and remembered while alg lives.
+
+    A plain principal congruence, so valid on every class.
+    """
+    ks = _kernels.get(alg)
+    if ks is None:
+        ks = _kernels[alg] = [None] * alg.size
+    k = ks[x]
+    if k is None:
+        k = ks[x] = principal_congruence(alg, x, alg.zero)
+    return k
+
+
 def all_congruences(alg: FiniteAlgebra,
                     max_size: int = DEFAULT_MAX_UNIVERSE) -> tuple[Partition, ...]:
-    """Complete Con(A): principal congruences closed under pairwise join.
+    """Complete Con(A): the join closure of a generating set of congruences.
 
-    Includes the diagonal and the full relation; output is canonically
-    ordered (finest first).
+    Every congruence is the join of the principal congruences of its pairs.
+    On a table classify places at luk-nrs or above, Cg(a, b) is the join of
+    the kernels Cg(s(a, b), 0) and Cg(s(b, a), 0) (s(x, y) = x^a * y), so the
+    n kernels generate.  That identity fails on some inrs tables (at n = 4
+    already), so every other table is generated by its n(n-1)/2 principal
+    pairs.  Includes the diagonal and the full relation; output is
+    canonically ordered (finest first).
     """
     n = alg.size
     if n > max_size:
         raise SizeLimitError(f"universe size {n} exceeds the {max_size} limit")
-    principals = [principal_congruence(alg, a, b)
-                  for a in range(n) for b in range(a + 1, n)]
+    if classify(alg) in (LUK_NRS, LUK_RS):
+        generators = [kernel(alg, a) for a in range(n)]
+    else:
+        generators = [principal_congruence(alg, a, b)
+                      for a in range(n) for b in range(a + 1, n)]
 
-    cons: set[Partition] = {Partition.discrete(n), *principals}
+    cons: set[Partition] = {Partition.discrete(n), *generators}
     frontier = list(cons)
     while frontier:
         p = frontier.pop()

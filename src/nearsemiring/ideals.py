@@ -15,8 +15,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .axioms import LUK_NRS, LUK_RS, require_class
-from .congruences import (Partition, all_congruences, polynomial_pairs,
-                          principal_congruence)
+from .congruences import Partition, all_congruences, kernel, polynomial_pairs
 from .core import FiniteAlgebra
 
 DEFAULT_SUBSET_THRESHOLD = 14
@@ -484,8 +483,7 @@ def skeleton(alg: FiniteAlgebra, lattice: Optional[IdealLattice] = None) -> Skel
 
 def principal_ideal(alg: FiniteAlgebra, a: int) -> ElementSet:
     """Least ideal containing a: the 0-coset of the principal congruence theta(a, 0)."""
-    theta = principal_congruence(alg, a, alg.zero)
-    return ElementSet.from_members(alg.size, theta.block_of(alg.zero))
+    return ElementSet.from_members(alg.size, kernel(alg, a).block_of(alg.zero))
 
 
 @dataclass(frozen=True)

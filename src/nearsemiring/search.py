@@ -383,7 +383,8 @@ class _Search:
         where = _where(T)
 
         def cell_ok(i: int, j: int) -> bool:
-            """Every determined constraint instance that reads T[i][j] holds."""
+            """Every determined distributivity and interchange instance that
+            reads T[i][j] holds (associativity is _assoc_ok's)."""
             for a, b, s in dist[i]:
                 lhs, r1, r2 = T[s][j], T[a][j], T[b][j]
                 if (lhs is not None and r1 is not None and r2 is not None
@@ -402,7 +403,7 @@ class _Search:
                     l, r = T[alpha[u1]][j], T[alpha[u2]][alpha[a]]
                     if l is not None and r is not None and l != r:
                         return False
-            return not assoc or _assoc_ok(T, where, i, j)
+            return True
 
         cells = self.times_cells
 
@@ -412,7 +413,11 @@ class _Search:
                 return
             i, j = cells[k]
             Ti, Tj = T[i], T[j]
-            twin = self.cls == LUK_RS and i != j    # the mirror cell (j, i) too
+            # luk-rs sets the mirror cell (j, i) too; an associativity
+            # instance that reads T[j][i] has the mirror (c, b, a), which
+            # reads T[i][j] with the same sides swapped (T is commutative),
+            # so _assoc_ok(i, j) covers both cells
+            twin = self.cls == LUK_RS and i != j
             for v in self._candidates(R):
                 self._enter(v)
                 Ti[j] = v
@@ -420,7 +425,8 @@ class _Search:
                 if twin:
                     Tj[i] = v
                     where[v].append((j, i))
-                if cell_ok(i, j) and (not twin or cell_ok(j, i)):
+                if (cell_ok(i, j) and (not twin or cell_ok(j, i))
+                        and (not assoc or _assoc_ok(T, where, i, j))):
                     fill(k + 1)
                 if twin:
                     where[v].pop()
@@ -430,7 +436,8 @@ class _Search:
                 self._leave()
 
         # before the first cell: every determined instance reads a set cell
-        if all(cell_ok(a, b) for v in R for a, b in where[v]):
+        if all(cell_ok(a, b) and (not assoc or _assoc_ok(T, where, a, b))
+               for v in R for a, b in where[v]):
             fill(0)
 
     def _emit(self, P, alpha, autos, T) -> None:

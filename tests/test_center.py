@@ -1,20 +1,23 @@
 import functools
+import importlib
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearsemiring import bundled_file
+from nearsemiring import bundled_file, congruences
 from nearsemiring.algfile import load
-from nearsemiring.axioms import (INRS, LUK_RS, CheckOutcome, check_axioms, check_identity,
+from nearsemiring.axioms import (INRS, LUK_NRS, LUK_RS, CheckOutcome, check_axioms, check_identity,
                                  classify)
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
 from nearsemiring.center import (_PLUS_LAW, _TIMES_LAW, CENTRALITY_LAWS, _reduced_law_holds,
                                  center, central_elements, central_ideal_check,
                                  central_laws_report, decompose,
-                                 interval_algebra, is_central, q, syntactic_centrality)
+                                 interval_algebra, is_central, q, semantic_centrality,
+                                 syntactic_centrality)
 from nearsemiring.core import FiniteAlgebra, find_isomorphism, leq, product
 from nearsemiring.mv import from_mv
 from nearsemiring.search import EnumerationTask, enumerate_algebras
@@ -124,13 +127,14 @@ def test_interval_names_follow_parent():
 BUNDLED = ("b2", "b2xb2", "b2xl3", "g3", "l3-mv", "l3", "l3xb2", "l4", "trivial")
 
 
+def table_algebra(name):
+    structure = load(bundled_file(name + ".alg")).to_algebra()
+    return structure if isinstance(structure, FiniteAlgebra) else from_mv(structure)
+
+
 def test_intervals_keep_the_class_of_their_parent():
     # interval_algebra does not re-check the class axioms: this is the theorem
     # it relies on, checked over every central element of a corpus
-    def table_algebra(name):
-        structure = load(bundled_file(name + ".alg")).to_algebra()
-        return structure if isinstance(structure, FiniteAlgebra) else from_mv(structure)
-
     b2_4 = functools.reduce(product, [boolean2()] * 4)
     parents = [table_algebra(name) for name in BUNDLED] + [
         product(L3, L3), b2_4, product(L3, luk_chain(4))]
@@ -274,6 +278,16 @@ def test_centrality_on_arbitrary_tables_is_the_full_scan(alg):
         assert syntactic_centrality(alg, e) == reference_syntactic_centrality(alg, e)
 
 
+@given(small_tables())
+@settings(max_examples=100, deadline=None)
+def test_semantic_centrality_reads_the_principal_congruences(alg):
+    # theta(e,1) comes from the kernel K[e^a] on luk-* tables only
+    for e in range(alg.size):
+        sem = semantic_centrality(alg, e)
+        assert sem.theta_zero == congruences.principal_congruence(alg, e, alg.zero)
+        assert sem.theta_one == congruences.principal_congruence(alg, e, alg.one)
+
+
 def test_luk_rs_center_is_the_boolean_elements():
     # the center of an MV-algebra is its Boolean center {e : e + e^a = 1}
     # (Cignoli, D'Ottaviano and Mundici 2000)
@@ -294,3 +308,32 @@ def test_center_on_the_largest_products(alg, size):
     report = center(alg)
     assert len(report.elements) == size
     assert report.ok and report.laws.ok
+
+
+def test_theta_e_1_is_the_kernel_of_e_alpha_on_luk_documents():
+    # what semantic_centrality reads on luk-nrs and above
+    luk = [alg for alg in map(table_algebra, BUNDLED) if classify(alg) in (LUK_NRS, LUK_RS)]
+    assert len(luk) == 8
+    for alg in luk:
+        for e in range(alg.size):
+            assert congruences.kernel(alg, alg.alpha[e]) == \
+                congruences.principal_congruence(alg, e, alg.one)
+
+
+def test_center_makes_one_principal_congruence_per_kernel(monkeypatch):
+    # Con(A), theta(e,0) and theta(e,1) all read the n kernels Cg(x,0)
+    calls = []
+    original = congruences.principal_congruence
+
+    def counted(alg, a, b):
+        calls.append((a, b))
+        return original(alg, a, b)
+
+    # the package exports a function named center, which hides the module
+    center_module = importlib.import_module("nearsemiring.center")
+    monkeypatch.setattr(congruences, "principal_congruence", counted)
+    monkeypatch.setattr(center_module, "principal_congruence", counted)
+    monkeypatch.setattr(congruences, "_kernels", weakref.WeakKeyDictionary())
+    alg = power(boolean2(), 4)
+    assert center(alg).ok
+    assert sorted(calls) == [(x, alg.zero) for x in range(alg.size)]

@@ -1,11 +1,15 @@
+import functools
 import itertools
 
+from nearsemiring.axioms import CLASSES, INRS, LUK_NRS, LUK_RS, classify
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
-from nearsemiring.congruences import (Partition, all_congruences,
+from nearsemiring.congruences import (Partition, all_congruences, kernel,
                                       malcev_and_regularity_report,
                                       partition_sort_key, polynomial_pairs,
                                       principal_congruence, werner_comparison)
+from nearsemiring.core import product
+from nearsemiring.search import EnumerationTask, enumerate_algebras
 from nearsemiring.terms import eval_term, x
 
 L3 = luk_chain(3)
@@ -35,6 +39,66 @@ def brute_force_congruences(alg):
 
     rec(0, [], 0)
     return sorted(found, key=partition_sort_key)
+
+
+def reference_all_congruences(alg):
+    """Con(A) as the join closure of all n(n-1)/2 principal congruences."""
+    n = alg.size
+    principals = [principal_congruence(alg, a, b)
+                  for a in range(n) for b in range(a + 1, n)]
+    cons = {Partition.discrete(n), *principals}
+    frontier = list(cons)
+    while frontier:
+        p = frontier.pop()
+        for q in list(cons):
+            j = p.join(q)
+            if j not in cons:
+                cons.add(j)
+                frontier.append(j)
+    return tuple(sorted(cons, key=partition_sort_key))
+
+
+@functools.lru_cache(maxsize=None)
+def models(n, cls):
+    return enumerate_algebras(EnumerationTask(n, cls))
+
+
+def kernel_identity_holds(alg, a, b):
+    """Cg(a, b) = Cg(s(a, b), 0) v Cg(s(b, a), 0), with s(x, y) = x^a * y."""
+    s_ab, s_ba = alg.times[alg.alpha[a]][b], alg.times[alg.alpha[b]][a]
+    return principal_congruence(alg, a, b) == kernel(alg, s_ab).join(kernel(alg, s_ba))
+
+
+def test_all_congruences_equals_the_all_pairs_reference():
+    # the kernel generators are used on luk-* only; every class is compared
+    pool = ([alg for n in range(1, 6) for cls in CLASSES for alg in models(n, cls)]
+            + list(models(6, LUK_NRS)) + list(models(6, LUK_RS))
+            + [product(product(L3, luk_chain(4)), boolean2())])
+    assert {classify(alg) for alg in pool} == set(CLASSES)
+    for alg in pool:
+        assert all_congruences(alg) == reference_all_congruences(alg)
+
+
+def test_kernels_generate_every_principal_congruence_on_luk_models():
+    for n in range(1, 7):
+        for alg in models(n, LUK_NRS) + models(n, LUK_RS):
+            for a, b in itertools.combinations(range(n), 2):
+                assert kernel_identity_holds(alg, a, b), (alg, a, b)
+
+
+def test_kernel_identity_fails_on_inrs():
+    # why all_congruences keeps the principal pairs below luk-nrs
+    failures = [(alg, a, b) for alg in models(4, INRS)
+                for a, b in itertools.combinations(range(4), 2)
+                if not kernel_identity_holds(alg, a, b)]
+    assert len(failures) == 7 and all(classify(alg) == INRS for alg, _, _ in failures)
+
+
+def test_kernel_is_the_principal_congruence_with_zero():
+    for alg in CORPUS:
+        for a in range(alg.size):
+            assert kernel(alg, a) == principal_congruence(alg, a, alg.zero)
+            assert kernel(alg, a) is kernel(alg, a)
 
 
 def test_l3_is_simple():
