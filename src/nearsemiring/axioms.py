@@ -13,12 +13,11 @@ reference semantics the compiled scans are tested against.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
-from .core import FiniteAlgebra, leq
+from .core import FiniteAlgebra, leq, per_algebra
 from .terms import (JOIN_FROM_TIMES, LUK_LHS, LUK_RHS, ONE, ZERO, Alpha, Const, Plus,
                     Term, Times, Var, x, y, z)
 
@@ -209,22 +208,12 @@ def check_axioms(alg: FiniteAlgebra, algebra_class: str = LUK_NRS) -> AxiomRepor
     return AxiomReport(algebra_class, checks, alg)
 
 
+@per_algebra
 def classify(alg: FiniteAlgebra) -> Optional[str]:
     """Best class the algebra passes, or None if not even an inrs.
 
     Computed once per algebra and remembered while the algebra lives.
     """
-    try:
-        return _classes[alg]
-    except KeyError:
-        best = _classes[alg] = _best_class(alg)
-        return best
-
-
-_classes: "weakref.WeakKeyDictionary[FiniteAlgebra, Optional[str]]" = weakref.WeakKeyDictionary()
-
-
-def _best_class(alg: FiniteAlgebra) -> Optional[str]:
     # each class's axioms are a prefix of the luk-rs report, so one check
     # holds every verdict
     axioms = check_axioms(alg, LUK_RS).axioms

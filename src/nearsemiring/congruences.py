@@ -17,13 +17,12 @@ all_congruences uses the kernels only where classify finds luk-nrs or above.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 from .axioms import LUK_NRS, LUK_RS, CheckOutcome, check_identity, classify
-from .core import FiniteAlgebra, SizeLimitError
+from .core import FiniteAlgebra, SizeLimitError, per_algebra
 from .terms import ZERO, difference_s, malcev_p, x, y
 
 DEFAULT_MAX_UNIVERSE = 256
@@ -112,10 +111,6 @@ class Partition:
 
     def is_full(self) -> bool:
         return self.num_blocks == 1
-
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((a, b) for block in self.blocks
-                         for a in block for b in block)
 
     # -- lattice operations ----------------------------------------------
 
@@ -246,8 +241,9 @@ def polynomial_pairs(alg: FiniteAlgebra, a: int, b: int) -> PairSet:
     return PairSet(n, frozenset(pairs))
 
 
-_kernels: "weakref.WeakKeyDictionary[FiniteAlgebra, list[Optional[Partition]]]" = (
-    weakref.WeakKeyDictionary())
+@per_algebra
+def _kernel_slots(alg: FiniteAlgebra) -> list[Optional[Partition]]:
+    return [None] * alg.size
 
 
 def kernel(alg: FiniteAlgebra, x: int) -> Partition:
@@ -255,9 +251,7 @@ def kernel(alg: FiniteAlgebra, x: int) -> Partition:
 
     A plain principal congruence, so valid on every class.
     """
-    ks = _kernels.get(alg)
-    if ks is None:
-        ks = _kernels[alg] = [None] * alg.size
+    ks = _kernel_slots(alg)
     k = ks[x]
     if k is None:
         k = ks[x] = principal_congruence(alg, x, alg.zero)

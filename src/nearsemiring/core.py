@@ -10,9 +10,10 @@ the tables satisfy any axioms is the job of :mod:`nearsemiring.axioms`.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -92,8 +93,8 @@ class FiniteAlgebra:
             object.__setattr__(self, "names", names)
 
     def __hash__(self) -> int:
-        # the generated hash walks every table, and the per-algebra memos
-        # (axioms.classify, ideals._ideal_rules) look an algebra up often
+        # the generated hash walks every table, and the per_algebra memos
+        # look an algebra up often
         try:
             return self.__dict__["_hash"]
         except KeyError:
@@ -130,6 +131,24 @@ class FiniteAlgebra:
         return (self.size == other.size and self.plus == other.plus
                 and self.times == other.times and self.alpha == other.alpha
                 and self.zero == other.zero and self.one == other.one)
+
+
+_T = TypeVar("_T")
+
+
+def per_algebra(build: Callable[[FiniteAlgebra], _T]) -> Callable[[FiniteAlgebra], _T]:
+    """build(alg), computed once per algebra and remembered while it lives."""
+    memo: "weakref.WeakKeyDictionary[FiniteAlgebra, _T]" = weakref.WeakKeyDictionary()
+
+    @wraps(build)
+    def remembered(alg: FiniteAlgebra) -> _T:
+        try:
+            return memo[alg]
+        except KeyError:
+            value = memo[alg] = build(alg)
+            return value
+
+    return remembered
 
 
 def leq(alg: FiniteAlgebra, a: int, b: int) -> bool:

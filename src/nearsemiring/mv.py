@@ -2,7 +2,10 @@
 
 Both directions are plain table transforms; round trips are required to be
 table-identical (the translations are term operations on the same carrier),
-and every produced structure is re-checked against its axioms.
+and every produced structure is re-checked against its axioms.  MV-ideals are
+a table of Horn rules on the subset engine of the ideals module, built once
+per ideal_correspondence_report and compared with the (I1)/(I2) table subset
+by subset.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Optional, Union
 
 from .axioms import LUK_RS, CheckOutcome, check_axioms, require_class
 from .core import FiniteAlgebra, Table, _as_table, _as_vector
-from .ideals import ElementSet, is_ideal
+from .ideals import ElementSet, _ideal_rules, _Rules
 
 
 class AdjudicationError(Exception):
@@ -160,19 +163,19 @@ def roundtrip_check(x: Union[FiniteAlgebra, MVAlgebra]) -> RoundTrip:
     return RoundTrip(True)
 
 
+def _mv_ideal_rules(mv: MVAlgebra) -> _Rules:
+    """0 in S, then a, b in S force a (+) b, then a in S forces its down-set."""
+    n, op = mv.size, mv.oplus
+    rules = [(0, 1 << mv.zero, None)]
+    rules += [(1 << a | 1 << b, 1 << op[a][b], None) for a in range(n) for b in range(n)]
+    rules += [(1 << a, sum(1 << b for b in range(n) if mv.mv_leq(b, a)), None)
+              for a in range(n)]
+    return _Rules(rules)
+
+
 def mv_is_ideal(mv: MVAlgebra, s: ElementSet) -> bool:
     """MV-ideal: contains 0, closed under oplus, downward closed."""
-    if mv.zero not in s:
-        return False
-    members = s.members()
-    for a in members:
-        for b in members:
-            if mv.oplus[a][b] not in s:
-                return False
-        for b in range(mv.size):
-            if mv.mv_leq(b, a) and b not in s:
-                return False
-    return True
+    return _mv_ideal_rules(mv).first_failure(s.mask) is None
 
 
 @dataclass(frozen=True)
@@ -188,10 +191,7 @@ class IdealCorrespondence:
 
 def ideal_correspondence_report(alg: FiniteAlgebra) -> IdealCorrespondence:
     """Is S semiring-ideal iff S MV-ideal of the translate?  Reported, not assumed."""
-    mv = to_mv(alg)
-    bad = []
-    for mask in range(1 << alg.size):
-        s = ElementSet(alg.size, mask)
-        if is_ideal(alg, s).ok != mv_is_ideal(mv, s):
-            bad.append(s)
-    return IdealCorrespondence(tuple(bad))
+    ideal, mv_ideal = _ideal_rules(alg), _mv_ideal_rules(to_mv(alg))
+    return IdealCorrespondence(tuple(
+        ElementSet(alg.size, mask) for mask in range(1 << alg.size)
+        if (ideal.first_failure(mask) is None) != (mv_ideal.first_failure(mask) is None)))

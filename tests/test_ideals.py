@@ -1,16 +1,23 @@
+import importlib
 import itertools
+from importlib import resources
 
 import pytest
 
+from nearsemiring.algfile import load
+from nearsemiring.axioms import LUK_NRS, LUK_RS, classify
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
-from nearsemiring.congruences import all_congruences
+from nearsemiring.congruences import Partition, all_congruences
 from nearsemiring.ideals import (ElementSet, IdealCheck, all_ideals,
                                  generate_ideal, ideal_join_via_coset, is_ideal,
                                  principal_ideal, principal_ideal_report,
                                  pseudocomplement, semiring_claims_report,
-                                 skeleton, theta_of_ideal, theta_partition)
-from nearsemiring.core import leq, product
+                                 skeleton, subset_conditions, theta_of_ideal,
+                                 theta_partition)
+from nearsemiring.core import FiniteAlgebra, leq, product
+from nearsemiring.mv import from_mv
+from nearsemiring.search import EnumerationTask, enumerate_algebras
 
 L3 = luk_chain(3)
 LUK_CORPUS = (boolean2(), L3, luk_chain(4), b2_x_b2(), b2_x_l3(), trivial())
@@ -48,6 +55,39 @@ def reference_is_ideal(alg, s):
     return IdealCheck(True)
 
 
+def reference_subset_conditions(alg, s):
+    """Conditions (i)-(iii) written out on the raw tables: the reference for
+    subset_conditions, with the same scan order and witnesses."""
+    if alg.zero not in s:
+        return False, "(i) 0 not in S", ()
+    members = s.members()
+    for b in members:
+        for a in members:
+            if alg.plus[a][b] not in s:
+                return False, "(ii) not closed under +", (("a", a), ("b", b))
+    for c in range(alg.size):
+        for a in members:
+            if alg.times[a][c] not in s:
+                return False, "(iii) a*c escapes S", (("a", a), ("c", c))
+            if alg.times[c][a] not in s:
+                return False, "(iii) c*a escapes S", (("a", a), ("c", c))
+    return True, "", ()
+
+
+def bundled_luk_algebras():
+    """The bundled documents that are Lukasiewicz near semirings."""
+    out = []
+    for entry in sorted(resources.files("nearsemiring").joinpath("data").iterdir(),
+                        key=lambda e: e.name):
+        if entry.name.endswith(".alg"):
+            alg = load(entry).to_algebra()
+            if not isinstance(alg, FiniteAlgebra):
+                alg = from_mv(alg)
+            if classify(alg) in (LUK_NRS, LUK_RS):
+                out.append(alg)
+    return out
+
+
 def test_is_ideal_l3_middle_pair_fails_i1():
     check = is_ideal(L3, es(L3, 0, 1))
     assert not check.ok
@@ -69,6 +109,17 @@ def test_is_ideal_matches_test_oracle_on_all_subsets():
         for mask in range(1 << alg.size):
             s = ElementSet(alg.size, mask)
             assert is_ideal(alg, s) == reference_is_ideal(alg, s)
+
+
+def test_subset_conditions_match_reference_on_all_subsets():
+    # (ok, why, witness) on every subset; the 4-element inrs models are
+    # mostly non-commutative, so a*c and c*a differ there
+    b2 = boolean2()
+    pool = LUK_CORPUS + (godel3(), luk_chain(12), product(b2_x_b2(), b2), product(L3, L3))
+    for alg in pool + enumerate_algebras(EnumerationTask(4, "inrs")):
+        for mask in range(1 << alg.size):
+            s = ElementSet(alg.size, mask)
+            assert subset_conditions(alg, s) == reference_subset_conditions(alg, s)
 
 
 def test_i3_reported():
@@ -93,16 +144,20 @@ def test_generate_ideal_examples():
 
 
 def test_generate_ideal_is_minimal():
-    # result is contained in every ideal that contains the seed
-    for alg in LUK_CORPUS:
-        ideals = [ElementSet(alg.size, m) for m in range(1 << alg.size)
-                  if is_ideal(alg, ElementSet(alg.size, m)).ok]
-        for mask in range(1 << alg.size):
-            seed = ElementSet(alg.size, mask)
-            grown = generate_ideal(alg, seed)
-            for i in ideals:
-                if seed.issubset(i):
-                    assert grown.issubset(i)
+    # the result is the meet of every ideal containing the seed, the ideals
+    # found by subset scan with the reference predicate
+    algs = bundled_luk_algebras()
+    assert len(algs) == 8
+    for alg in LUK_CORPUS + tuple(algs):
+        n = alg.size
+        ideals = [m for m in range(1 << n)
+                  if reference_is_ideal(alg, ElementSet(n, m)).ok]
+        for seed in range(1 << n):
+            meet = (1 << n) - 1
+            for m in ideals:
+                if seed & ~m == 0:
+                    meet &= m
+            assert generate_ideal(alg, ElementSet(n, seed)).mask == meet
 
 
 def test_theta_of_ideal_trivial_cases():
@@ -281,6 +336,17 @@ def test_oracle_partial_path_above_threshold():
     full = all_ideals(big, threshold=16)      # forced subset scan agrees
     assert not full.oracle_partial
     assert [s.mask for s in full.ideals] == [s.mask for s in lat.ideals]
+
+
+def test_all_ideals_rejects_a_kernel_that_is_not_an_ideal(monkeypatch):
+    # above the threshold no subset is scanned, but each kernel is still checked
+    ideals_module = importlib.import_module("nearsemiring.ideals")
+    assert not is_ideal(L3, es(L3, 0, 1)).ok
+    bad = Partition.from_pairs(L3.size, [(0, 1)])
+    monkeypatch.setattr(ideals_module, "all_congruences",
+                        lambda alg: all_congruences(alg) + (bad,))
+    with pytest.raises(AssertionError, match="kernels fail the ideal predicate"):
+        all_ideals(L3, threshold=2)
 
 
 def test_element_set_validation():

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from nearsemiring.catalog import b2_x_l3, boolean2, godel3, luk_chain
+from nearsemiring.catalog import b2_x_b2, b2_x_l3, boolean2, godel3, luk_chain, trivial
+from nearsemiring.core import product
 from nearsemiring.mv import (MVAlgebra, check_mv_axioms, from_mv,
                              ideal_correspondence_report, mv_is_ideal,
                              roundtrip_check, to_mv)
@@ -82,6 +83,32 @@ def test_mv_ideal_definition():
     # {0, 1/3} is not oplus-closed beyond itself? 1+1=2 escapes
     assert not mv_is_ideal(mv, ElementSet.from_members(4, [0, 1]))
     assert not mv_is_ideal(mv, ElementSet.from_members(4, [0, 2]))
+
+
+def reference_mv_is_ideal(mv, s):
+    """The MV-ideal conditions written out on the raw tables: the reference
+    for mv_is_ideal."""
+    if mv.zero not in s:
+        return False
+    members = s.members()
+    for a in members:
+        for b in members:
+            if mv.oplus[a][b] not in s:
+                return False
+        for b in range(mv.size):
+            if mv.mv_leq(b, a) and b not in s:
+                return False
+    return True
+
+
+def test_mv_is_ideal_matches_reference_on_all_subsets():
+    l3, b2 = luk_chain(3), boolean2()
+    for alg in (b2, l3, luk_chain(4), b2_x_b2(), b2_x_l3(), trivial(), luk_chain(12),
+                product(b2_x_b2(), b2), product(l3, l3)):
+        mv = to_mv(alg)
+        for mask in range(1 << alg.size):
+            s = ElementSet(alg.size, mask)
+            assert mv_is_ideal(mv, s) == reference_mv_is_ideal(mv, s)
 
 
 def test_ideal_correspondence_on_corpus():
