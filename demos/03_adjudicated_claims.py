@@ -16,14 +16,12 @@ l3 = luk_chain(3)
 report = semiring_claims_report(l3)
 
 print("claims adjudicated on the 3-chain:")
-for finding in report.findings:
-    if finding.verdict == "DISAGREE":
-        print(f"\n  DISAGREE [{finding.claim}] at {finding.target_kind} {finding.target}")
-        print(f"    {finding.detail}")
-        print(f"    witness: {finding.witness}")
+for finding in report.disagreements:
+    print(f"\n  DISAGREE [{finding.claim}] at {finding.target_kind} {finding.target}")
+    print(f"    {finding.detail}")
+    print(f"    witness: {finding.witness}")
 
-print(f"\n{len(report.findings) - len(report.disagreements())} claims agree, "
-      f"{len(report.disagreements())} disagree")
+print(f"\n{report.agree} claims agree, {len(report.disagreements)} disagree")
 
 print("\nthe same through the command line (exit status 1 flags the findings):")
 status = main(["claims", str(bundled_file("l3.alg"))])

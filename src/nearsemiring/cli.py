@@ -206,13 +206,11 @@ def cmd_claims(args) -> tuple[str, int]:
     report = Report(_echo(args))
     report.universe(alg)
     report.section("adjudicated claims")
-    agrees = [f for f in rep.findings if f.verdict == "AGREE"]
-    report.info(f"{len(agrees)} claims AGREE, "
-                f"{len(rep.disagreements())} claims DISAGREE")
+    report.info(f"{rep.agree} claims AGREE, {len(rep.disagreements)} claims DISAGREE")
     if not rep.subsets_scanned:
         report.info("subset scan skipped (size above threshold); element claims only")
     report.blank()
-    for finding in rep.disagreements():
+    for finding in rep.disagreements:
         report.claim(finding)
     return report.render(), report.exit_status
 

@@ -49,13 +49,16 @@ def _as_table(rows: Sequence[Sequence[int]], n: int, what: str) -> Table:
     return rows
 
 
-def _as_vector(vals: Sequence[int], n: int, what: str) -> tuple[int, ...]:
+def _as_vector(vals: Sequence[int], n: int, what: str,
+               universe: Optional[int] = None) -> tuple[int, ...]:
+    """n values in [0, universe); the universe is [0, n) unless given."""
     vals = _ints(vals)
     if len(vals) != n:
         raise AlgebraError(f"{what} must have {n} entries, got {len(vals)}")
+    universe = n if universe is None else universe
     for i, v in enumerate(vals):
-        if not 0 <= v < n:
-            raise AlgebraError(f"{what}[{i}] = {v} is outside the universe [0, {n})")
+        if not 0 <= v < universe:
+            raise AlgebraError(f"{what}[{i}] = {v} is outside the universe [0, {universe})")
     return vals
 
 
@@ -205,9 +208,7 @@ class Homomorphism:
 
     def __post_init__(self) -> None:
         src, tgt = self.source, self.target
-        m = _as_vector(self.mapping, src.size, "mapping")
-        if len(m) != src.size or any(not 0 <= v < tgt.size for v in m):
-            raise AlgebraError("mapping must send every source element into the target universe")
+        m = _as_vector(self.mapping, src.size, "mapping", tgt.size)
         object.__setattr__(self, "mapping", m)
         if m[src.zero] != tgt.zero:
             raise AlgebraError(f"map does not preserve zero: {src.zero} -> {m[src.zero]} != {tgt.zero}")

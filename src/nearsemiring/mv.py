@@ -4,8 +4,8 @@ Both directions are plain table transforms; round trips are required to be
 table-identical (the translations are term operations on the same carrier),
 and every produced structure is re-checked against its axioms.  MV-ideals are
 a table of Horn rules on the subset engine of the ideals module, built once
-per ideal_correspondence_report and compared with the (I1)/(I2) table subset
-by subset.
+per ideal_correspondence_report; the subsets closed under it are compared
+with those closed under the (I1)/(I2) table.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .axioms import LUK_RS, CheckOutcome, check_axioms, require_class
-from .core import FiniteAlgebra, Table, _as_table, _as_vector
+from .core import AlgebraError, FiniteAlgebra, Table, _as_table, _as_vector
 from .ideals import ElementSet, _ideal_rules, _Rules
 
 
@@ -42,7 +42,10 @@ class MVAlgebra:
         if not 0 <= self.zero < n:
             raise ValueError(f"zero = {self.zero} is outside the universe")
         if self.names is not None:
-            object.__setattr__(self, "names", tuple(str(s) for s in self.names))
+            names = tuple(str(s) for s in self.names)
+            if len(names) != n:
+                raise AlgebraError(f"names must have {n} entries, got {len(names)}")
+            object.__setattr__(self, "names", names)
 
     @property
     def one(self) -> int:
@@ -191,7 +194,6 @@ class IdealCorrespondence:
 
 def ideal_correspondence_report(alg: FiniteAlgebra) -> IdealCorrespondence:
     """Is S semiring-ideal iff S MV-ideal of the translate?  Reported, not assumed."""
-    ideal, mv_ideal = _ideal_rules(alg), _mv_ideal_rules(to_mv(alg))
-    return IdealCorrespondence(tuple(
-        ElementSet(alg.size, mask) for mask in range(1 << alg.size)
-        if (ideal.first_failure(mask) is None) != (mv_ideal.first_failure(mask) is None)))
+    n = alg.size
+    split = set(_ideal_rules(alg).closed(n)) ^ set(_mv_ideal_rules(to_mv(alg)).closed(n))
+    return IdealCorrespondence(tuple(ElementSet(n, m) for m in sorted(split)))

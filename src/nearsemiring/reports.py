@@ -2,13 +2,14 @@
 
 Verdict lines start with one of PASS, FAIL, AGREE, DISAGREE, INFO.  A FAIL
 or DISAGREE line always carries its witness on the same line or inside the
-claim block it belongs to, and drives the exit status to 1.  Claim blocks
-(the discrepancy interface) have the fixed shape:
+claim block it belongs to, and drives the exit status to 1.  A claim block
+(the discrepancy interface) is written only for a disagreement, and has the
+fixed shape:
 
     CLAIM <claim-id> <target-kind>=<target>
-    VERDICT <AGREE|DISAGREE>
+    VERDICT DISAGREE
     DETAIL <free text>
-    WITNESS <free text>          # only on DISAGREE
+    WITNESS <free text>
 """
 
 from __future__ import annotations
@@ -58,12 +59,11 @@ class Report:
 
     def claim(self, finding: ClaimFinding) -> None:
         self.lines.append(f"CLAIM {finding.claim} {finding.target_kind}={finding.target}")
-        self.lines.append(f"VERDICT {finding.verdict}")
+        self.lines.append("VERDICT DISAGREE")
         self.lines.append(f"DETAIL {finding.detail}")
-        if finding.verdict == "DISAGREE":
-            self.lines.append(f"WITNESS {finding.witness}")
-            self.worst = max(self.worst, EXIT_FINDINGS)
+        self.lines.append(f"WITNESS {finding.witness}")
         self.lines.append("")
+        self.worst = max(self.worst, EXIT_FINDINGS)
 
     def render(self) -> str:
         return "\n".join(self.lines).rstrip("\n") + "\n"

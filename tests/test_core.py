@@ -91,6 +91,15 @@ def test_homomorphism_rejects_non_preserving_map():
         Homomorphism(L3, L3, (0, 0, 0))
 
 
+def test_homomorphism_embeds_into_a_larger_target():
+    # the map's values range over the target universe, not the source's
+    emb = Homomorphism(boolean2(), L3, (0, 2))
+    assert emb.mapping == (0, 2)
+    assert not emb.bijective and not emb.surjective()
+    with pytest.raises(AlgebraError, match="outside the universe"):
+        Homomorphism(boolean2(), L3, (0, 3))
+
+
 def test_projections_are_verified_homomorphisms():
     p1, p2 = projections(boolean2(), L3)
     assert p1.surjective() and p2.surjective()

@@ -308,8 +308,8 @@ def test_skeleton_reports():
 
 def test_claims_l3_disagreements():
     report = semiring_claims_report(L3)
-    bad = report.disagreements()
-    assert len(bad) == 2
+    bad = report.disagreements
+    assert len(bad) == 2 and report.agree == 8 + 3 - 2
     subset_finding = next(f for f in bad if f.target_kind == "subset")
     assert subset_finding.target == "{0, h}"
     assert subset_finding.witness == "(I1) a=1, b=h"
@@ -320,8 +320,51 @@ def test_claims_l3_disagreements():
 
 def test_claims_b2_all_agree():
     report = semiring_claims_report(boolean2())
-    assert report.ok
-    assert len(report.findings) == 4 + 2  # 4 subsets + 2 elements
+    assert report.disagreements == ()
+    assert report.agree == 4 + 2  # 4 subsets + 2 elements
+
+
+def reference_claims(alg):
+    """Every subset and element adjudicated one by one from the reference
+    predicates: (agree count, disagreeing findings in scan order)."""
+    n, agree, bad = alg.size, 0, []
+    for mask in range(1 << n):
+        s = ElementSet(n, mask)
+        check = reference_is_ideal(alg, s)
+        conds_ok, why, pairs = reference_subset_conditions(alg, s)
+        if conds_ok == check.ok:
+            agree += 1
+        elif conds_ok:
+            bad.append(("subset", s.render(alg),
+                        "conditions (i)-(iii) hold but the ideal predicate fails",
+                        f"{check.failed} {check.render_witness(alg)}"))
+        else:
+            bad.append(("subset", s.render(alg),
+                        "the ideal predicate holds but conditions (i)-(iii) fail",
+                        why + (": " + ", ".join(f"{k}={alg.label(v)}" for k, v in pairs)
+                               if pairs else "")))
+    for a in range(n):
+        products = ElementSet.from_members(n, (alg.times[a][c] for c in range(n)))
+        ideal = principal_ideal(alg, a)
+        if products.mask == ideal.mask:
+            agree += 1
+            continue
+        parts = [f"{kind}: {ElementSet(n, m).render(alg)}"
+                 for kind, m in (("missing", ideal.mask & ~products.mask),
+                                 ("extra", products.mask & ~ideal.mask)) if m]
+        bad.append(("element", alg.label(a),
+                    f"{{{alg.label(a)}*c | c in A}} = {products.render(alg)}"
+                    f" vs I({alg.label(a)}) = {ideal.render(alg)}", "; ".join(parts)))
+    return agree, bad
+
+
+def test_claims_report_matches_the_per_subset_reference():
+    for alg in LUK_CORPUS + (luk_chain(12),):
+        report = semiring_claims_report(alg)
+        agree, bad = reference_claims(alg)
+        assert report.agree == agree
+        assert [(f.target_kind, f.target, f.detail, f.witness)
+                for f in report.disagreements] == bad
 
 
 def test_claims_reject_non_semiring():
@@ -369,5 +412,5 @@ def test_theta_relation_can_fail_reflexivity():
 def test_claims_above_threshold_scan_elements_only():
     report = semiring_claims_report(b2_x_l3(), threshold=5)
     assert not report.subsets_scanned
-    assert all(f.target_kind == "element" for f in report.findings)
-    assert len(report.findings) == 6
+    assert all(f.target_kind == "element" for f in report.disagreements)
+    assert report.agree + len(report.disagreements) == 6

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from nearsemiring.catalog import b2_x_b2, b2_x_l3, boolean2, godel3, luk_chain, trivial
-from nearsemiring.core import product
+from nearsemiring.core import AlgebraError, product
 from nearsemiring.mv import (MVAlgebra, check_mv_axioms, from_mv,
                              ideal_correspondence_report, mv_is_ideal,
                              roundtrip_check, to_mv)
@@ -133,3 +133,9 @@ def test_mv_algebra_validation():
         MVAlgebra(size=2, oplus=((0, 1),), neg=(1, 0), zero=0)
     with pytest.raises(ValueError):
         MVAlgebra(size=2, oplus=((0, 1), (1, 1)), neg=(1, 0), zero=5)
+
+
+def test_mv_algebra_rejects_names_of_the_wrong_length():
+    with pytest.raises(AlgebraError, match="names must have 2 entries, got 1"):
+        MVAlgebra(2, ((0, 1), (1, 1)), (1, 0), 0, names=("a",))
+    assert MVAlgebra(2, ((0, 1), (1, 1)), (1, 0), 0, names=("a", "b")).label(1) == "b"
