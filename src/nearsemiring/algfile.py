@@ -20,6 +20,7 @@ parsed canonical file reproduces it byte for byte.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -47,6 +48,10 @@ class _Token:
     def is_punct(self, ch: str) -> bool:
         # a quoted "]" is a string, not a bracket
         return self.kind == "punct" and self.value == ch
+
+
+# ASCII digits only: str.isdigit() also holds for "²" and other digits int() rejects
+_INT = re.compile(r"-?[0-9]+")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -85,7 +90,7 @@ def _tokenize(text: str) -> list[_Token]:
                 while j < len(line) and not line[j].isspace() and line[j] not in '[],="#':
                     j += 1
                 word = line[i:j]
-                kind = "int" if word.lstrip("-").isdigit() else "word"
+                kind = "int" if _INT.fullmatch(word) else "word"
                 tokens.append(_Token(kind, word, ln, col))
                 i = j
     return tokens

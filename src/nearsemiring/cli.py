@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Union
@@ -37,6 +38,10 @@ def _load(path: str, reader=algfile.load):
         raise UsageError(f"{path}: no such file")
     except ParseError as err:
         raise UsageError(f"{path}: {err}")
+    except OSError as err:  # a directory, no permission, ...
+        raise UsageError(f"{path}: {err.strerror or err}")
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path}: not UTF-8 text: invalid byte at offset {err.start}")
 
 
 def _load_table_algebra(path: str) -> tuple[AlgebraDocument, FiniteAlgebra]:
@@ -302,14 +307,17 @@ def cmd_enumerate(args) -> tuple[str, int]:
     report = Report(_echo(args))
     report.info(f"{len(models)} model(s) of class {task.algebra_class} at size {args.size}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for form, alg in models:
-            name = form.hexdigest() + ".alg"
-            path = os.path.join(args.out, name)
-            doc = AlgebraDocument.from_algebra(alg, task.algebra_class)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(algfile.serialize(doc))
-            report.info(f"wrote {path}")
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            for form, alg in models:
+                name = form.hexdigest() + ".alg"
+                path = os.path.join(args.out, name)
+                doc = AlgebraDocument.from_algebra(alg, task.algebra_class)
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(algfile.serialize(doc))
+                report.info(f"wrote {path}")
+        except OSError as err:  # --out names a file, no permission, ...
+            raise UsageError(f"{args.out}: {err.strerror or err}")
     return report.render(), 0
 
 
@@ -426,11 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import; parse_args keeps no state
+    # between calls, so every later call reuses this tree
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
     args.command_echo = ["nsr"] + argv

@@ -72,6 +72,21 @@ def test_out_of_range_entry_is_located():
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize("word", ["--2", "²", "٣", "-"])
+def test_malformed_integers_are_located(word):
+    # an integer is ASCII -?[0-9]+; anything else is a word, so it gets the
+    # key's own diagnostic with line and column
+    with pytest.raises(ParseError) as err:
+        parse(f"kind = luk-nrs\nsize = {word}\n")
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "size must be an integer", 2, 8)
+    with pytest.raises(ParseError) as err:
+        parse("kind = luk-nrs\nsize = 2\nzero = 0\none = 1\n"
+              f"plus = [[0, 1], [1, {word}]]\ntimes = [[0,0],[0,1]]\nalpha = [1,0]\n")
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "plus entries must be integers", 5, 21)
+
+
 def test_missing_key_diagnostic():
     with pytest.raises(ParseError, match="missing key 'alpha'"):
         parse("kind = luk-nrs\nsize = 2\nzero = 0\none = 1\n"

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import importlib
 import io
@@ -11,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearsemiring import bundled_file
+from nearsemiring import bundled_file, cli
 from nearsemiring.algfile import load, parse
 from nearsemiring.axioms import check_axioms
 from nearsemiring.catalog import luk_chain
-from nearsemiring.cli import main
+from nearsemiring.cli import build_parser, main
 from nearsemiring.search import canonical_form
 
 
@@ -177,6 +178,13 @@ def test_enumerate_writes_directory(tmp_path, capsys):
     assert files[0] == canonical_form(alg).hexdigest() + ".alg"
 
 
+def test_enumerate_out_on_a_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    status, out, err = run(capsys, "enumerate", "--size", "2", "--out", str(taken))
+    assert (status, out, err) == (2, "", f"error: {taken}: File exists\n")
+
+
 def test_enumerate_size_7_luk_rs_finishes_under_the_default_cap(capsys):
     # one model: 7 has one unordered factorization
     status, out, err = run(capsys, "enumerate", "--size", "7", "--class", "luk-rs")
@@ -256,6 +264,18 @@ def test_cb_map_parse_and_missing_file_errors(tmp_path, capsys):
     status, _, err = run(capsys, *common, "--gamma", str(ok), "--beta", str(missing))
     assert status == 2
     assert err == f"error: {missing}: no such file\n"
+
+
+def test_unreadable_paths_are_usage_errors(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.alg"
+    latin1.write_bytes('kind = inrs\nnames = ["\u00e9"]\n'.encode("latin-1"))
+    maps = ("cb", path("b2xl3.alg"), path("l3xb2.alg"), "--a", "5", "--b", "5",
+            "--gamma", str(tmp_path), "--beta", str(tmp_path))
+    for argv, err in ((("check", str(tmp_path)), f"error: {tmp_path}: Is a directory\n"),
+                      (maps, f"error: {tmp_path}: Is a directory\n"),
+                      (("check", str(latin1)),
+                       f"error: {latin1}: not UTF-8 text: invalid byte at offset 22\n")):
+        assert run(capsys, *argv) == (2, "", err)
 
 
 NOT_INRS = ("kind = inrs\nsize = 2\nzero = 0\none = 1\n"
@@ -397,3 +417,56 @@ def test_corpus_outputs_are_unchanged(key, capsys, monkeypatch):
     monkeypatch.chdir(Path(path("b2.alg")).parent)
     status, out, _ = run(capsys, *key.split(" "))
     assert (status, out) == (CORPUS_ANSWERS[key]["status"], CORPUS_ANSWERS[key]["stdout"])
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser()
+    per_tree = len(built)
+    built.clear()
+    cli._shared_parser.cache_clear()
+    for argv in (("check", path("b2.alg")), ("ideals", path("l3.alg")), ("check",),
+                 ("ideals", path("l3.alg"), "--threshold", "0")):
+        run(capsys, *argv)
+    assert len(built) == per_tree
+
+
+def test_no_parsed_state_leaks_into_the_next_call(capsys, monkeypatch):
+    monkeypatch.chdir(Path(path("b2.alg")).parent)
+    status, out, _ = run(capsys, "ideals", "l3.alg", "--threshold", "2")
+    assert status == 0 and "oracle partial" in out
+    status, out, _ = run(capsys, "ideals", "l3.alg")
+    assert (status, out) == (CORPUS_ANSWERS["ideals l3.alg"]["status"],
+                             CORPUS_ANSWERS["ideals l3.alg"]["stdout"])
+    status, out, _ = run(capsys, "check", "b2.alg", "--class", "inrs")
+    assert status == 0 and "axioms (inrs)" in out
+    status, out, _ = run(capsys, "check", "b2.alg")
+    assert (status, out) == (CORPUS_ANSWERS["check b2.alg"]["status"],
+                             CORPUS_ANSWERS["check b2.alg"]["stdout"])
+    assert "axioms (luk-rs)" in out
+
+
+def fresh_parse(argv):
+    """Exit code, stdout and stderr of a newly built parser on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(list(argv))
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("check",), ("check", "b2.alg", "--bogus"), ("ideals", "b2.alg", "--threshold", "0"),
+    ("dot", "b2.alg", "--lattice", "xx"), ("decompose", "b2.alg"), ("--help",),
+    ("ideals", "--help")])
+def test_the_shared_parser_prints_what_a_fresh_parser_prints(argv, capsys):
+    run(capsys, "check", path("b2.alg"), "--class", "inrs")  # the shared parser is in use
+    status, out, err = run(capsys, *argv)
+    assert (status, out, err) == fresh_parse(argv)
+    assert out or err
