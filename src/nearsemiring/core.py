@@ -37,6 +37,16 @@ def _ints(values: Sequence[int]) -> tuple[int, ...]:
 
 
 def _as_table(rows: Sequence[Sequence[int]], n: int, what: str) -> Table:
+    """The rows as n tuples of n ints in [0, n); a tuple of ints is kept, not copied."""
+    rows = tuple(map(tuple, rows))      # tuple(row) is row for a tuple
+    # the common case in a few whole-table passes (a call to min or max per
+    # row costs more than the loop below at small n): n rows of n ints in
+    # range, where ints alone make set membership the same as 0 <= v < n
+    if (len(rows) == n and set(map(len, rows)) <= {n}
+            and set(map(type, itertools.chain(*rows))) <= {int}
+            and set(itertools.chain(*rows)) <= set(range(n))):
+        return rows
+    # otherwise convert row by row and name the first fault
     rows = tuple(map(_ints, rows))
     if len(rows) != n:
         raise AlgebraError(f"{what} must have {n} rows, got {len(rows)}")

@@ -21,9 +21,18 @@ orbit of (P, alpha), and the times phase runs from the roots alone.  Inside
 a root a leaf is kept only if its times table is the least of its
 relabellings under Aut(P, alpha).  The search visits leaves in this same
 order, so every model is kept exactly once, as the first copy a search over
-all labelled pairs would meet.  The brute-force canonical form (minimum
-encoding over all permutations fixing zero and one) is computed once per kept
-model, for the sort order and the file names of `nsr enumerate --out`.
+all labelled pairs would meet.
+
+Each kept model also gets its canonical form (the minimum encoding over all
+permutations fixing zero and one), for the sort order and the file names of
+`nsr enumerate --out`, without ranging over the (n-2)! permutations.  The
+encoding starts with the plus table, and a kept plus table P is the least of
+its relabellings: sigma(P) >= P for every sigma, with equality exactly for
+sigma in Aut(P).  So the form is P followed by the least encoding of
+(times, alpha) over Aut(P), one encoding per automorphism.  The full Aut(P)
+is needed here, not Aut(P, alpha): a sigma that moves alpha can still make
+the times table smaller.  The brute-force `canonical_form` stays public
+and is the tests' oracle for these forms.
 
 Every leaf is admitted without the axiom checker, because the search
 guarantees every axiom of its class: the bounds, idempotence and
@@ -357,11 +366,13 @@ class _Search:
                 roots.append((alpha, fixed))
         for idx in self._candidates(range(len(roots))):
             self._enter(idx)
-            self._times_phase(P, *roots[idx])
+            self._times_phase(P, *roots[idx], autos)
             self._leave()
 
     def _times_phase(self, P: list[list[int]], alpha: tuple[int, ...],
-                     autos: list[_Relabelling]) -> None:
+                     autos: list[_Relabelling], plus_autos: list[_Relabelling]) -> None:
+        """Fill the times table under the root (P, alpha); autos is Aut(P, alpha)
+        and plus_autos is Aut(P), both without the identity."""
         n = self.n
         R = range(n)
         T: list[list[Optional[int]]] = [[None] * n for _ in R]
@@ -409,7 +420,7 @@ class _Search:
 
         def fill(k: int) -> None:
             if k == len(cells):
-                self._emit(P, alpha, autos, T)
+                self._emit(P, alpha, autos, T, plus_autos)
                 return
             i, j = cells[k]
             Ti, Tj = T[i], T[j]
@@ -440,16 +451,22 @@ class _Search:
                for v in R for a, b in where[v]):
             fill(0)
 
-    def _emit(self, P, alpha, autos, T) -> None:
-        if autos:
-            rows = tuple(map(bytes, T))
-            if _least(b"".join(rows), ((_table_image(rows, *r), r) for r in autos)) is None:
-                return      # its least relabelling is another leaf of this root
+    def _emit(self, P, alpha, autos, T, plus_autos) -> None:
+        rows = tuple(map(bytes, T))
+        times = b"".join(rows)
+        if autos and _least(times, ((_table_image(rows, *r), r) for r in autos)) is None:
+            return      # its least relabelling is another leaf of this root
+        # P is least of its relabellings, so the canonical form is P followed
+        # by the least (times, alpha) over Aut(P) (module docstring)
+        vec = bytes(alpha)
+        rest = min([times + vec] + [_table_image(rows, g, t) + bytes(g(vec)).translate(t)
+                                    for g, t in plus_autos])
+        n = self.n
         # a search meets few distinct rows, so the models it keeps share them
         row = self.rows.setdefault
-        alg = FiniteAlgebra(self.n, tuple(row(r, r) for r in map(tuple, P)),
-                            tuple(row(r, r) for r in map(tuple, T)), alpha, 0, self.n - 1)
-        self.found[canonical_form(alg).data] = alg
+        alg = FiniteAlgebra(n, tuple(row(r, r) for r in map(tuple, P)),
+                            tuple(row(r, r) for r in map(tuple, T)), alpha, 0, n - 1)
+        self.found[bytes([n, 0, n - 1]) + b"".join(map(bytes, P)) + rest] = alg
 
 
 def enumerate_algebras(task: EnumerationTask,

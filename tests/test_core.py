@@ -175,6 +175,38 @@ def test_malformed_tables_rejected():
         FiniteAlgebra(size=2, plus=((0, 3), (1, 1)), times=((0, 0), (0, 1)), alpha=(1, 0), one=1)
 
 
+GOOD_3 = ((0, 1, 2), (1, 1, 2), (2, 2, 2))
+
+
+@pytest.mark.parametrize("which", ["plus", "times"])
+@pytest.mark.parametrize("table, message", [
+    (GOOD_3[:2], "{} must have 3 rows, got 2"),
+    (GOOD_3 + ((2, 2, 2),), "{} must have 3 rows, got 4"),
+    (((0, 1, 2), (1, 1), (2, 2, 2)), "{} row 1 must have 3 entries, got 2"),
+    (((0, 1, 2), (1, -1, 2), (2, 2, 2)), "{}[1][1] = -1 is outside the universe [0, 3)"),
+    (((0, 1, 2), (1, 1, 2), (2, 3, 2)), "{}[2][1] = 3 is outside the universe [0, 3)"),
+    # two bad entries: the first in row-major order is named
+    (((0, 1, 2), (1, 1, 5), (-2, 2, 2)), "{}[1][2] = 5 is outside the universe [0, 3)"),
+    (((0, 1, 2), (1, 4, -1), (2, 2, 2)), "{}[1][1] = 4 is outside the universe [0, 3)"),
+    # rows are checked in order, each for its length before its entries
+    (((0, 9, 2), (1, 1), (2, 2, 2)), "{}[0][1] = 9 is outside the universe [0, 3)"),
+    (((0, 1), (1, 9, 2), (2, 2, 2)), "{} row 0 must have 3 entries, got 2"),
+])
+def test_malformed_tables_name_the_first_fault(which, table, message):
+    tables = {"plus": GOOD_3, "times": GOOD_3, which: table}
+    with pytest.raises(AlgebraError) as err:
+        FiniteAlgebra(size=3, alpha=(2, 1, 0), one=2, **tables)
+    assert str(err.value) == message.format(which)
+
+
+def test_tables_become_tuples_of_ints_and_int_tuple_rows_are_kept():
+    alg = FiniteAlgebra(size=3, plus=GOOD_3, times=[[0, 0, 0], [0, True, 1], (0, 1, 2.0)],
+                        alpha=(2, 1, 0), one=2)
+    assert all(a is b for a, b in zip(alg.plus, GOOD_3))
+    assert alg.times == ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+    assert {type(v) for row in alg.times for v in row} == {int}
+
+
 def test_designated_constants_need_not_sit_at_the_ends():
     # file round-trip fidelity: engines must honor explicit zero/one indices
     from nearsemiring.axioms import check_axioms

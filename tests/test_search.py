@@ -53,7 +53,7 @@ class FullRescanSearch(_Search):
             P[i][j] = P[j][i] = None
             self._leave()
 
-    def _times_phase(self, P, alpha, autos):
+    def _times_phase(self, P, alpha, autos, plus_autos):
         n = self.n
         T = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -100,7 +100,7 @@ class FullRescanSearch(_Search):
 
         def fill(k):
             if k == len(self.times_cells):
-                self._emit(P, alpha, autos, T)
+                self._emit(P, alpha, autos, T, plus_autos)
                 return
             i, j = self.times_cells[k]
             # luk-rs sets the cells i <= j and their mirrors
@@ -123,8 +123,10 @@ class FullRescanSearch(_Search):
 class LabelledSearch(_Search):
     """Reference search: every labelled (plus, alpha) pair is a root.
 
-    Isomorphic leaves are dropped by canonical form, keeping the first copy
-    met, and `admitted` counts the labelled leaves.
+    Isomorphic leaves are dropped by the brute-force canonical form, keeping
+    the first copy met, and `admitted` counts the labelled leaves.  The
+    search's own form needs its plus table to be least under relabelling,
+    which these roots are not.
     """
 
     admitted = 0
@@ -132,7 +134,7 @@ class LabelledSearch(_Search):
     def _plus_automorphisms(self, P):
         return []
 
-    def _emit(self, P, alpha, autos, T):
+    def _emit(self, P, alpha, autos, T, plus_autos):
         alg = FiniteAlgebra(self.n, tuple(map(tuple, P)), tuple(map(tuple, T)),
                             alpha, 0, self.n - 1)
         self.admitted += 1
@@ -142,7 +144,9 @@ class LabelledSearch(_Search):
 class LabelledFullRescan(FullRescanSearch):
     """The full rescan over every labelled (plus, alpha) pair."""
 
+    admitted = 0
     _plus_automorphisms = LabelledSearch._plus_automorphisms
+    _emit = LabelledSearch._emit
 
 
 def fix_first_plus_cell(search, value):
@@ -331,11 +335,13 @@ def test_luk_rs_counts_are_the_factorizations_of_n():
 
 
 def test_enumerate_with_forms_pairs_each_model_with_its_canonical_form():
-    for n, cls in ((1, INRS), (4, INRS), (5, LUK_NRS)):
-        task = EnumerationTask(n, cls)
-        pairs = enumerate_with_forms(task)
-        assert tuple(alg for _, alg in pairs) == enumerate_algebras(task)
-        assert all(form == canonical_form(alg) for form, alg in pairs)
+    # the search builds each form from Aut(plus); the brute-force
+    # canonical_form over all (n-2)! relabellings is the oracle
+    for n, cls in CHECKED_CASES + [(7, LUK_RS), (7, LUK_NRS)]:
+        pairs = enumerate_with_forms(EnumerationTask(n, cls))
+        assert tuple(alg for _, alg in pairs) == searched(n, cls)[0], (n, cls)
+        for form, alg in pairs:
+            assert form.data == canonical_form(alg).data, (n, cls)
 
 
 def test_models_share_equal_rows():
