@@ -212,7 +212,8 @@ def check_axioms(alg: FiniteAlgebra, algebra_class: str = LUK_NRS) -> AxiomRepor
 def classify(alg: FiniteAlgebra) -> Optional[str]:
     """Best class the algebra passes, or None if not even an inrs.
 
-    Computed once per algebra and remembered while the algebra lives.
+    Computed once per algebra instance and kept on it; an equal copy
+    computes its own.
     """
     # each class's axioms are a prefix of the luk-rs report, so one check
     # holds every verdict

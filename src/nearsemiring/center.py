@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .axioms import INRS, LUK_NRS, LUK_RS, CheckOutcome, check_identity, classify, require_class
 from .congruences import Partition, all_congruences, kernel, principal_congruence
@@ -281,8 +281,7 @@ class CenterReport:
                 and not self.boolean_failures and self.factor_bijection_ok)
 
 
-def center(alg: FiniteAlgebra,
-           congruences: Optional[tuple[Partition, ...]] = None) -> CenterReport:
+def center(alg: FiniteAlgebra) -> CenterReport:
     """All central elements with the Boolean algebra they carry, fully verified.
 
     Requires an inrs, as central_laws_report does.
@@ -318,9 +317,8 @@ def center(alg: FiniteAlgebra,
             if (alg.times[e][f] == e) != leq(alg, e, f):
                 boolean.append(f"boolean order differs from leq at ({alg.label(e)},{alg.label(f)})")
 
-    cons = congruences if congruences is not None else all_congruences(alg)
     factor_members: set[Partition] = set()
-    for p, r in itertools.combinations_with_replacement(cons, 2):
+    for p, r in itertools.combinations_with_replacement(all_congruences(alg), 2):
         if (p.meet(r).is_discrete() and p.join(r).is_full() and p.permutes_with(r)):
             factor_members.add(p)
             factor_members.add(r)

@@ -21,7 +21,8 @@ from .center import center, central_elements, decompose
 from .congruences import all_congruences, malcev_and_regularity_report
 from .core import FiniteAlgebra, SizeLimitError
 from .hasse import covering_pairs, hasse_dot
-from .ideals import (all_ideals, principal_ideal_report, semiring_claims_report)
+from .ideals import (DEFAULT_SUBSET_THRESHOLD, all_ideals, principal_ideal_report,
+                     semiring_claims_report)
 from .mv import AdjudicationError, MVAlgebra, from_mv, roundtrip_check, to_mv
 from .reports import EXIT_USAGE, Report
 from .search import EnumerationCapExceeded, EnumerationTask, enumerate_with_forms
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     max_size.add_argument("--max-size", type=_positive, default=4096,
                           help="universe-size guard (congruences) or central-pair cap (cb)")
     threshold = argparse.ArgumentParser(add_help=False)
-    threshold.add_argument("--threshold", type=_positive, default=14,
+    threshold.add_argument("--threshold", type=_positive, default=DEFAULT_SUBSET_THRESHOLD,
                            help="universe-size bound for brute-force subset scans")
 
     parser = argparse.ArgumentParser(

@@ -247,7 +247,7 @@ def _kernel_slots(alg: FiniteAlgebra) -> list[Optional[Partition]]:
 
 
 def kernel(alg: FiniteAlgebra, x: int) -> Partition:
-    """K[x] = Cg(x, 0), computed once per element and remembered while alg lives.
+    """K[x] = Cg(x, 0), computed once per element and kept on the algebra instance.
 
     A plain principal congruence, so valid on every class.
     """

@@ -10,8 +10,7 @@ the tables satisfy any axioms is the job of :mod:`nearsemiring.axioms`.
 from __future__ import annotations
 
 import itertools
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, wraps
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
@@ -78,7 +77,9 @@ class FiniteAlgebra:
 
     ``zero`` and ``one`` are explicit designated indices; they are not
     required to sit at positions 0 and n-1 (file round trips preserve
-    whatever a document declares).
+    whatever a document declares).  Values computed from the tables
+    (:func:`per_algebra` memos, ``name_to_index``) are kept on the instance
+    and left out of pickles and copies.
     """
 
     size: int
@@ -105,19 +106,9 @@ class FiniteAlgebra:
                 raise AlgebraError(f"names must have {n} entries, got {len(names)}")
             object.__setattr__(self, "names", names)
 
-    def __hash__(self) -> int:
-        # the generated hash walks every table, and the per_algebra memos
-        # look an algebra up often
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash((self.size, self.plus, self.times, self.alpha,
-                                               self.zero, self.one, self.names))
-            return h
-
     def __getstate__(self) -> dict:
-        # the cached hash depends on this process's string hashing
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        # fields only: a pickle or a copy computes its own memos
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
 
     # -- display ------------------------------------------------------
 
@@ -150,15 +141,20 @@ _T = TypeVar("_T")
 
 
 def per_algebra(build: Callable[[FiniteAlgebra], _T]) -> Callable[[FiniteAlgebra], _T]:
-    """build(alg), computed once per algebra and remembered while it lives."""
-    memo: "weakref.WeakKeyDictionary[FiniteAlgebra, _T]" = weakref.WeakKeyDictionary()
+    """build(alg), computed once per algebra instance and kept on it.
+
+    The value lives in the instance's ``__dict__`` under a key naming the
+    builder, so an equal copy computes its own and a memo lasts as long as
+    the algebra.
+    """
+    key = f"{build.__module__}.{build.__qualname__}"
 
     @wraps(build)
     def remembered(alg: FiniteAlgebra) -> _T:
         try:
-            return memo[alg]
+            return alg.__dict__[key]
         except KeyError:
-            value = memo[alg] = build(alg)
+            value = alg.__dict__[key] = build(alg)
             return value
 
     return remembered

@@ -403,12 +403,11 @@ class SkeletonReport:
                 and self.intervals_ok)
 
 
-def skeleton(alg: FiniteAlgebra, lattice: Optional[IdealLattice] = None) -> SkeletonReport:
+def skeleton(alg: FiniteAlgebra) -> SkeletonReport:
     """{I* : I in Id(A)} as a Boolean lattice, compared with the central ideals."""
     from .center import central_elements, verify_boolean_laws
 
-    if lattice is None:
-        lattice = all_ideals(alg)
+    lattice = all_ideals(alg)
     member_idx = sorted(set(lattice.pseudocomplements))
     members = tuple(lattice.ideals[i] for i in member_idx)
     pos = {i: p for p, i in enumerate(member_idx)}

@@ -48,6 +48,7 @@ Enumerated algebras place zero at index 0 and one at index n-1.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -492,15 +493,10 @@ def enumerate_with_forms(task: EnumerationTask
     return tuple((CanonicalForm(data), alg) for data, alg in sorted(search.found.items()))
 
 
+@functools.cache
 def count(size: int, algebra_class: str = LUK_NRS) -> int:
     """Number of models up to isomorphism (cached per size and class)."""
-    key = (size, algebra_class)
-    if key not in _count_cache:
-        _count_cache[key] = len(enumerate_algebras(EnumerationTask(size, algebra_class)))
-    return _count_cache[key]
-
-
-_count_cache: dict[tuple[int, str], int] = {}
+    return len(enumerate_algebras(EnumerationTask(size, algebra_class)))
 
 
 def frozen_counts() -> dict:

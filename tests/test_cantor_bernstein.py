@@ -206,14 +206,10 @@ def test_interval_parents_are_classified_once_per_call(monkeypatch):
     monkeypatch.setattr(center_module, "_interval", counting_interval)
     monkeypatch.setattr(cb_module, "_interval", counting_interval)
 
-    def fresh(alg, tag):
-        # names no other algebra of the session carries
-        return dataclasses.replace(alg, names=tuple(f"{tag}{i}" for i in range(alg.size)))
-
     def calls_on(alg):
         return sum(c is alg for c in checked)
 
-    a, b = fresh(b2_x_l3(), "cb-a"), fresh(l3_x_b2(), "cb-b")
+    a, b = dataclasses.replace(b2_x_l3()), dataclasses.replace(l3_x_b2())
     assert cb_search(a, b).any_found
     # require_class answers from classify: one luk-rs check holds every class verdict
     assert calls_on(a) == calls_on(b) == 1
@@ -224,7 +220,7 @@ def test_interval_parents_are_classified_once_per_call(monkeypatch):
 
     checked.clear()
     intervals.clear()
-    d = fresh(b2_x_l3(), "dec")
+    d = dataclasses.replace(b2_x_l3())
     decompose(d, 3)
     assert calls_on(d) == len(checked) == 1
     assert len(intervals) == 2

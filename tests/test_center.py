@@ -17,7 +17,7 @@ from nearsemiring.center import (_PLUS_LAW, _TIMES_LAW, CENTRALITY_LAWS, _reduce
                                  central_laws_report, decompose,
                                  interval_algebra, is_central, q, semantic_centrality,
                                  syntactic_centrality)
-from nearsemiring.core import FiniteAlgebra, find_isomorphism, leq, per_algebra, product
+from nearsemiring.core import FiniteAlgebra, find_isomorphism, leq, product
 from nearsemiring.mv import from_mv
 from nearsemiring.search import EnumerationTask, enumerate_algebras
 
@@ -332,9 +332,6 @@ def test_center_makes_one_principal_congruence_per_kernel(monkeypatch):
     center_module = importlib.import_module("nearsemiring.center")
     monkeypatch.setattr(congruences, "principal_congruence", counted)
     monkeypatch.setattr(center_module, "principal_congruence", counted)
-    # a fresh kernel memo, so no earlier test's kernels are reused
-    monkeypatch.setattr(congruences, "_kernel_slots",
-                        per_algebra(congruences._kernel_slots.__wrapped__))
     alg = power(boolean2(), 4)
     assert center(alg).ok
     assert sorted(calls) == [(x, alg.zero) for x in range(alg.size)]

@@ -1,5 +1,10 @@
+import dataclasses
 import functools
+import gc
+import importlib
 import itertools
+
+import pytest
 
 from nearsemiring.axioms import CLASSES, INRS, LUK_NRS, LUK_RS, classify
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
@@ -99,6 +104,48 @@ def test_kernel_is_the_principal_congruence_with_zero():
         for a in range(alg.size):
             assert kernel(alg, a) == principal_congruence(alg, a, alg.zero)
             assert kernel(alg, a) is kernel(alg, a)
+
+
+@pytest.mark.parametrize("live_first", [True, False], ids=["live-first", "copies-first"])
+@pytest.mark.parametrize("collect", [True, False], ids=["gc-on", "gc-off"])
+def test_memos_belong_to_one_algebra_instance(monkeypatch, collect, live_first):
+    # an equal algebra, live or waiting for the collector, never answers for
+    # another instance: each copy makes its own calls
+    axioms_module = importlib.import_module("nearsemiring.axioms")
+    congruences_module = importlib.import_module("nearsemiring.congruences")
+    check, principal = axioms_module.check_axioms, congruences_module.principal_congruence
+    calls = []
+
+    def counted_check(alg, algebra_class):
+        calls.append(("check_axioms", alg))
+        return check(alg, algebra_class)
+
+    def counted_principal(alg, a, b):
+        calls.append(("principal_congruence", alg))
+        return principal(alg, a, b)
+
+    monkeypatch.setattr(axioms_module, "check_axioms", counted_check)
+    monkeypatch.setattr(congruences_module, "principal_congruence", counted_principal)
+    was_enabled = gc.isenabled()
+    if collect:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        for live in (luk_chain(5), b2_x_l3()):
+            copies = [dataclasses.replace(live) for _ in range(2)]
+            for alg in [live, *copies] if live_first else [*copies, live]:
+                assert classify(alg) == LUK_RS
+                assert all_congruences(alg) == all_congruences(live)
+            # the live algebra's memos may predate this test
+            for copy in copies:
+                assert [name for name, alg in calls if alg is copy] == \
+                    ["check_axioms"] + ["principal_congruence"] * copy.size
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 def test_l3_is_simple():

@@ -231,12 +231,19 @@ def test_term_rendering_and_error_message():
     assert "variable 'y' is not bound" in str(err)
 
 
-def test_hash_is_cached_and_equality_is_by_tables_and_names():
+def test_equality_is_by_tables_and_names_and_pickles_carry_fields_only():
     a = luk_chain(5)
     b = dataclasses.replace(a)
     assert a is not b and a == b and hash(a) == hash(b)
-    assert a.__dict__["_hash"] == hash(a)
     renamed = dataclasses.replace(a, names=tuple("abcde"))
     assert renamed != a and renamed.same_tables(a)
-    copy = pickle.loads(pickle.dumps(a))
-    assert "_hash" not in copy.__dict__ and copy == a and hash(copy) == hash(a)
+    # memos and cached properties stay with the instance that computed them
+    from nearsemiring.axioms import LUK_RS, classify
+    from nearsemiring.congruences import kernel
+    field_names = {f.name for f in dataclasses.fields(FiniteAlgebra)}
+    assert classify(renamed) == LUK_RS and kernel(renamed, 1).is_full()
+    assert renamed.name_to_index["b"] == 1 and set(renamed.__dict__) > field_names
+    for original in (a, renamed):
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == original and hash(copy) == hash(original)
+        assert set(copy.__dict__) == field_names
