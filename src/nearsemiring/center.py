@@ -125,7 +125,7 @@ def semantic_centrality(alg: FiniteAlgebra, e: int) -> SemanticCentrality:
         t1 = kernel(alg, alg.alpha[e])
     else:
         t1 = principal_congruence(alg, e, alg.one)
-    pairs = {(t0.block_index[a], t1.block_index[a]) for a in range(alg.size)}
+    pairs = set(zip(t0.labels, t1.labels))
     return SemanticCentrality(
         theta_zero=t0,
         theta_one=t1,

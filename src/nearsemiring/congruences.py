@@ -12,11 +12,18 @@ semiring they generate Con(A): with the difference term s(x, y) = x^a * y,
 Cg(a, b) = Cg(s(a, b), 0) v Cg(s(b, a), 0), so n kernels replace the
 n(n-1)/2 principal pairs.  The identity fails on some inrs tables, so
 all_congruences uses the kernels only where classify finds luk-nrs or above.
+
+A Partition is one label vector: labels[v] is the least element of v's
+block.  Meet, join, refinement and permutability all read the labels.  Two
+equivalences a, b permute iff a;b is an equivalence iff a;b = a v b (Burris
+and Sankappanavar, Ch. II), and a;b always lies inside a v b, so
+permutes_with compares |a;b| with |a v b| and builds no set of pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -38,44 +45,40 @@ def _find(parent: list[int], u: int) -> int:
 
 @dataclass(frozen=True)
 class Partition:
-    """An equivalence relation in canonical block form.
+    """An equivalence relation on {0..n-1} as a label vector.
 
-    Blocks are sorted internally and listed by least element, so equal
-    relations compare equal and hash equal.
+    labels[v] is the least element of v's block, so equal relations compare
+    equal and hash equal.  ``blocks`` lists each block ascending, blocks by
+    least element.
+
+    permutes_with counts pairs instead of composing: a;b lies inside a v b,
+    and a;b = b;a iff a;b = a v b.  |a;b| is the sum of |A|*|B| over the
+    blocks A of a and B of b that meet; |a v b| is the sum of |J|^2 over
+    the blocks J of the join.
     """
 
-    size: int
-    blocks: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for block in self.blocks:
-            for v in block:
-                if v in seen:
-                    raise ValueError(f"element {v} appears in two blocks")
-                seen.add(v)
-        if seen != set(range(self.size)):
-            raise ValueError("blocks do not cover the universe exactly")
-        canonical = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
-        object.__setattr__(self, "blocks", canonical)
+        labels = self.labels
+        for v, label in enumerate(labels):
+            if not 0 <= label <= v or labels[label] != label:
+                raise ValueError(f"labels {labels} do not name each block by its least element")
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def discrete(cls, n: int) -> "Partition":
-        return cls(n, tuple((i,) for i in range(n)))
+        return cls(tuple(range(n)))
 
     @classmethod
     def full(cls, n: int) -> "Partition":
-        return cls(n, (tuple(range(n)),))
+        return cls((0,) * n)
 
     @classmethod
     def from_parent(cls, parent: list[int]) -> "Partition":
-        n = len(parent)
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(_find(parent, v), []).append(v)
-        return cls(n, tuple(tuple(g) for g in groups.values()))
+        least: dict[int, int] = {}
+        return cls(tuple(least.setdefault(_find(parent, v), v) for v in range(len(parent))))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
@@ -88,23 +91,27 @@ class Partition:
 
     # -- structure ------------------------------------------------------
 
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
     @cached_property
-    def block_index(self) -> tuple[int, ...]:
-        idx = [0] * self.size
-        for i, block in enumerate(self.blocks):
-            for v in block:
-                idx[v] = i
-        return tuple(idx)
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        groups: dict[int, list[int]] = {}
+        for v, label in enumerate(self.labels):
+            groups.setdefault(label, []).append(v)
+        return tuple(tuple(g) for g in groups.values())
 
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
 
     def same(self, a: int, b: int) -> bool:
-        return self.block_index[a] == self.block_index[b]
+        return self.labels[a] == self.labels[b]
 
     def block_of(self, a: int) -> tuple[int, ...]:
-        return self.blocks[self.block_index[a]]
+        label = self.labels[a]
+        return tuple(v for v, w in enumerate(self.labels) if w == label)
 
     def is_discrete(self) -> bool:
         return self.num_blocks == self.size
@@ -115,33 +122,23 @@ class Partition:
     # -- lattice operations ----------------------------------------------
 
     def meet(self, other: "Partition") -> "Partition":
-        groups: dict[tuple[int, int], list[int]] = {}
-        for v in range(self.size):
-            groups.setdefault((self.block_index[v], other.block_index[v]), []).append(v)
-        return Partition(self.size, tuple(tuple(g) for g in groups.values()))
+        least: dict[tuple[int, int], int] = {}
+        return Partition(tuple(least.setdefault(key, v)
+                               for v, key in enumerate(zip(self.labels, other.labels))))
 
     def join(self, other: "Partition") -> "Partition":
-        links = [(b[0], v) for b in self.blocks for v in b[1:]]
-        links += [(b[0], v) for b in other.blocks for v in b[1:]]
-        return Partition.from_pairs(self.size, links)
+        return Partition.from_pairs(
+            self.size, itertools.chain(enumerate(self.labels), enumerate(other.labels)))
 
     def refines(self, other: "Partition") -> bool:
-        return all(other.same(b[0], v) for b in self.blocks for v in b[1:])
-
-    # -- relational views --------------------------------------------------
-
-    def compose(self, other: "Partition") -> frozenset[tuple[int, int]]:
-        """Relation composition self;other = {(a,c) : exists b, a self b other c}."""
-        out: set[tuple[int, int]] = set()
-        for block in self.blocks:
-            reach: set[int] = set()
-            for b in block:
-                reach.update(other.block_of(b))
-            out.update((a, c) for a in block for c in reach)
-        return frozenset(out)
+        return all(other.same(v, label) for v, label in enumerate(self.labels))
 
     def permutes_with(self, other: "Partition") -> bool:
-        return self.compose(other) == other.compose(self)
+        """self;other = other;self, by counting pairs (see the class docstring)."""
+        mine, theirs = Counter(self.labels), Counter(other.labels)
+        composed = sum(mine[a] * theirs[b] for a, b in set(zip(self.labels, other.labels)))
+        joined = sum(k * k for k in Counter(self.join(other).labels).values())
+        return composed == joined
 
     def congruence_defect(self, alg: FiniteAlgebra) -> Optional[str]:
         """None when the substitution property holds; else a description."""

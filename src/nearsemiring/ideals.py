@@ -371,8 +371,7 @@ def ideal_join_via_coset(alg: FiniteAlgebra, i: ElementSet, j: ElementSet) -> Jo
     """[I]_theta(J) compared with the generated join (they coincide on luk-nrs)."""
     theta_j = theta_partition(alg, j)
     coset = ElementSet.from_members(
-        alg.size, (a for a in range(alg.size)
-                   if any(b in i for b in theta_j.block_of(a))))
+        alg.size, (a for block in theta_j.blocks if any(b in i for b in block) for a in block))
     return JoinViaCoset(coset, generate_ideal(alg, i | j))
 
 

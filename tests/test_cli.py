@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearsemiring import bundled_file, cli
-from nearsemiring.algfile import load, parse
+from nearsemiring.algfile import AlgebraDocument, load, parse, serialize
 from nearsemiring.axioms import check_axioms
 from nearsemiring.catalog import luk_chain
 from nearsemiring.cli import build_parser, main
-from nearsemiring.search import canonical_form
+from nearsemiring.search import EnumerationTask, canonical_form, enumerate_algebras
 
 
 def path(name):
@@ -80,6 +80,16 @@ def test_claims_l3_exits_one_with_blocks(capsys):
     assert "CLAIM semiring-ideal-conditions subset={0, h}" in out
     assert "WITNESS (I1) a=1, b=h" in out
     assert "CLAIM principal-ideal-products element=h" in out
+
+
+def test_congruences_exits_one_on_non_permuting_congruences(tmp_path, capsys):
+    table = tmp_path / "inrs4.alg"
+    alg = enumerate_algebras(EnumerationTask(4, "inrs"))[11]
+    table.write_text(serialize(AlgebraDocument.from_algebra(alg)))
+    status, out, _ = run(capsys, "congruences", str(table))
+    assert status == 1
+    assert ("FAIL congruences permute -- witness: blocks ((0,), (1, 2), (3,)) "
+            "and ((0, 2), (1, 3)) do not permute\n") in out
 
 
 def test_claims_rejects_non_semiring(capsys):

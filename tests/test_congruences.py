@@ -23,27 +23,30 @@ CORPUS = (boolean2(), L3, luk_chain(4), b2_x_b2(), b2_x_l3(), godel3(), trivial(
 LUK_CORPUS = (boolean2(), L3, luk_chain(4), b2_x_b2(), b2_x_l3())
 
 
+def partitions(n):
+    """Every partition of {0..n-1}: each element joins an earlier block or starts its own."""
+    def rec(labels):
+        if len(labels) == n:
+            yield Partition(tuple(labels))
+            return
+        for label in sorted(set(labels)) + [len(labels)]:
+            yield from rec(labels + [label])
+    return rec([])
+
+
 def brute_force_congruences(alg):
     """Oracle: filter every partition of the universe by substitution property."""
-    n = alg.size
-    found = []
+    return sorted((p for p in partitions(alg.size) if p.is_congruence(alg)),
+                  key=partition_sort_key)
 
-    def rec(i, assignment, nblocks):
-        if i == n:
-            groups = {}
-            for v, b in enumerate(assignment):
-                groups.setdefault(b, []).append(v)
-            p = Partition(n, tuple(tuple(g) for g in groups.values()))
-            if p.is_congruence(alg):
-                found.append(p)
-            return
-        for b in range(nblocks + 1):
-            assignment.append(b)
-            rec(i + 1, assignment, nblocks + 1 if b == nblocks else nblocks)
-            assignment.pop()
 
-    rec(0, [], 0)
-    return sorted(found, key=partition_sort_key)
+def relation(p):
+    return frozenset((a, b) for a in range(p.size) for b in p.block_of(a))
+
+
+def compose(p, q):
+    """Reference relation composition p;q = {(a, c) : a p b and b q c for some b}."""
+    return frozenset((a, c) for a in range(p.size) for b in p.block_of(a) for c in q.block_of(b))
 
 
 def reference_all_congruences(alg):
@@ -204,8 +207,8 @@ def test_b2xb2_has_boolean_congruence_lattice():
     cons = all_congruences(b2_x_b2())
     assert len(cons) == 4
     assert Partition.discrete(4) in cons and Partition.full(4) in cons
-    assert Partition(4, ((0, 2), (1, 3))) in cons
-    assert Partition(4, ((0, 1), (2, 3))) in cons
+    assert Partition.from_pairs(4, [(0, 2), (1, 3)]) in cons
+    assert Partition.from_pairs(4, [(0, 1), (2, 3)]) in cons
     # closed under meet and join, i.e. a lattice on the nose
     for p, q in itertools.combinations(cons, 2):
         assert p.meet(q) in cons
@@ -243,6 +246,54 @@ def test_malcev_report_records_failures_on_godel3():
     # the congruence-level facts still hold on this simple algebra
     assert report.outcome("congruences permute").ok
     assert report.outcome("0-regularity").ok
+
+
+def test_malcev_report_names_a_non_permuting_pair_on_an_inrs_model():
+    report = malcev_and_regularity_report(models(4, INRS)[11])
+    out = report.outcome("congruences permute")
+    assert not out.ok
+    assert out.detail == "blocks ((0,), (1, 2), (3,)) and ((0, 2), (1, 3)) do not permute"
+
+
+def test_permutes_with_matches_the_composition_reference_on_all_partitions_of_five():
+    parts = list(partitions(5))
+    assert len(parts) == 52
+    verdicts = [p.permutes_with(q) for p in parts for q in parts]
+    assert verdicts == [compose(p, q) == compose(q, p) for p in parts for q in parts]
+    assert verdicts.count(False) == 1840
+
+
+def test_permutes_with_matches_the_composition_reference_on_inrs_congruences():
+    for n in (4, 5):
+        for alg in models(n, INRS):
+            for p, q in itertools.product(all_congruences(alg), repeat=2):
+                assert p.permutes_with(q) == (compose(p, q) == compose(q, p)), (alg, p, q)
+
+
+@pytest.mark.parametrize("labels", [(0, 0, 1), (1, 1), (0, 2, 1), (-1,), (0, 5)])
+def test_partition_rejects_labels_that_do_not_name_each_block_by_its_least_element(labels):
+    with pytest.raises(ValueError):
+        Partition(labels)
+
+
+def test_partition_lattice_operations_against_the_relations():
+    p = Partition.from_pairs(5, [(3, 0), (1, 4)])
+    assert p.labels == (0, 1, 2, 0, 1) and p.blocks == ((0, 3), (1, 4), (2,))
+    parts = list(partitions(4))
+    for p in partitions(5):
+        assert p.blocks == tuple(sorted(tuple(sorted(b)) for b in p.blocks))
+        assert all(p.labels[v] == b[0] for b in p.blocks for v in b)
+        forward = Partition.from_pairs(5, relation(p))
+        backward = Partition.from_pairs(5, ((b, a) for a, b in relation(p)))
+        assert p == forward == backward and hash(p) == hash(forward) == hash(backward)
+    for p, q in itertools.product(parts, repeat=2):
+        assert p.refines(q) == (relation(p) <= relation(q))
+        meet, join = p.meet(q), p.join(q)
+        assert relation(meet) == relation(p) & relation(q)
+        uppers = [r for r in parts if p.refines(r) and q.refines(r)]
+        assert join in uppers and all(join.refines(r) for r in uppers)
+        assert meet == q.meet(p) and hash(meet) == hash(q.meet(p))
+        assert join == q.join(p) and hash(join) == hash(q.join(p))
 
 
 def test_werner_closure_matches_everywhere():
