@@ -2,7 +2,9 @@
 
 An element is central when its two principal congruences theta(e,0) and
 theta(e,1) are complementary factor congruences.  That semantic definition is
-checked directly in partition arithmetic; the equational characterization
+checked by one count: the pair is a factor pair iff a |-> (theta(e,0)[a],
+theta(e,1)[a]) is a bijection onto the product of the quotients
+(Partition.complements).  The equational characterization
 through q(x,y,z) = x*y + x^a*z is checked independently, and the two verdicts
 are compared rather than trusted to coincide.
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .axioms import INRS, LUK_NRS, LUK_RS, CheckOutcome, check_identity, classify, require_class
 from .congruences import Partition, all_congruences, kernel, principal_congruence
@@ -105,15 +107,10 @@ class SemanticCentrality:
 
     theta_zero: Partition
     theta_one: Partition
-    meet_is_diagonal: bool
-    join_is_full: bool
-    permute: bool
-    reconstructs_product: bool
 
     @property
     def ok(self) -> bool:
-        return (self.meet_is_diagonal and self.join_is_full and self.permute
-                and self.reconstructs_product)
+        return self.theta_zero.complements(self.theta_one)
 
 
 def semantic_centrality(alg: FiniteAlgebra, e: int) -> SemanticCentrality:
@@ -125,16 +122,7 @@ def semantic_centrality(alg: FiniteAlgebra, e: int) -> SemanticCentrality:
         t1 = kernel(alg, alg.alpha[e])
     else:
         t1 = principal_congruence(alg, e, alg.one)
-    pairs = set(zip(t0.labels, t1.labels))
-    return SemanticCentrality(
-        theta_zero=t0,
-        theta_one=t1,
-        meet_is_diagonal=t0.meet(t1).is_discrete(),
-        join_is_full=t0.join(t1).is_full(),
-        permute=t0.permutes_with(t1),
-        reconstructs_product=(len(pairs) == alg.size
-                              and len(pairs) == t0.num_blocks * t1.num_blocks),
-    )
+    return SemanticCentrality(t0, t1)
 
 
 @dataclass(frozen=True)
@@ -165,38 +153,32 @@ def central_elements(alg: FiniteAlgebra) -> tuple[int, ...]:
     return tuple(e for e in range(alg.size) if syntactic_centrality(alg, e).ok)
 
 
-def verify_boolean_laws(elems: Sequence[int],
-                        meet: Callable[[int, int], int],
-                        join: Callable[[int, int], int],
-                        comp: Callable[[int], int],
-                        bot: int, top: int) -> list[str]:
-    """Boolean-algebra axioms on an explicit finite carrier; returns failures."""
-    failures: list[str] = []
-
-    def law(name: str, holds: bool) -> None:
-        if not holds:
-            failures.append(name)
-
-    es = list(elems)
-    law("meet commutative", all(meet(p, r) == meet(r, p) for p in es for r in es))
-    law("join commutative", all(join(p, r) == join(r, p) for p in es for r in es))
-    law("meet associative", all(meet(meet(p, r), s) == meet(p, meet(r, s))
-                                for p in es for r in es for s in es))
-    law("join associative", all(join(join(p, r), s) == join(p, join(r, s))
-                                for p in es for r in es for s in es))
-    law("absorption", all(meet(p, join(p, r)) == p and join(p, meet(p, r)) == p
-                          for p in es for r in es))
-    law("meet distributes over join",
-        all(meet(p, join(r, s)) == join(meet(p, r), meet(p, s))
-            for p in es for r in es for s in es))
-    law("join distributes over meet",
-        all(join(p, meet(r, s)) == meet(join(p, r), join(p, s))
-            for p in es for r in es for s in es))
-    law("top is meet identity", all(meet(p, top) == p for p in es))
-    law("bottom is join identity", all(join(p, bot) == p for p in es))
-    law("complements meet to bottom", all(meet(p, comp(p)) == bot for p in es))
-    law("complements join to top", all(join(p, comp(p)) == top for p in es))
-    return failures
+def verify_boolean_laws(meet: Sequence[Sequence[int]], join: Sequence[Sequence[int]],
+                        comp: Sequence[int], bot: int, top: int) -> list[str]:
+    """Boolean-algebra axioms on the carrier {0..k-1}, given as k x k meet and
+    join index tables and a complement vector; returns the failed laws."""
+    es = range(len(comp))
+    laws = (
+        ("meet commutative", all(meet[p][r] == meet[r][p] for p in es for r in es)),
+        ("join commutative", all(join[p][r] == join[r][p] for p in es for r in es)),
+        ("meet associative", all(meet[meet[p][r]][s] == meet[p][meet[r][s]]
+                                 for p in es for r in es for s in es)),
+        ("join associative", all(join[join[p][r]][s] == join[p][join[r][s]]
+                                 for p in es for r in es for s in es)),
+        ("absorption", all(meet[p][join[p][r]] == p and join[p][meet[p][r]] == p
+                           for p in es for r in es)),
+        ("meet distributes over join",
+         all(meet[p][join[r][s]] == join[meet[p][r]][meet[p][s]]
+             for p in es for r in es for s in es)),
+        ("join distributes over meet",
+         all(join[p][meet[r][s]] == meet[join[p][r]][join[p][s]]
+             for p in es for r in es for s in es)),
+        ("top is meet identity", all(meet[p][top] == p for p in es)),
+        ("bottom is join identity", all(join[p][bot] == p for p in es)),
+        ("complements meet to bottom", all(meet[p][comp[p]] == bot for p in es)),
+        ("complements join to top", all(join[p][comp[p]] == top for p in es)),
+    )
+    return [name for name, holds in laws if not holds]
 
 
 @dataclass(frozen=True)
@@ -306,12 +288,12 @@ def center(alg: FiniteAlgebra) -> CenterReport:
 
     boolean: list[str] = []
     if not closure:
+        index = {e: i for i, e in enumerate(elements)}
         boolean = verify_boolean_laws(
-            elements,
-            meet=lambda p, r: alg.times[p][r],
-            join=lambda p, r: alg.plus[p][r],
-            comp=lambda p: alg.alpha[p],
-            bot=alg.zero, top=alg.one)
+            [[index[alg.times[e][f]] for f in elements] for e in elements],
+            [[index[alg.plus[e][f]] for f in elements] for e in elements],
+            [index[alg.alpha[e]] for e in elements],
+            index[alg.zero], index[alg.one])
         # the Boolean order must be the restriction of the induced order
         for e, f in itertools.product(elements, repeat=2):
             if (alg.times[e][f] == e) != leq(alg, e, f):
@@ -319,7 +301,7 @@ def center(alg: FiniteAlgebra) -> CenterReport:
 
     factor_members: set[Partition] = set()
     for p, r in itertools.combinations_with_replacement(all_congruences(alg), 2):
-        if (p.meet(r).is_discrete() and p.join(r).is_full() and p.permutes_with(r)):
+        if p.complements(r):
             factor_members.add(p)
             factor_members.add(r)
     pairs = tuple((r.element, r.semantic.theta_zero, r.semantic.theta_one)

@@ -11,7 +11,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import Optional, Union
+from typing import Optional
 
 from . import algfile
 from .algfile import AlgebraDocument, ParseError
@@ -23,7 +23,7 @@ from .core import FiniteAlgebra, SizeLimitError
 from .hasse import covering_pairs, hasse_dot
 from .ideals import (DEFAULT_SUBSET_THRESHOLD, all_ideals, principal_ideal_report,
                      semiring_claims_report)
-from .mv import AdjudicationError, MVAlgebra, from_mv, roundtrip_check, to_mv
+from .mv import AdjudicationError, from_mv, roundtrip_check, to_mv
 from .reports import EXIT_USAGE, Report
 from .search import EnumerationCapExceeded, EnumerationTask, enumerate_with_forms
 
@@ -45,18 +45,16 @@ def _load(path: str, reader=algfile.load):
         raise UsageError(f"{path}: not UTF-8 text: invalid byte at offset {err.start}")
 
 
-def _load_table_algebra(path: str) -> tuple[AlgebraDocument, FiniteAlgebra]:
+def _load_table_algebra(path: str) -> FiniteAlgebra:
     doc = _load(path)
     if doc.is_mv:
         raise UsageError(f"{path}: this command needs a table algebra, got kind mv")
-    return doc, doc.to_algebra()
+    return doc.to_algebra()
 
 
-def _resolve_element(alg: Union[FiniteAlgebra, MVAlgebra], token: str) -> int:
-    if isinstance(alg, FiniteAlgebra) and token in alg.name_to_index:
+def _resolve_element(alg: FiniteAlgebra, token: str) -> int:
+    if token in alg.name_to_index:
         return alg.name_to_index[token]
-    if isinstance(alg, MVAlgebra) and alg.names is not None and token in alg.names:
-        return alg.names.index(token)
     try:
         idx = int(token)
     except ValueError:
@@ -113,7 +111,7 @@ def cmd_check(args) -> tuple[str, int]:
 
 
 def cmd_congruences(args) -> tuple[str, int]:
-    _, alg = _load_table_algebra(args.file)
+    alg = _load_table_algebra(args.file)
     cons = all_congruences(alg, max_size=args.max_size)
     report = Report(_echo(args))
     report.universe(alg)
@@ -128,7 +126,7 @@ def cmd_congruences(args) -> tuple[str, int]:
 
 
 def cmd_ideals(args) -> tuple[str, int]:
-    _, alg = _load_table_algebra(args.file)
+    alg = _load_table_algebra(args.file)
     lattice = all_ideals(alg, threshold=args.threshold)
     report = Report(_echo(args))
     report.universe(alg)
@@ -148,7 +146,7 @@ def cmd_ideals(args) -> tuple[str, int]:
 
 
 def cmd_center(args) -> tuple[str, int]:
-    _, alg = _load_table_algebra(args.file)
+    alg = _load_table_algebra(args.file)
     rep = center(alg)
     report = Report(_echo(args))
     report.universe(alg)
@@ -172,7 +170,7 @@ def cmd_center(args) -> tuple[str, int]:
 
 
 def cmd_decompose(args) -> tuple[str, int]:
-    _, alg = _load_table_algebra(args.file)
+    alg = _load_table_algebra(args.file)
     require_class(alg, INRS, "decompose")
     e = _resolve_element(alg, args.element)
     d = decompose(alg, e)
@@ -194,7 +192,7 @@ def cmd_decompose(args) -> tuple[str, int]:
 
 
 def cmd_principal_ideal(args) -> tuple[str, int]:
-    _, alg = _load_table_algebra(args.file)
+    alg = _load_table_algebra(args.file)
     a = _resolve_element(alg, args.element)
     rep = principal_ideal_report(alg, a)
     report = Report(_echo(args))
@@ -207,7 +205,7 @@ def cmd_principal_ideal(args) -> tuple[str, int]:
 
 
 def cmd_claims(args) -> tuple[str, int]:
-    _, alg = _load_table_algebra(args.file)
+    alg = _load_table_algebra(args.file)
     rep = semiring_claims_report(alg, threshold=args.threshold)
     report = Report(_echo(args))
     report.universe(alg)
@@ -222,7 +220,7 @@ def cmd_claims(args) -> tuple[str, int]:
 
 
 def cmd_to_mv(args) -> tuple[str, int]:
-    _, alg = _load_table_algebra(args.file)
+    alg = _load_table_algebra(args.file)
     mv = to_mv(alg)
     return algfile.serialize(AlgebraDocument.from_algebra(mv)), 0
 
@@ -257,8 +255,8 @@ def _load_map(path: str, alg_from, alg_to) -> tuple[int, ...]:
 
 
 def cmd_cb(args) -> tuple[str, int]:
-    _, alg_a = _load_table_algebra(args.file_a)
-    _, alg_b = _load_table_algebra(args.file_b)
+    alg_a = _load_table_algebra(args.file_a)
+    alg_b = _load_table_algebra(args.file_b)
     report = Report(_echo(args))
     report.plain(f"algebra A: size {alg_a.size}; algebra B: size {alg_b.size}")
     if args.search:
@@ -323,7 +321,7 @@ def cmd_enumerate(args) -> tuple[str, int]:
 
 
 def cmd_dot(args) -> tuple[str, int]:
-    _, alg = _load_table_algebra(args.file)
+    alg = _load_table_algebra(args.file)
     if args.lattice == "con":
         cons = all_congruences(alg)
         labels = [_partition_label(alg, p) for p in cons]

@@ -55,6 +55,12 @@ class Partition:
     and a;b = b;a iff a;b = a v b.  |a;b| is the sum of |A|*|B| over the
     blocks A of a and B of b that meet; |a v b| is the sum of |J|^2 over
     the blocks J of the join.
+
+    complements counts label pairs: v |-> (a[v], b[v]) is one-to-one iff
+    a ^ b is the diagonal, and onto A/a x A/b iff every block of a meets
+    every block of b, that is iff a;b is full, which holds iff a v b is full
+    and a, b permute.  So a, b are a factor pair iff there are n distinct
+    label pairs and n = (blocks of a) * (blocks of b).
     """
 
     labels: tuple[int, ...]
@@ -139,6 +145,13 @@ class Partition:
         composed = sum(mine[a] * theirs[b] for a, b in set(zip(self.labels, other.labels)))
         joined = sum(k * k for k in Counter(self.join(other).labels).values())
         return composed == joined
+
+    def complements(self, other: "Partition") -> bool:
+        """self and other are a complementary factor pair of the set: their
+        meet is the diagonal, their join is full and they permute (see the
+        class docstring)."""
+        return (self.num_blocks * other.num_blocks == self.size
+                and len(set(zip(self.labels, other.labels))) == self.size)
 
     def congruence_defect(self, alg: FiniteAlgebra) -> Optional[str]:
         """None when the substitution property holds; else a description."""

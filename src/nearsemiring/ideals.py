@@ -407,42 +407,26 @@ def skeleton(alg: FiniteAlgebra) -> SkeletonReport:
     from .center import central_elements, verify_boolean_laws
 
     lattice = all_ideals(alg)
-    member_idx = sorted(set(lattice.pseudocomplements))
+    star, meet_table = lattice.pseudocomplements, lattice.meet_table
+    member_idx = sorted(set(star))
     members = tuple(lattice.ideals[i] for i in member_idx)
     pos = {i: p for p, i in enumerate(member_idx)}
 
-    failures: list[str] = []
-
-    def meet(p: int, q: int) -> int:
-        got = lattice.meet_table[member_idx[p]][member_idx[q]]
-        if got not in pos:
-            failures.append(f"meet of members {p},{q} leaves the skeleton")
-            return p
-        return pos[got]
-
-    def join(p: int, q: int) -> int:
-        # skeleton join: (I* meet J*)*
-        got = lattice.pseudocomplements[
-            lattice.meet_table[lattice.pseudocomplements[member_idx[p]]]
-                              [lattice.pseudocomplements[member_idx[q]]]]
-        if got not in pos:
-            failures.append(f"join of members {p},{q} leaves the skeleton")
-            return p
-        return pos[got]
-
-    def comp(p: int) -> int:
-        got = lattice.pseudocomplements[member_idx[p]]
-        if got not in pos:
-            failures.append(f"complement of member {p} leaves the skeleton")
-            return p
-        return pos[got]
-
+    # the complement I* and the skeleton join (I* meet J*)* are
+    # pseudocomplements, so they are members; only the meet can leave
+    failures = [f"meet of members {p},{q} leaves the skeleton"
+                for p, i in enumerate(member_idx) for q, j in enumerate(member_idx)
+                if meet_table[i][j] not in pos]
+    meet = [[pos.get(meet_table[i][j], p) for j in member_idx]
+            for p, i in enumerate(member_idx)]
+    join = [[pos[star[meet_table[star[i]][star[j]]]] for j in member_idx] for i in member_idx]
+    comp = [pos[star[i]] for i in member_idx]
     bot = pos.get(0)
     top = pos.get(len(lattice.ideals) - 1)
     if bot is None or top is None:
         failures.append("skeleton is not bounded by {0} and A")
     else:
-        failures.extend(verify_boolean_laws(range(len(members)), meet, join, comp, bot, top))
+        failures.extend(verify_boolean_laws(meet, join, comp, bot, top))
 
     ce = central_elements(alg)
     central = sorted((principal_ideal(alg, e) for e in ce), key=set_sort_key)

@@ -16,7 +16,7 @@ from nearsemiring.center import (_PLUS_LAW, _TIMES_LAW, CENTRALITY_LAWS, _reduce
                                  center, central_elements, central_ideal_check,
                                  central_laws_report, decompose,
                                  interval_algebra, is_central, q, semantic_centrality,
-                                 syntactic_centrality)
+                                 syntactic_centrality, verify_boolean_laws)
 from nearsemiring.core import FiniteAlgebra, find_isomorphism, leq, product
 from nearsemiring.mv import from_mv
 from nearsemiring.search import EnumerationTask, enumerate_algebras
@@ -54,9 +54,7 @@ def test_bounds_are_central_everywhere():
 def test_product_coordinate_elements_central():
     res = is_central(b2_x_l3(), 3)  # (1,0)
     assert res.central and res.methods_agree
-    sem = res.semantic
-    assert sem.meet_is_diagonal and sem.join_is_full and sem.permute
-    assert sem.reconstructs_product
+    assert res.semantic.ok
 
 
 def test_methods_agree_on_every_corpus_element():
@@ -129,6 +127,48 @@ BUNDLED = ("b2", "b2xb2", "b2xl3", "g3", "l3-mv", "l3", "l3xb2", "l4", "trivial"
 def table_algebra(name):
     structure = load(bundled_file(name + ".alg")).to_algebra()
     return structure if isinstance(structure, FiniteAlgebra) else from_mv(structure)
+
+
+def test_semantic_centrality_matches_the_lattice_reference_on_the_bundled_corpus():
+    verdicts = []
+    for name in BUNDLED:
+        alg = table_algebra(name)
+        for e in range(alg.size):
+            sem = semantic_centrality(alg, e)
+            t0, t1 = sem.theta_zero, sem.theta_one
+            reference = (t0.meet(t1).is_discrete() and t0.join(t1).is_full()
+                         and t0.permutes_with(t1))
+            assert sem.ok == reference, (name, e)
+            verdicts.append(sem.ok)
+    assert True in verdicts and False in verdicts
+
+
+def test_boolean_laws_hold_on_the_boolean_square():
+    # 0, a, b, 1 as the bit patterns 00, 01, 10, 11
+    meet = [[p & r for r in range(4)] for p in range(4)]
+    join = [[p | r for r in range(4)] for p in range(4)]
+    assert verify_boolean_laws(meet, join, [3 - p for p in range(4)], 0, 3) == []
+
+
+def test_boolean_laws_name_the_complement_laws_on_the_three_chain():
+    meet = [[min(p, r) for r in range(3)] for p in range(3)]
+    join = [[max(p, r) for r in range(3)] for p in range(3)]
+    assert verify_boolean_laws(meet, join, [2, 1, 0], 0, 2) == [
+        "complements meet to bottom", "complements join to top"]
+
+
+def test_boolean_laws_name_both_distributive_laws_on_the_diamond():
+    # M3: 0, the atoms 1, 2, 3, and 4 on top; each atom complements the next
+    def meet(p, r):
+        return p if p == r or r == 4 else r if p == 4 else 0
+
+    def join(p, r):
+        return p if p == r or r == 0 else r if p == 0 else 4
+
+    table = [[meet(p, r) for r in range(5)] for p in range(5)]
+    joins = [[join(p, r) for r in range(5)] for p in range(5)]
+    assert verify_boolean_laws(table, joins, [4, 2, 3, 1, 0], 0, 4) == [
+        "meet distributes over join", "join distributes over meet"]
 
 
 def test_intervals_keep_the_class_of_their_parent():

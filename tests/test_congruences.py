@@ -270,6 +270,31 @@ def test_permutes_with_matches_the_composition_reference_on_inrs_congruences():
                 assert p.permutes_with(q) == (compose(p, q) == compose(q, p)), (alg, p, q)
 
 
+def factor_pair_reference(p, q):
+    """Complementary factor congruences by the definition: meet, join, permute."""
+    return p.meet(q).is_discrete() and p.join(q).is_full() and p.permutes_with(q)
+
+
+@pytest.mark.parametrize("n, factor_pairs", [(5, 2), (6, 122)])
+def test_complements_matches_the_lattice_reference_on_all_partitions(n, factor_pairs):
+    # on a 5-set only the full and discrete partitions split it; a 6-set also
+    # splits as 2 x 3
+    parts = list(partitions(n))
+    verdicts = [p.complements(q) for p in parts for q in parts]
+    assert verdicts == [factor_pair_reference(p, q) for p in parts for q in parts]
+    assert verdicts.count(True) == factor_pairs
+
+
+def test_complements_matches_the_lattice_reference_on_inrs_congruences():
+    non_permuting = 0
+    for n in (4, 5):
+        for alg in models(n, INRS):
+            for p, q in itertools.product(all_congruences(alg), repeat=2):
+                assert p.complements(q) == factor_pair_reference(p, q), (alg, p, q)
+                non_permuting += not p.permutes_with(q)
+    assert non_permuting > 0
+
+
 @pytest.mark.parametrize("labels", [(0, 0, 1), (1, 1), (0, 2, 1), (-1,), (0, 5)])
 def test_partition_rejects_labels_that_do_not_name_each_block_by_its_least_element(labels):
     with pytest.raises(ValueError):
