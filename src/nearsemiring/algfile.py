@@ -14,12 +14,19 @@ comment that runs to the end of the line):
     oplus = [[...], ...]            # mv kind
     neg   = [...]                   # mv kind
 
+Lexical rules: an integer is ASCII -?[0-9]+ (any other run of non-space,
+non-punctuation characters is a word); a string is double-quoted, ends on its
+own line and takes backslash escapes (a backslash keeps the next character);
+whitespace is Unicode whitespace (str.isspace()). A diagnostic's column counts
+code points. Element names must be distinct.
+
 Serialization is canonical: parse(serialize(doc)) == doc, and serializing a
 parsed canonical file reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -38,124 +45,94 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str      # "word" | "int" | "string" | "punct"
-    value: str
-    line: int
-    col: int
-
-    def is_punct(self, ch: str) -> bool:
-        # a quoted "]" is a string, not a bracket
-        return self.kind == "punct" and self.value == ch
-
-
+# One match per token: a word or integer, a bracket, ',' or '=', a string that
+# ends on its own line, a lone '"' (a string left open) or a comment. Whatever
+# no alternative matches is whitespace: re's \s is exactly str.isspace().
+_TOKEN = re.compile(r'[^\s\[\],="#]+|[\[\],=]|"(?:\\.|[^"\\\n])*"|"|#[^\n]*')
 # ASCII digits only: str.isdigit() also holds for "²" and other digits int() rejects
 _INT = re.compile(r"-?[0-9]+")
+_ESCAPE = re.compile(r"\\(.)")
+_PUNCT = frozenset("[],=")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for ln, line in enumerate(text.split("\n"), start=1):
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch == "#":  # a comment outside a string runs to the end of the line
-                break
-            col = i + 1
-            if ch in "[],=":
-                tokens.append(_Token("punct", ch, ln, col))
-                i += 1
-            elif ch == '"':
-                j = i + 1
-                out = []
-                while j < len(line):
-                    if line[j] == "\\" and j + 1 < len(line):
-                        out.append(line[j + 1])
-                        j += 2
-                    elif line[j] == '"':
-                        break
-                    else:
-                        out.append(line[j])
-                        j += 1
-                else:
-                    raise ParseError("unterminated string", ln, col)
-                tokens.append(_Token("string", "".join(out), ln, col))
-                i = j + 1
+def _error(text: str, at: int, message: str) -> ParseError:
+    """A ParseError at token `at` of `text`; only here are lines and columns found."""
+    starts = (m.start() for m in _TOKEN.finditer(text) if m.group()[0] != "#")
+    start = next(itertools.islice(starts, at, None))
+    line_start = text.rfind("\n", 0, start) + 1
+    return ParseError(message, text.count("\n", 0, line_start) + 1, start - line_start + 1)
+
+
+def _scalar(tok: str) -> Union[int, str]:
+    """The payload of a word, integer or string token."""
+    if tok[0] == '"':
+        return _ESCAPE.sub(r"\1", tok[1:-1])
+    return int(tok) if _INT.fullmatch(tok) else tok
+
+
+def _entries(text: str) -> dict[str, tuple]:
+    """The `key = value` entries of a document, in order.
+
+    Each value is a (payload, token index) pair: the payload is an int, a str
+    (a word or a string) or a tuple of values, and the index places a diagnostic.
+    """
+    tokens = _TOKEN.findall(text)
+    if "#" in text:
+        tokens = [t for t in tokens if t[0] != "#"]
+    if '"' in tokens:
+        raise _error(text, tokens.index('"'), "unterminated string")
+    n = len(tokens)
+    # a table repeats few distinct tokens: convert each of them once
+    payload = {t: _scalar(t) for t in set(tokens)}
+
+    def value(i: int) -> tuple[tuple, int]:
+        """The value that starts at token i, and the index of the token after it."""
+        if i == n:
+            raise _error(text, n - 1, "unexpected end of input (expected value)")
+        tok = tokens[i]
+        if tok != "[":
+            if tok in _PUNCT:
+                raise _error(text, i, f"unexpected token {tok!r}")
+            return (payload[tok], i), i + 1
+        items = []
+        j = i + 1
+        while True:
+            if j == n:
+                raise _error(text, i, "unterminated list")
+            tok = tokens[j]
+            if tok == "]":
+                return (tuple(items), i), j + 1
+            if tok in _PUNCT:
+                item, j = value(j)
             else:
-                j = i
-                while j < len(line) and not line[j].isspace() and line[j] not in '[],="#':
-                    j += 1
-                word = line[i:j]
-                kind = "int" if _INT.fullmatch(word) else "word"
-                tokens.append(_Token(kind, word, ln, col))
-                i = j
-    return tokens
+                item = (payload[tok], j)
+                j += 1
+            items.append(item)
+            if j < n and tokens[j] == ",":
+                j += 1
+
+    out: dict[str, tuple] = {}
+    i = 0
+    while i < n:
+        key = tokens[i]
+        if key[0] in '[],="' or isinstance(payload[key], int):
+            shown = payload[key] if key[0] == '"' else key
+            raise _error(text, i, f"expected a key, got {shown!r}")
+        if i + 1 == n:
+            raise _error(text, i, "unexpected end of input (expected '=')")
+        if tokens[i + 1] != "=":
+            raise _error(text, i + 1, f"expected '=' after {key}")
+        entry, j = value(i + 2)
+        if key in out:
+            raise _error(text, i, f"duplicate key {key}")
+        out[key] = entry
+        i = j
+    return out
 
 
-@dataclass(frozen=True)
-class _Value:
-    payload: Union[int, str, tuple]
-    line: int
-    col: int
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def _peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self, expect: str = "") -> _Token:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("punct", "", 1, 1)
-            raise ParseError(f"unexpected end of input{' (expected ' + expect + ')' if expect else ''}",
-                             last.line, last.col)
-        self.pos += 1
-        return tok
-
-    def entries(self) -> dict[str, _Value]:
-        out: dict[str, _Value] = {}
-        while self._peek() is not None:
-            key = self._next("key")
-            if key.kind != "word":
-                raise ParseError(f"expected a key, got {key.value!r}", key.line, key.col)
-            eq = self._next("'='")
-            if not eq.is_punct("="):
-                raise ParseError(f"expected '=' after {key.value}", eq.line, eq.col)
-            value = self.value()
-            if key.value in out:
-                raise ParseError(f"duplicate key {key.value}", key.line, key.col)
-            out[key.value] = value
-        return out
-
-    def value(self) -> _Value:
-        tok = self._next("value")
-        if tok.kind == "int":
-            return _Value(int(tok.value), tok.line, tok.col)
-        if tok.kind in ("word", "string"):
-            return _Value(tok.value, tok.line, tok.col)
-        if tok.is_punct("["):
-            items: list[_Value] = []
-            while True:
-                nxt = self._peek()
-                if nxt is None:
-                    raise ParseError("unterminated list", tok.line, tok.col)
-                if nxt.is_punct("]"):
-                    self._next()
-                    break
-                items.append(self.value())
-                sep = self._peek()
-                if sep is not None and sep.is_punct(","):
-                    self._next()
-            return _Value(tuple(items), tok.line, tok.col)
-        raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
+def _plain(payload):
+    """A payload without its token indices, as a diagnostic shows it."""
+    return tuple(_plain(p) for p, _ in payload) if isinstance(payload, tuple) else payload
 
 
 @dataclass(frozen=True)
@@ -198,109 +175,110 @@ class AlgebraDocument:
                    one=alg.one, plus=alg.plus, times=alg.times, alpha=alg.alpha)
 
 
-def _want_int(entries: dict[str, _Value], key: str, lo: int = 0,
+def _want_int(text: str, entries: dict[str, tuple], key: str, lo: int = 0,
               hi: Optional[int] = None) -> int:
-    v = entries[key]
-    if not isinstance(v.payload, int):
-        raise ParseError(f"{key} must be an integer", v.line, v.col)
-    if v.payload < lo or (hi is not None and v.payload >= hi):
+    v, at = entries[key]
+    if not isinstance(v, int):
+        raise _error(text, at, f"{key} must be an integer")
+    if v < lo or (hi is not None and v >= hi):
         bound = f"[{lo}, {hi})" if hi is not None else f">= {lo}"
-        raise ParseError(f"{key} = {v.payload} is out of range {bound}", v.line, v.col)
-    return v.payload
+        raise _error(text, at, f"{key} = {v} is out of range {bound}")
+    return v
 
 
-def _want_entries(key: str, items: Sequence[_Value], n: int) -> tuple[int, ...]:
+def _want_entries(text: str, key: str, items: Sequence[tuple], n: int) -> tuple[int, ...]:
     """The entries of a vector or of one matrix row: integers in [0, n)."""
-    for item in items:
-        if not isinstance(item.payload, int):
-            raise ParseError(f"{key} entries must be integers", item.line, item.col)
-        if not 0 <= item.payload < n:
-            raise ParseError(f"{key} entry {item.payload} is outside the universe [0, {n})",
-                             item.line, item.col)
-    return tuple(item.payload for item in items)
+    for v, at in items:
+        if not isinstance(v, int):
+            raise _error(text, at, f"{key} entries must be integers")
+        if not 0 <= v < n:
+            raise _error(text, at, f"{key} entry {v} is outside the universe [0, {n})")
+    return tuple([v for v, _ in items])
 
 
-def _want_vector(entries: dict[str, _Value], key: str, n: int) -> tuple[int, ...]:
-    v = entries[key]
-    if not isinstance(v.payload, tuple):
-        raise ParseError(f"{key} must be a list", v.line, v.col)
-    if len(v.payload) != n:
-        raise ParseError(f"{key} must have {n} entries, got {len(v.payload)}",
-                         v.line, v.col)
-    return _want_entries(key, v.payload, n)
+def _want_vector(text: str, entries: dict[str, tuple], key: str, n: int) -> tuple[int, ...]:
+    v, at = entries[key]
+    if not isinstance(v, tuple):
+        raise _error(text, at, f"{key} must be a list")
+    if len(v) != n:
+        raise _error(text, at, f"{key} must have {n} entries, got {len(v)}")
+    return _want_entries(text, key, v, n)
 
 
-def _want_matrix(entries: dict[str, _Value], key: str, n: int) -> tuple[tuple[int, ...], ...]:
-    v = entries[key]
-    if not isinstance(v.payload, tuple):
-        raise ParseError(f"{key} must be a matrix", v.line, v.col)
-    if len(v.payload) != n:
-        raise ParseError(f"{key} must have {n} rows, got {len(v.payload)}", v.line, v.col)
+def _want_matrix(text: str, entries: dict[str, tuple], key: str,
+                 n: int) -> tuple[tuple[int, ...], ...]:
+    v, at = entries[key]
+    if not isinstance(v, tuple):
+        raise _error(text, at, f"{key} must be a matrix")
+    if len(v) != n:
+        raise _error(text, at, f"{key} must have {n} rows, got {len(v)}")
     rows = []
-    for r, row in enumerate(v.payload):
-        if not isinstance(row.payload, tuple):
-            raise ParseError(f"{key} row {r} must be a list", row.line, row.col)
-        if len(row.payload) != n:
-            raise ParseError(f"{key} row {r} must have {n} entries, got {len(row.payload)}",
-                             row.line, row.col)
-        rows.append(_want_entries(key, row.payload, n))
+    for r, (row, at) in enumerate(v):
+        if not isinstance(row, tuple):
+            raise _error(text, at, f"{key} row {r} must be a list")
+        if len(row) != n:
+            raise _error(text, at, f"{key} row {r} must have {n} entries, got {len(row)}")
+        rows.append(_want_entries(text, key, row, n))
     return tuple(rows)
 
 
 def parse(text: str) -> AlgebraDocument:
-    entries = _Parser(_tokenize(text)).entries()
+    entries = _entries(text)
 
-    def need(key: str) -> _Value:
+    def need(key: str) -> tuple:
         if key not in entries:
             raise ParseError(f"missing key '{key}'", 1, 1)
         return entries[key]
 
-    kind_v = need("kind")
-    if kind_v.payload not in KINDS:
-        raise ParseError(f"unknown kind {kind_v.payload!r} (expected one of {', '.join(KINDS)})",
-                         kind_v.line, kind_v.col)
-    kind = str(kind_v.payload)
+    kind, at = need("kind")
+    if kind not in KINDS:
+        raise _error(text, at, f"unknown kind {_plain(kind)!r} "
+                               f"(expected one of {', '.join(KINDS)})")
     need("size")
-    size = _want_int(entries, "size", lo=1)
+    size = _want_int(text, entries, "size", lo=1)
     need("zero")
-    zero = _want_int(entries, "zero", 0, size)
+    zero = _want_int(text, entries, "zero", 0, size)
 
     names: Optional[tuple[str, ...]] = None
     if "names" in entries:
-        v = entries["names"]
-        if not isinstance(v.payload, tuple):
-            raise ParseError("names must be a list of strings", v.line, v.col)
-        if len(v.payload) != size:
-            raise ParseError(f"names must have {size} entries, got {len(v.payload)}",
-                             v.line, v.col)
-        for item in v.payload:
-            if isinstance(item.payload, (int, tuple)):
-                raise ParseError("names entries must be quoted strings",
-                                 item.line, item.col)
-        names = tuple(str(item.payload) for item in v.payload)
+        v, at = entries["names"]
+        if not isinstance(v, tuple):
+            raise _error(text, at, "names must be a list of strings")
+        if len(v) != size:
+            raise _error(text, at, f"names must have {size} entries, got {len(v)}")
+        for name, at in v:
+            if not isinstance(name, str):
+                raise _error(text, at, "names entries must be quoted strings")
+        # an element name must pick one element (nsr decompose --element NAME)
+        seen: set[str] = set()
+        for name, at in v:
+            if name in seen:
+                raise _error(text, at, f"duplicate name {name!r}")
+            seen.add(name)
+        names = tuple(name for name, _ in v)
 
     expected = {"kind", "size", "zero", "names"}
     if kind == "mv":
         expected |= {"oplus", "neg"}
     else:
         expected |= {"one", "plus", "times", "alpha"}
-    for key, v in entries.items():
+    for key, (_, at) in entries.items():
         if key not in expected:
-            raise ParseError(f"unexpected key '{key}' for kind {kind}", v.line, v.col)
+            raise _error(text, at, f"unexpected key '{key}' for kind {kind}")
 
     if kind == "mv":
         need("oplus")
         need("neg")
         return AlgebraDocument(kind=kind, size=size, zero=zero, names=names,
-                               oplus=_want_matrix(entries, "oplus", size),
-                               neg=_want_vector(entries, "neg", size))
+                               oplus=_want_matrix(text, entries, "oplus", size),
+                               neg=_want_vector(text, entries, "neg", size))
     for key in ("one", "plus", "times", "alpha"):
         need(key)
     return AlgebraDocument(kind=kind, size=size, zero=zero, names=names,
-                           one=_want_int(entries, "one", 0, size),
-                           plus=_want_matrix(entries, "plus", size),
-                           times=_want_matrix(entries, "times", size),
-                           alpha=_want_vector(entries, "alpha", size))
+                           one=_want_int(text, entries, "one", 0, size),
+                           plus=_want_matrix(text, entries, "plus", size),
+                           times=_want_matrix(text, entries, "times", size),
+                           alpha=_want_vector(text, entries, "alpha", size))
 
 
 def _quote(s: str) -> str:
@@ -343,14 +321,14 @@ def load(path) -> AlgebraDocument:
 
 def load_map(path) -> tuple[Union[int, str], ...]:
     """The entries of a map document, `map = [..]`: indices or element names."""
-    entries = _Parser(_tokenize(_read(path))).entries()
+    text = _read(path)
+    entries = _entries(text)
     if "map" not in entries:
         raise ParseError("missing key 'map'", 1, 1)
-    v = entries["map"]
-    if not isinstance(v.payload, tuple):
-        raise ParseError("map must be a list", v.line, v.col)
-    for item in v.payload:
-        if isinstance(item.payload, tuple):
-            raise ParseError("map entries must be integers or element names",
-                             item.line, item.col)
-    return tuple(item.payload for item in v.payload)
+    v, at = entries["map"]
+    if not isinstance(v, tuple):
+        raise _error(text, at, "map must be a list")
+    for item, at in v:
+        if isinstance(item, tuple):
+            raise _error(text, at, "map entries must be integers or element names")
+    return tuple(item for item, _ in v)

@@ -108,6 +108,15 @@ def test_decompose_by_name_and_non_central_rejection(capsys):
     assert "not central" in err
 
 
+def test_repeated_element_names_are_a_usage_error(tmp_path, capsys):
+    # with two elements named "a", --element a would pick one of them silently
+    doc = tmp_path / "dup.alg"
+    doc.write_text(bundled_file("b2.alg").read_text().replace('names = ["0", "1"]', 'names = ["a", "a"]'))
+    status, _, err = run(capsys, "decompose", str(doc), "--element", "a")
+    assert status == 2
+    assert err == f"error: {doc}: line 3, col 15: duplicate name 'a'\n"
+
+
 def test_principal_ideal(capsys):
     status, out, _ = run(capsys, "principal-ideal", path("l3.alg"),
                          "--element", "h")

@@ -60,7 +60,7 @@ NAME = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")))
 L3_DOC = AlgebraDocument.from_algebra(luk_chain(3), "luk-rs")
 
 
-@given(st.lists(NAME, min_size=3, max_size=3))
+@given(st.lists(NAME, min_size=3, max_size=3, unique=True))
 @settings(max_examples=200, deadline=None)
 def test_serialized_names_parse_back(names):
     # '#', quotes and backslashes inside a name must survive the round trip
