@@ -18,7 +18,7 @@ Lexical rules: an integer is ASCII -?[0-9]+ (any other run of non-space,
 non-punctuation characters is a word); a string is double-quoted, ends on its
 own line and takes backslash escapes (a backslash keeps the next character);
 whitespace is Unicode whitespace (str.isspace()). A diagnostic's column counts
-code points. Element names must be distinct.
+code points. Lists nest at most 32 deep. Element names must be distinct.
 
 Serialization is canonical: parse(serialize(doc)) == doc, and serializing a
 parsed canonical file reproduces it byte for byte.
@@ -53,6 +53,9 @@ _TOKEN = re.compile(r'[^\s\[\],="#]+|[\[\],=]|"(?:\\.|[^"\\\n])*"|"|#[^\n]*')
 _INT = re.compile(r"-?[0-9]+")
 _ESCAPE = re.compile(r"\\(.)")
 _PUNCT = frozenset("[],=")
+# valid documents nest lists two deep (a table); the cap keeps parsing off the
+# interpreter's recursion limit on hostile input
+_MAX_DEPTH = 32
 
 
 def _error(text: str, at: int, message: str) -> ParseError:
@@ -85,8 +88,9 @@ def _entries(text: str) -> dict[str, tuple]:
     # a table repeats few distinct tokens: convert each of them once
     payload = {t: _scalar(t) for t in set(tokens)}
 
-    def value(i: int) -> tuple[tuple, int]:
-        """The value that starts at token i, and the index of the token after it."""
+    def value(i: int, depth: int = 1) -> tuple[tuple, int]:
+        """The value that starts at token i, and the index of the token after it;
+        depth counts the lists open around it, itself included."""
         if i == n:
             raise _error(text, n - 1, "unexpected end of input (expected value)")
         tok = tokens[i]
@@ -94,6 +98,8 @@ def _entries(text: str) -> dict[str, tuple]:
             if tok in _PUNCT:
                 raise _error(text, i, f"unexpected token {tok!r}")
             return (payload[tok], i), i + 1
+        if depth > _MAX_DEPTH:
+            raise _error(text, i, f"lists nested more than {_MAX_DEPTH} deep")
         items = []
         j = i + 1
         while True:
@@ -103,7 +109,7 @@ def _entries(text: str) -> dict[str, tuple]:
             if tok == "]":
                 return (tuple(items), i), j + 1
             if tok in _PUNCT:
-                item, j = value(j)
+                item, j = value(j, depth + 1)
             else:
                 item = (payload[tok], j)
                 j += 1

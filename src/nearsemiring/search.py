@@ -131,7 +131,11 @@ def canonical_form(alg: FiniteAlgebra) -> CanonicalForm:
     one to n-1; the minimum ranges over all orders of the remaining
     elements, so equal forms characterize isomorphism.  Each order is
     encoded straight from the tables: gather rows and columns in the new
-    order, then translate the old labels to the new ones.
+    order, then translate the old labels to the new ones.  The 2n+1 rows of
+    an encoding all have length n, so the first row in which two encodings
+    differ decides their byte order: each order's image is compared with
+    the least so far one row at a time, and built in full only when it is
+    smaller.
     """
     n = alg.size
     if n == 1:
@@ -142,14 +146,15 @@ def canonical_form(alg: FiniteAlgebra) -> CanonicalForm:
                            "universe; such tables admit no bounded order")
     plus, times = tuple(map(bytes, alg.plus)), tuple(map(bytes, alg.times))
     alpha = (bytes(alg.alpha),)
-
-    def encode(gather: itemgetter, trans: bytes) -> bytes:
-        return b"".join(map(bytes, map(gather, gather(plus) + gather(times) + alpha))
-                        ).translate(trans)
-
     rest = [i for i in range(n) if i not in (alg.zero, alg.one)]
-    return CanonicalForm(bytes([n, 0, n - 1]) + min(
-        itertools.starmap(encode, _relabellings(alg.zero, rest, alg.one))))
+    best: list[bytes] = []
+    for gather, trans in _relabellings(alg.zero, rest, alg.one):
+        # the plus rows decide almost every order: gather the rest on a tie only
+        if best and (_compare(gather(plus), best, gather, trans)
+                     or _compare(gather(times) + alpha, best[n:], gather, trans)) >= 0:
+            continue
+        best = _image(gather(plus) + gather(times) + alpha, gather, trans)
+    return CanonicalForm(bytes([n, 0, n - 1]) + b"".join(best))
 
 
 _Relabelling = tuple[itemgetter, bytes]
@@ -168,11 +173,28 @@ def _relabellings(zero: int, rest: Sequence[int], one: int) -> Iterable[_Relabel
         yield itemgetter(*old), bytes.maketrans(bytes(old), new_labels)
 
 
-def _table_image(rows: tuple[bytes, ...], gather: itemgetter, trans: bytes) -> bytes:
-    return b"".join(map(bytes, map(gather, gather(rows)))).translate(trans)
+def _compare(sources: Sequence[bytes], base: Sequence[bytes],
+             gather: itemgetter, trans: bytes) -> int:
+    """-1, 0 or 1 as the image of sources is less than, equal to or greater
+    than base, where image row k is bytes(gather(sources[k])).translate(trans).
+
+    Every row has the same length, so the first row that differs decides
+    the byte order of the concatenations; the rows after it are not built.
+    """
+    for row, least in zip(sources, base):
+        image = bytes(gather(row)).translate(trans)
+        if image != least:
+            return -1 if image < least else 1
+    return 0
 
 
-def _least(base: bytes, images: Iterable[tuple[bytes, _Relabelling]]
+def _image(sources: Sequence[bytes], gather: itemgetter, trans: bytes) -> list[bytes]:
+    """Every row of the image that _compare reads."""
+    return [bytes(gather(row)).translate(trans) for row in sources]
+
+
+def _least(base: Sequence[bytes],
+           offered: Iterable[tuple[Sequence[bytes], _Relabelling]]
            ) -> Optional[list[_Relabelling]]:
     """The relabellings whose image is base, or None if an image is smaller.
 
@@ -180,10 +202,11 @@ def _least(base: bytes, images: Iterable[tuple[bytes, _Relabelling]]
     its stabilizer among the relabellings offered.
     """
     fixed = []
-    for image, relabelling in images:
-        if image < base:
+    for sources, relabelling in offered:
+        order = _compare(sources, base, *relabelling)
+        if order < 0:
             return None
-        if image == base:
+        if order == 0:
             fixed.append(relabelling)
     return fixed
 
@@ -353,16 +376,15 @@ class _Search:
     def _plus_automorphisms(self, P: list[list[int]]) -> Optional[list[_Relabelling]]:
         """Aut(P) but the identity, or None if a relabelling of P is smaller."""
         rows = tuple(map(bytes, P))
-        return _least(b"".join(rows), ((_table_image(rows, *r), r)
-                                       for r in self.relabellings))
+        return _least(rows, ((g(rows), (g, t)) for g, t in self.relabellings))
 
     def _alpha_phase(self, P: list[list[int]], autos: list[_Relabelling]) -> None:
         # the roots: each involution least among its conjugates under Aut(P),
         # with Aut(P, alpha); resume tokens index this list
         roots = []
         for alpha in _antitone_involutions(P, self.n):
-            vec = bytes(alpha)
-            fixed = _least(vec, ((bytes(g(vec)).translate(t), (g, t)) for g, t in autos))
+            vec = (bytes(alpha),)
+            fixed = _least(vec, ((vec, r) for r in autos))
             if fixed is not None:
                 roots.append((alpha, fixed))
         for idx in self._candidates(range(len(roots))):
@@ -454,20 +476,21 @@ class _Search:
 
     def _emit(self, P, alpha, autos, T, plus_autos) -> None:
         rows = tuple(map(bytes, T))
-        times = b"".join(rows)
-        if autos and _least(times, ((_table_image(rows, *r), r) for r in autos)) is None:
+        if autos and _least(rows, ((g(rows), (g, t)) for g, t in autos)) is None:
             return      # its least relabelling is another leaf of this root
         # P is least of its relabellings, so the canonical form is P followed
         # by the least (times, alpha) over Aut(P) (module docstring)
-        vec = bytes(alpha)
-        rest = min([times + vec] + [_table_image(rows, g, t) + bytes(g(vec)).translate(t)
-                                    for g, t in plus_autos])
+        vec = (bytes(alpha),)
+        rest = [*rows, *vec]
+        for g, t in plus_autos:
+            if _compare(g(rows) + vec, rest, g, t) < 0:
+                rest = _image(g(rows) + vec, g, t)
         n = self.n
         # a search meets few distinct rows, so the models it keeps share them
         row = self.rows.setdefault
         alg = FiniteAlgebra(n, tuple(row(r, r) for r in map(tuple, P)),
                             tuple(row(r, r) for r in map(tuple, T)), alpha, 0, n - 1)
-        self.found[bytes([n, 0, n - 1]) + b"".join(map(bytes, P)) + rest] = alg
+        self.found[bytes([n, 0, n - 1]) + b"".join(map(bytes, P)) + b"".join(rest)] = alg
 
 
 def enumerate_algebras(task: EnumerationTask,

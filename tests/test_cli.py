@@ -146,6 +146,16 @@ def test_missing_file_and_parse_error(tmp_path, capsys):
     assert "line 5" in err and "row 1" in err
 
 
+def test_deeply_nested_lists_are_a_positioned_usage_error(tmp_path, capsys):
+    # each open list is one level of the parser's recursion; the whole of
+    # stderr is the diagnostic at the 33rd bracket, with no traceback
+    deep = tmp_path / "deep.alg"
+    deep.write_text("kind = " + "[" * 3000 + "\n")
+    status, _, err = run(capsys, "check", str(deep))
+    assert status == 2
+    assert err == f"error: {deep}: line 1, col 40: lists nested more than 32 deep\n"
+
+
 def test_to_mv_from_mv_pipeline(tmp_path, capsys):
     status, out, _ = run(capsys, "to-mv", path("l3.alg"))
     assert status == 0

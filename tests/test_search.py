@@ -303,15 +303,33 @@ def test_orbit_roots_match_the_labelled_search():
 
 def test_canonical_form_matches_the_relabel_reference():
     rng = random.Random(20261018)
-    pool = (list(enumerate_algebras(EnumerationTask(4, INRS)))
-            + [luk_chain(1), godel3(), b2_x_l3(), luk_chain(8),
-               product(boolean2(), luk_chain(4)), product(b2_x_b2(), boolean2())])
-    for alg in pool:
-        for _ in range(3):
+    pool = [(alg, 3) for alg in enumerate_algebras(EnumerationTask(4, INRS))]
+    pool += [(alg, 3) for alg in (luk_chain(1), godel3(), b2_x_l3(), luk_chain(8),
+                                  product(boolean2(), luk_chain(4)),
+                                  product(b2_x_b2(), boolean2()))]
+    # one copy at n = 9, where the reference relabels 5,040 times
+    pool.append((product(luk_chain(3), luk_chain(3)), 1))
+    for alg, copies in pool:
+        for _ in range(copies):
             perm = list(range(alg.size))
             rng.shuffle(perm)
             shuffled = relabel(alg, perm)
             assert canonical_form(shuffled).data == relabel_canonical_form(shuffled)
+
+
+def test_canonical_form_matches_the_relabel_reference_on_tables_of_few_rows():
+    # every row is constantly zero, constantly one or one seeded row, so
+    # many relabellings tie on their leading rows (or on all of them) and
+    # the row-by-row comparison must look further; the tables need not be
+    # models of any class
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        zero, one = rng.sample(range(n), 2)
+        rows = [(zero,) * n, (one,) * n, tuple(rng.randrange(n) for _ in range(n))]
+        plus, times = ([rng.choice(rows) for _ in range(n)] for _ in range(2))
+        alg = FiniteAlgebra(n, plus, times, rng.choice(rows), zero, one)
+        assert canonical_form(alg).data == relabel_canonical_form(alg), alg
 
 
 def unordered_factorizations(n, smallest=2):
