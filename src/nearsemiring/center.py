@@ -8,12 +8,14 @@ theta(e,1)[a]) is a bijection onto the product of the quotients
 through q(x,y,z) = x*y + x^a*z is checked independently, and the two verdicts
 are compared rather than trusted to coincide.
 
-The equational laws are CENTRALITY_LAWS, scanned exhaustively.  The two
-4-variable (c) laws for + and * cost n^4 per element; on a table classify
-places at inrs or above they are decided by an exact reduction in about n^2
-steps for a central element (_reduced_law_holds), and a law it refutes is
-re-scanned in full for the witness.  The full n^4 scans remain the reference
-the tests compare the reduction against.
+The equational laws are CENTRALITY_LAWS, scanned exhaustively.  Per
+element, the two 3-variable (b) laws cost n^3 and the two 4-variable (c)
+laws for + and * cost n^4.  On a table classify places at inrs or above
+each is decided by an exact reduction in about n^2 steps: a (b) law by its
+instances with c = 0 or a = 0 (_reduced_b_law_holds), a (c) law by its
+edge instances and, for *, a scan over e*A and e^a*A (_reduced_law_holds).
+A law a reduction refutes is re-scanned in full for the witness.  The full
+scans remain the reference the tests compare the reductions against.
 """
 
 from __future__ import annotations
@@ -54,8 +56,24 @@ def _centrality_laws() -> tuple[tuple[str, Term, Term], ...]:
 #: they are checked, with e bound to the element under test.  q(e,0,0)=0 and
 #: q(e,1,1)=1 are the a=0 and a=1 instances of (a).
 CENTRALITY_LAWS = _centrality_laws()
+#: the two 3-variable (b) laws, which _reduced_b_law_holds decides on an inrs
+_B1_LAW, _B2_LAW = CENTRALITY_LAWS[1:3]
 #: the two 4-variable laws, which _reduced_law_holds decides on an inrs
 _PLUS_LAW, _TIMES_LAW = CENTRALITY_LAWS[3:5]
+
+
+def _reduced_b_law_holds(alg: FiniteAlgebra, e: int, law: tuple[str, Term, Term]) -> bool:
+    """A (b) law at e, decided in n^2 steps on an inrs.
+
+    With u = q(e,a,b), the first law's instances with c = 0 read e*u = e*a,
+    and the second's with a = 0 read e^a*q(e,b,c) = e^a*c (by x*0 = 0 and
+    0+x = x).  Given those, both sides of every instance are e*a + e^a*c.
+    """
+    P, R = alg.plus, range(alg.size)
+    te, tc = alg.times[e], alg.times[alg.alpha[e]]
+    if law is _B1_LAW:
+        return all(te[P[te[a]][tc[b]]] == te[a] for a in R for b in R)
+    return all(tc[P[te[b]][tc[c]]] == tc[c] for b in R for c in R)
 
 
 def _reduced_law_holds(alg: FiniteAlgebra, e: int, law: tuple[str, Term, Term]) -> bool:
@@ -81,18 +99,26 @@ def _reduced_law_holds(alg: FiniteAlgebra, e: int, law: tuple[str, Term, Term]) 
                for u1 in E for u2 in E for v1 in E_co for v2 in E_co)
 
 
+#: law name -> its exact reduction on an inrs
+_REDUCTIONS = {_B1_LAW[0]: _reduced_b_law_holds, _B2_LAW[0]: _reduced_b_law_holds,
+               _PLUS_LAW[0]: _reduced_law_holds, _TIMES_LAW[0]: _reduced_law_holds}
+
+
 def syntactic_centrality(alg: FiniteAlgebra, e: int) -> CheckOutcome:
     """The equational centrality conditions, in the order of CENTRALITY_LAWS.
 
-    On a table that classify places at inrs or above, the two 4-variable (c)
-    laws are decided by _reduced_law_holds, which is exact there; any other
-    table, and any law the reduction refutes, gets the full compiled scan, so
-    the outcome and its witness are those of the n^4 scans.  Those scans of
-    CENTRALITY_LAWS are the reference the tests hold the reduction to.
+    On a table that classify places at inrs or above, the two 3-variable (b)
+    laws are decided in n^2 steps by _reduced_b_law_holds and the two
+    4-variable (c) laws by _reduced_law_holds; both reductions are exact
+    there and use only (i) and (iv).  Any other table, and any law a
+    reduction refutes, gets the full compiled scan, so the outcome and its
+    witness are those of the full scans.  Those scans of CENTRALITY_LAWS are
+    the reference the tests hold the reductions to.
     """
-    reduce = classify(alg) is not None
+    reductions = _REDUCTIONS if classify(alg) is not None else {}
     for law in CENTRALITY_LAWS:
-        if reduce and law in (_PLUS_LAW, _TIMES_LAW) and _reduced_law_holds(alg, e, law):
+        holds = reductions.get(law[0])
+        if holds is not None and holds(alg, e, law):
             continue
         name, lhs, rhs = law
         out = check_identity(alg, name, lhs, rhs, fixed={"e": e})

@@ -2,16 +2,20 @@
 
 Principal congruences are computed by a union-find fixpoint (merge a pair,
 then merge the images of every basic translation of the merged pair until
-stable).  The unary-polynomial pair closure is computed independently as the
-subalgebra of A x A generated by the pair together with the diagonal; the two
-routes are compared rather than assumed to agree.
+stable); each element's images are one translation row, built once per
+algebra, and a merged pair's two rows are zipped.  The unary-polynomial pair
+closure is computed independently as the subalgebra of A x A generated by
+the pair together with the diagonal; the two routes are compared rather than
+assumed to agree.
 
 The kernels K[x] = Cg(x, 0) are computed once per algebra (kernel) and shared
 by Con(A), principal ideals and semantic centrality.  On a Lukasiewicz near
 semiring they generate Con(A): with the difference term s(x, y) = x^a * y,
-Cg(a, b) = Cg(s(a, b), 0) v Cg(s(b, a), 0), so n kernels replace the
-n(n-1)/2 principal pairs.  The identity fails on some inrs tables, so
-all_congruences uses the kernels only where classify finds luk-nrs or above.
+Cg(a, b) = Cg(s(a, b), 0) v Cg(s(b, a), 0).  Since K[x + y] = K[x] v K[y],
+the kernels of the join-irreducible elements of (A, +) already generate, so
+a handful of kernels replace the n(n-1)/2 principal pairs.  The identity
+fails on some inrs tables, so all_congruences uses the kernels only where
+classify finds luk-nrs or above.
 
 A Partition is one label vector: labels[v] is the least element of v's
 block.  Meet, join, refinement and permutability all read the labels.  Two
@@ -176,27 +180,40 @@ def partition_sort_key(p: Partition):
     return (-p.num_blocks, p.blocks)
 
 
+@per_algebra
+def _translation_rows(alg: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """Row c lists the images of c under every basic translation: row c of
+    + and *, column c of + and *, then c^a."""
+    plus_t, times_t = zip(*alg.plus), zip(*alg.times)
+    return tuple((*p, *pt, *t, *tt, a) for p, pt, t, tt, a
+                 in zip(alg.plus, plus_t, alg.times, times_t, alg.alpha))
+
+
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
-    """Least congruence merging a and b, by union-find fixpoint."""
-    n = alg.size
-    parent = list(range(n))
+    """Least congruence merging a and b, by union-find fixpoint.
+
+    Each merge of two roots r, s queues (r, s); a queued pair's translation
+    rows are zipped, and every differing pair of images is merged in turn.
+    The merged pairs generate the relation, so it is closed under every
+    basic translation, hence under the operations.
+    """
+    rows = _translation_rows(alg)
+    parent = list(range(alg.size))
     pending: list[tuple[int, int]] = []
-
-    def union(u: int, v: int) -> None:
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[rv] = ru
-            pending.append((u, v))
-
-    union(a, b)
+    if a != b:
+        parent[b] = a
+        pending.append((a, b))
     while pending:
         c, d = pending.pop()
-        union(alg.alpha[c], alg.alpha[d])
-        for e in range(n):
-            union(alg.plus[c][e], alg.plus[d][e])
-            union(alg.plus[e][c], alg.plus[e][d])
-            union(alg.times[c][e], alg.times[d][e])
-            union(alg.times[e][c], alg.times[e][d])
+        for u, v in zip(rows[c], rows[d]):
+            if u != v:
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                if u != v:
+                    parent[v] = u
+                    pending.append((u, v))
     return Partition.from_parent(parent)
 
 
@@ -268,36 +285,54 @@ def kernel(alg: FiniteAlgebra, x: int) -> Partition:
     return k
 
 
+def join_irreducibles(alg: FiniteAlgebra) -> tuple[int, ...]:
+    """The j != 0 of (A, +) that are not the join of the elements strictly below j."""
+    P, z = alg.plus, alg.zero
+    out = []
+    for j in range(alg.size):
+        below = z
+        for v, top in enumerate(P[j]):
+            if top == j and v != j:
+                below = P[below][v]
+        if below != j:
+            out.append(j)
+    return tuple(out)
+
+
 def all_congruences(alg: FiniteAlgebra,
                     max_size: int = DEFAULT_MAX_UNIVERSE) -> tuple[Partition, ...]:
     """Complete Con(A): the join closure of a generating set of congruences.
 
     Every congruence is the join of the principal congruences of its pairs.
     On a table classify places at luk-nrs or above, Cg(a, b) is the join of
-    the kernels Cg(s(a, b), 0) and Cg(s(b, a), 0) (s(x, y) = x^a * y), so the
-    n kernels generate.  That identity fails on some inrs tables (at n = 4
+    the kernels Cg(s(a, b), 0) and Cg(s(b, a), 0) (s(x, y) = x^a * y), so
+    the kernels generate.  That identity fails on some inrs tables (at n = 4
     already), so every other table is generated by its n(n-1)/2 principal
-    pairs.  Includes the diagonal and the full relation; output is
-    canonically ordered (finest first).
+    pairs.  The kernels also satisfy K[x + y] = K[x] v K[y]: modulo
+    K[x + y], x = x ^ (x + y) = x ^ 0 = 0 and likewise y = 0, with the meet
+    term x ^ y = (x^a + y^a)^a of the induced order; modulo K[x] v K[y],
+    x + y = 0 + 0 = 0.  Every x is the join of the join-irreducible elements
+    below it, so on luk-nrs and above their kernels alone generate (Gratzer,
+    The Congruences of a Finite Lattice, 2006, argues the same way for
+    lattices).
+
+    The closure adds one distinct generator g at a time, joining g with
+    every congruence found so far: |Con| * m joins for m generators.
+    Includes the diagonal and the full relation; output is canonically
+    ordered (finest first).
     """
     n = alg.size
     if n > max_size:
         raise SizeLimitError(f"universe size {n} exceeds the {max_size} limit")
     if classify(alg) in (LUK_NRS, LUK_RS):
-        generators = [kernel(alg, a) for a in range(n)]
+        generators = [kernel(alg, j) for j in join_irreducibles(alg)]
     else:
         generators = [principal_congruence(alg, a, b)
                       for a in range(n) for b in range(a + 1, n)]
 
-    cons: set[Partition] = {Partition.discrete(n), *generators}
-    frontier = list(cons)
-    while frontier:
-        p = frontier.pop()
-        for q in list(cons):
-            j = p.join(q)
-            if j not in cons:
-                cons.add(j)
-                frontier.append(j)
+    cons = {Partition.discrete(n)}
+    for g in dict.fromkeys(generators):
+        cons |= {c.join(g) for c in cons}
     return tuple(sorted(cons, key=partition_sort_key))
 
 

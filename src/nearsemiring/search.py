@@ -147,10 +147,15 @@ def canonical_form(alg: FiniteAlgebra) -> CanonicalForm:
     plus, times = tuple(map(bytes, alg.plus)), tuple(map(bytes, alg.times))
     alpha = (bytes(alg.alpha),)
     rest = [i for i in range(n) if i not in (alg.zero, alg.one)]
+    # where 0 + x = x the image's plus row of zero is 0, 1, ..., n-1, and
+    # where 1 + x = 1 its plus row of one is n-1 throughout, under every
+    # order: such a row always ties, so the plus pass skips it
+    deciding = slice(int(plus[alg.zero] == bytes(range(n))),
+                     n - int(plus[alg.one] == bytes([alg.one]) * n))
     best: list[bytes] = []
     for gather, trans in _relabellings(alg.zero, rest, alg.one):
         # the plus rows decide almost every order: gather the rest on a tie only
-        if best and (_compare(gather(plus), best, gather, trans)
+        if best and (_compare(gather(plus)[deciding], best[deciding], gather, trans)
                      or _compare(gather(times) + alpha, best[n:], gather, trans)) >= 0:
             continue
         best = _image(gather(plus) + gather(times) + alpha, gather, trans)

@@ -12,14 +12,16 @@ from nearsemiring.axioms import (INRS, LUK_NRS, LUK_RS, CheckOutcome, check_axio
                                  classify)
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
-from nearsemiring.center import (_PLUS_LAW, _TIMES_LAW, CENTRALITY_LAWS, _reduced_law_holds,
+from nearsemiring.center import (_B1_LAW, _B2_LAW, _PLUS_LAW, _TIMES_LAW, CENTRALITY_LAWS,
+                                 _reduced_b_law_holds, _reduced_law_holds,
                                  center, central_elements, central_ideal_check,
                                  central_laws_report, decompose,
                                  interval_algebra, is_central, q, semantic_centrality,
                                  syntactic_centrality, verify_boolean_laws)
 from nearsemiring.core import FiniteAlgebra, find_isomorphism, leq, product
 from nearsemiring.mv import from_mv
-from nearsemiring.search import EnumerationTask, enumerate_algebras
+
+from enumerated import models
 
 L3 = luk_chain(3)
 CORPUS = (boolean2(), L3, luk_chain(4), b2_x_b2(), b2_x_l3(), godel3(), trivial())
@@ -263,10 +265,11 @@ def reference_syntactic_centrality(alg, e):
 
 @functools.lru_cache(maxsize=None)
 def reduction_pool():
-    """Every inrs up to n = 5 and every product of two of l2, l3 and l4."""
+    """Every inrs up to n = 5, every luk-nrs at n = 6 and 7, and every
+    product of two of l2, l3 and l4."""
     chains = [luk_chain(k) for k in (2, 3, 4)]
-    return (tuple(alg for n in range(1, 6)
-                  for alg in enumerate_algebras(EnumerationTask(n, INRS)))
+    return (tuple(alg for n in range(1, 6) for alg in models(n, INRS))
+            + models(6, LUK_NRS) + models(7, LUK_NRS)
             + tuple(product(a, b) for a, b in itertools.product(chains, repeat=2)))
 
 
@@ -297,6 +300,19 @@ def test_reduced_check_alone_decides_each_c_law():
     assert {(law[0], full) for law in (_PLUS_LAW, _TIMES_LAW) for full in (True, False)} == {
         (name, full) for name, _, full in seen}
     assert (_TIMES_LAW[0], True, False) in seen
+
+
+def test_reduced_check_alone_decides_each_b_law():
+    # the c = 0 and a = 0 instances, for every element
+    seen = set()
+    for alg in reduction_pool():
+        for e in range(alg.size):
+            for law in (_B1_LAW, _B2_LAW):
+                name, lhs, rhs = law
+                full = check_identity(alg, name, lhs, rhs, fixed={"e": e}).ok
+                assert _reduced_b_law_holds(alg, e, law) == full, (alg, e, name)
+                seen.add((name, full))
+    assert seen == {(law[0], full) for law in (_B1_LAW, _B2_LAW) for full in (True, False)}
 
 
 @st.composite
@@ -332,7 +348,7 @@ def test_luk_rs_center_is_the_boolean_elements():
     # (Cignoli, D'Ottaviano and Mundici 2000)
     chains = [luk_chain(k) for k in (2, 3, 4)]
     pool = ([alg for n in range(1, 8)
-             for alg in enumerate_algebras(EnumerationTask(n, LUK_RS))]
+             for alg in models(n, LUK_RS)]
             + [product(a, b) for a, b in itertools.product(chains, repeat=2)]
             + [power(luk_chain(2), 3), product(product(luk_chain(2), luk_chain(3)), luk_chain(2))])
     for alg in pool:

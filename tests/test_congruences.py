@@ -9,13 +9,14 @@ import pytest
 from nearsemiring.axioms import CLASSES, INRS, LUK_NRS, LUK_RS, classify
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
-from nearsemiring.congruences import (Partition, all_congruences, kernel,
+from nearsemiring.congruences import (Partition, all_congruences, join_irreducibles, kernel,
                                       malcev_and_regularity_report,
                                       partition_sort_key, polynomial_pairs,
                                       principal_congruence, werner_comparison)
 from nearsemiring.core import product
-from nearsemiring.search import EnumerationTask, enumerate_algebras
 from nearsemiring.terms import eval_term, x
+
+from enumerated import models
 
 L3 = luk_chain(3)
 
@@ -49,10 +50,41 @@ def compose(p, q):
     return frozenset((a, c) for a in range(p.size) for b in p.block_of(a) for c in q.block_of(b))
 
 
-def reference_all_congruences(alg):
-    """Con(A) as the join closure of all n(n-1)/2 principal congruences."""
+def reference_principal_congruence(alg, a, b):
+    """Cg(a, b) by a union-find fixpoint that merges the images of a merged
+    pair under each basic translation, one union at a time."""
     n = alg.size
-    principals = [principal_congruence(alg, a, b)
+    parent = list(range(n))
+    pending = []
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    def union(u, v):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+            pending.append((u, v))
+
+    union(a, b)
+    while pending:
+        c, d = pending.pop()
+        union(alg.alpha[c], alg.alpha[d])
+        for e in range(n):
+            union(alg.plus[c][e], alg.plus[d][e])
+            union(alg.plus[e][c], alg.plus[e][d])
+            union(alg.times[c][e], alg.times[d][e])
+            union(alg.times[e][c], alg.times[e][d])
+    return Partition.from_parent(parent)
+
+
+def reference_all_congruences(alg):
+    """Con(A) as the join closure of all n(n-1)/2 principal congruences,
+    joining every pair of congruences found until nothing new appears."""
+    n = alg.size
+    principals = [reference_principal_congruence(alg, a, b)
                   for a in range(n) for b in range(a + 1, n)]
     cons = {Partition.discrete(n), *principals}
     frontier = list(cons)
@@ -66,9 +98,9 @@ def reference_all_congruences(alg):
     return tuple(sorted(cons, key=partition_sort_key))
 
 
-@functools.lru_cache(maxsize=None)
-def models(n, cls):
-    return enumerate_algebras(EnumerationTask(n, cls))
+def luk_models():
+    """Every enumerated luk-nrs and luk-rs model up to n = 7."""
+    return [alg for n in range(1, 8) for cls in (LUK_NRS, LUK_RS) for alg in models(n, cls)]
 
 
 def kernel_identity_holds(alg, a, b):
@@ -78,13 +110,34 @@ def kernel_identity_holds(alg, a, b):
 
 
 def test_all_congruences_equals_the_all_pairs_reference():
-    # the kernel generators are used on luk-* only; every class is compared
+    # the join-irreducible kernels generate on luk-* only; every class is compared
     pool = ([alg for n in range(1, 6) for cls in CLASSES for alg in models(n, cls)]
-            + list(models(6, LUK_NRS)) + list(models(6, LUK_RS))
-            + [product(product(L3, luk_chain(4)), boolean2())])
+            + luk_models()
+            + [product(product(L3, luk_chain(4)), boolean2()),
+               functools.reduce(product, [L3] * 3), functools.reduce(product, [boolean2()] * 5)])
     assert {classify(alg) for alg in pool} == set(CLASSES)
     for alg in pool:
         assert all_congruences(alg) == reference_all_congruences(alg)
+
+
+def test_principal_congruence_equals_the_union_closure_reference():
+    for n in range(1, 6):
+        for alg in models(n, INRS):
+            for a, b in itertools.combinations(range(n), 2):
+                assert principal_congruence(alg, a, b) == reference_principal_congruence(alg, a, b)
+
+
+def test_kernel_of_a_join_is_the_join_of_the_kernels_on_luk_models():
+    # K[x+y] = K[x] v K[y], why the join-irreducible kernels generate Con(A)
+    for alg in luk_models():
+        for a, b in itertools.combinations_with_replacement(range(alg.size), 2):
+            assert kernel(alg, alg.plus[a][b]) == kernel(alg, a).join(kernel(alg, b)), (alg, a, b)
+
+
+def test_join_irreducibles_of_chains_and_products():
+    assert join_irreducibles(luk_chain(5)) == (1, 2, 3, 4)
+    assert join_irreducibles(b2_x_l3()) == (1, 2, 3)
+    assert join_irreducibles(trivial()) == ()
 
 
 def test_kernels_generate_every_principal_congruence_on_luk_models():
@@ -135,7 +188,8 @@ def test_memos_belong_to_one_algebra_instance(monkeypatch, collect, live_first):
     else:
         gc.disable()
     try:
-        for live in (luk_chain(5), b2_x_l3()):
+        # Con(A) reads one kernel per join-irreducible element
+        for live, generators in ((luk_chain(5), 4), (b2_x_l3(), 3)):
             copies = [dataclasses.replace(live) for _ in range(2)]
             for alg in [live, *copies] if live_first else [*copies, live]:
                 assert classify(alg) == LUK_RS
@@ -143,7 +197,7 @@ def test_memos_belong_to_one_algebra_instance(monkeypatch, collect, live_first):
             # the live algebra's memos may predate this test
             for copy in copies:
                 assert [name for name, alg in calls if alg is copy] == \
-                    ["check_axioms"] + ["principal_congruence"] * copy.size
+                    ["check_axioms"] + ["principal_congruence"] * generators
     finally:
         if was_enabled:
             gc.enable()

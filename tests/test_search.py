@@ -1,4 +1,3 @@
-import functools
 import importlib
 import itertools
 import math
@@ -13,6 +12,8 @@ from nearsemiring.core import FiniteAlgebra, find_isomorphism, product
 from nearsemiring.search import (CanonicalForm, EnumerationCapExceeded, EnumerationTask,
                                  _Search, canonical_form, count, enumerate_algebras,
                                  enumerate_with_forms, frozen_counts, relabel)
+
+from enumerated import searched
 
 
 def semilattice_ok_partial(P, n):
@@ -227,13 +228,6 @@ def brute_force_models(n, cls):
                 if all(find_isomorphism(alg, seen) is None for seen in found):
                     found.append(alg)
     return found
-
-
-@functools.lru_cache(maxsize=None)
-def searched(n, cls):
-    """(models, nodes) of one search; the size-7 runs are too slow to repeat."""
-    search = _Search(EnumerationTask(n, cls), None)
-    return search.run(), search.nodes
 
 
 def tables(models):
