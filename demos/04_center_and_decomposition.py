@@ -6,8 +6,9 @@ of the if-then-else witness q(x,y,z) = x*y + x^a*z.  Both tests run here,
 then the 6-element product is rebuilt from its intervals.
 """
 
-from nearsemiring import (b2_x_l3, center, central_ideal_check, decompose,
-                          interval_algebra, is_central, luk_chain, q)
+from nearsemiring import (b2_x_l3, central_ideal_check, decompose, interval_algebra,
+                          is_central, luk_chain, q)
+from nearsemiring.center import center
 
 alg = b2_x_l3()
 

@@ -12,10 +12,10 @@ from .cantor_bernstein import (CBInstance, CBTrace, cb_isomorphism, cb_search,
                                cb_sequences, make_cb_instance)
 from .catalog import (b2_x_b2, b2_x_l3, boolean2, full_corpus, godel3,
                       l3_x_b2, luk_chain, luk_corpus, trivial)
-from .center import (CenterReport, Decomposition, Interval, center,
-                     central_elements, central_ideal_check,
-                     central_laws_report, decompose, interval_algebra,
-                     is_central, partition_decomposition, q)
+# not the function center: it would hide the submodule of that name
+from .center import (CenterReport, Decomposition, Interval, central_elements,
+                     central_ideal_check, central_laws_report, decompose,
+                     interval_algebra, is_central, partition_decomposition, q)
 from .congruences import (MalcevReport, PairSet, Partition, all_congruences,
                           malcev_and_regularity_report, polynomial_pairs,
                           principal_congruence, werner_comparison)

@@ -14,11 +14,11 @@ comment that runs to the end of the line):
     oplus = [[...], ...]            # mv kind
     neg   = [...]                   # mv kind
 
-Lexical rules: an integer is ASCII -?[0-9]+ (any other run of non-space,
-non-punctuation characters is a word); a string is double-quoted, ends on its
-own line and takes backslash escapes (a backslash keeps the next character);
-whitespace is Unicode whitespace (str.isspace()). A diagnostic's column counts
-code points. Lists nest at most 32 deep. Element names must be distinct.
+Lexical rules: an integer is ASCII -?[0-9]+; any other run of non-space,
+non-punctuation characters is a word (a kind or a map entry, never a name); a
+string is double-quoted, ends on its own line and takes backslash escapes (a
+backslash keeps the next character); whitespace is str.isspace(). Columns
+count code points. Lists nest at most 32 deep. Element names are distinct.
 
 Serialization is canonical: parse(serialize(doc)) == doc, and serializing a
 parsed canonical file reproduces it byte for byte.
@@ -66,11 +66,15 @@ def _error(text: str, at: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, line_start) + 1, start - line_start + 1)
 
 
+class _Word(str):
+    """The payload of an unquoted word: a kind or a map entry, never a name."""
+
+
 def _scalar(tok: str) -> Union[int, str]:
     """The payload of a word, integer or string token."""
     if tok[0] == '"':
         return _ESCAPE.sub(r"\1", tok[1:-1])
-    return int(tok) if _INT.fullmatch(tok) else tok
+    return int(tok) if _INT.fullmatch(tok) else _Word(tok)
 
 
 def _entries(text: str) -> dict[str, tuple]:
@@ -240,6 +244,7 @@ def parse(text: str) -> AlgebraDocument:
     if kind not in KINDS:
         raise _error(text, at, f"unknown kind {_plain(kind)!r} "
                                f"(expected one of {', '.join(KINDS)})")
+    kind = str(kind)
     need("size")
     size = _want_int(text, entries, "size", lo=1)
     need("zero")
@@ -253,7 +258,7 @@ def parse(text: str) -> AlgebraDocument:
         if len(v) != size:
             raise _error(text, at, f"names must have {size} entries, got {len(v)}")
         for name, at in v:
-            if not isinstance(name, str):
+            if type(name) is not str:  # an int, a list or a bare _Word
                 raise _error(text, at, "names entries must be quoted strings")
         # an element name must pick one element (nsr decompose --element NAME)
         seen: set[str] = set()

@@ -13,9 +13,9 @@ reference semantics the compiled scans are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from .core import FiniteAlgebra, leq, per_algebra
 from .terms import (JOIN_FROM_TIMES, LUK_LHS, LUK_RHS, ONE, ZERO, Alpha, Const, Plus,
@@ -105,16 +105,6 @@ def check_identity(alg: FiniteAlgebra, name: str, lhs: Term, rhs: Term,
     return CheckOutcome(name, False, Witness(tuple(zip(variables, values)), l, r), detail)
 
 
-def first_failure(alg: FiniteAlgebra, name: str,
-                  laws: Sequence[tuple[str, Term, Term]]) -> CheckOutcome:
-    """One verdict for a bundle of identities; the detail names the sublaw."""
-    for law_name, lhs, rhs in laws:
-        out = check_identity(alg, name, lhs, rhs, detail=law_name)
-        if not out.ok:
-            return out
-    return CheckOutcome(name, True)
-
-
 def _antitone(alg: FiniteAlgebra) -> CheckOutcome:
     for b in range(alg.size):
         for a in range(alg.size):
@@ -127,8 +117,8 @@ def _antitone(alg: FiniteAlgebra) -> CheckOutcome:
 
 Laws = tuple[tuple[str, tuple[tuple[str, Term, Term], ...]], ...]
 
-#: the identity axioms (i)-(v) of every class; a bundle is checked by
-#: first_failure, and a lone identity carries no sublaw name
+#: the identity axioms (i)-(v) of every class; an entry is a bundle of
+#: identities (check_laws), and a lone identity carries no sublaw name
 BASE_LAWS: Laws = (
     ("(i)", (("x+x = x", x + x, x),
              ("x+y = y+x", x + y, y + x),
@@ -158,8 +148,38 @@ DERIVED_LAWS: Laws = (
 )
 
 
-def _check_all(alg: FiniteAlgebra, laws: Laws) -> tuple[CheckOutcome, ...]:
-    return tuple(first_failure(alg, name, bundle) for name, bundle in laws)
+def check_laws(alg: FiniteAlgebra, laws: Laws) -> tuple[CheckOutcome, ...]:
+    """One verdict per entry of a law table, in table order: the first failing
+    identity of its bundle, whose detail names the sublaw, or a pass."""
+    out = []
+    for name, bundle in laws:
+        for sublaw, lhs, rhs in bundle:
+            verdict = check_identity(alg, name, lhs, rhs)
+            if not verdict.ok:
+                verdict = replace(verdict, detail=sublaw)
+                break
+        out.append(verdict)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class LawReport:
+    """Verdicts in check order: a law table's, and any checks that follow it."""
+
+    checks: tuple[CheckOutcome, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    def failures(self) -> tuple[CheckOutcome, ...]:
+        return tuple(c for c in self.checks if not c.ok)
+
+    def outcome(self, name: str) -> CheckOutcome:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -175,7 +195,7 @@ class AxiomReport:
 
     @cached_property
     def derived(self) -> tuple[CheckOutcome, ...]:
-        return _check_all(self.alg, DERIVED_LAWS)
+        return check_laws(self.alg, DERIVED_LAWS)
 
     @property
     def ok(self) -> bool:
@@ -185,10 +205,7 @@ class AxiomReport:
         return tuple(c for c in self.axioms if not c.ok)
 
     def outcome(self, name: str) -> CheckOutcome:
-        for c in self.axioms + self.derived:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return LawReport(self.axioms + self.derived).outcome(name)
 
 
 def check_axioms(alg: FiniteAlgebra, algebra_class: str = LUK_NRS) -> AxiomReport:
@@ -203,8 +220,8 @@ def check_axioms(alg: FiniteAlgebra, algebra_class: str = LUK_NRS) -> AxiomRepor
     """
     if algebra_class not in CLASSES:
         raise ValueError(f"unknown class {algebra_class!r}; expected one of {CLASSES}")
-    checks = (_check_all(alg, BASE_LAWS) + (_antitone(alg),)
-              + _check_all(alg, CLASS_LAWS[algebra_class]))
+    checks = (check_laws(alg, BASE_LAWS) + (_antitone(alg),)
+              + check_laws(alg, CLASS_LAWS[algebra_class]))
     return AxiomReport(algebra_class, checks, alg)
 
 

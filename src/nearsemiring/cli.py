@@ -19,11 +19,11 @@ from .axioms import CLASSES, INRS, LUK_NRS, check_axioms, require_class
 from .cantor_bernstein import cb_search, cb_sequences, make_cb_instance
 from .center import center, central_elements, decompose
 from .congruences import all_congruences, malcev_and_regularity_report
-from .core import FiniteAlgebra, SizeLimitError
+from .core import DEFAULT_MAX_SIZE, FiniteAlgebra, SizeLimitError
 from .hasse import covering_pairs, hasse_dot
 from .ideals import (DEFAULT_SUBSET_THRESHOLD, all_ideals, principal_ideal_report,
                      semiring_claims_report)
-from .mv import AdjudicationError, from_mv, roundtrip_check, to_mv
+from .mv import AdjudicationError, check_mv_axioms, from_mv, roundtrip_check, to_mv
 from .reports import EXIT_USAGE, Report
 from .search import EnumerationCapExceeded, EnumerationTask, enumerate_with_forms
 
@@ -80,13 +80,12 @@ def _echo(args: argparse.Namespace) -> str:
 def cmd_check(args) -> tuple[str, int]:
     doc = _load(args.file)
     if doc.is_mv:
-        from .mv import check_mv_axioms
         mv = doc.to_algebra()
         report = Report(_echo(args))
         report.universe(mv)
         report.section("mv axioms")
         for c in check_mv_axioms(mv).checks:
-            report.verdict(c.ok, c.name, c.detail)
+            report.verdict(c.ok, c.name, c.witness.render(mv) if c.witness else "")
         return report.render(), report.exit_status
     alg = doc.to_algebra()
     cls = args.algebra_class or doc.kind
@@ -354,7 +353,7 @@ def _positive(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # each flag goes only to the commands that read it
     max_size = argparse.ArgumentParser(add_help=False)
-    max_size.add_argument("--max-size", type=_positive, default=4096,
+    max_size.add_argument("--max-size", type=_positive, default=DEFAULT_MAX_SIZE,
                           help="universe-size guard (congruences) or central-pair cap (cb)")
     threshold = argparse.ArgumentParser(add_help=False)
     threshold.add_argument("--threshold", type=_positive, default=DEFAULT_SUBSET_THRESHOLD,

@@ -32,11 +32,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .axioms import LUK_NRS, LUK_RS, CheckOutcome, check_identity, classify
-from .core import FiniteAlgebra, SizeLimitError, per_algebra
+from .axioms import LUK_NRS, LUK_RS, CheckOutcome, LawReport, Laws, check_laws, classify
+from .core import DEFAULT_MAX_SIZE, FiniteAlgebra, SizeLimitError, per_algebra
 from .terms import ZERO, difference_s, malcev_p, x, y
-
-DEFAULT_MAX_UNIVERSE = 256
 
 
 def _find(parent: list[int], u: int) -> int:
@@ -300,7 +298,7 @@ def join_irreducibles(alg: FiniteAlgebra) -> tuple[int, ...]:
 
 
 def all_congruences(alg: FiniteAlgebra,
-                    max_size: int = DEFAULT_MAX_UNIVERSE) -> tuple[Partition, ...]:
+                    max_size: int = DEFAULT_MAX_SIZE) -> tuple[Partition, ...]:
     """Complete Con(A): the join closure of a generating set of congruences.
 
     Every congruence is the join of the principal congruences of its pairs.
@@ -363,21 +361,17 @@ def werner_comparison(alg: FiniteAlgebra, a: int, b: int) -> WernerComparison:
     )
 
 
-@dataclass(frozen=True)
-class MalcevReport:
-    """Permutability-term, permutability, 0-regularity and difference-term checks."""
+#: the Mal'cev term p and the difference term s, each a lone identity
+MALCEV_LAWS: Laws = (
+    ("p(x,y,y) = x", (("", malcev_p(x, y, y), x),)),
+    ("p(x,x,y) = y", (("", malcev_p(x, x, y), y),)),
+    ("s(x,x) = 0", (("", difference_s(x, x), ZERO),)),
+    ("s(0,x) = x", (("", difference_s(ZERO, x), x),)),
+)
 
-    checks: tuple[CheckOutcome, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def outcome(self, name: str) -> CheckOutcome:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+#: the Mal'cev report: MALCEV_LAWS, then permutability and 0-regularity
+MalcevReport = LawReport
 
 
 def malcev_and_regularity_report(alg: FiniteAlgebra,
@@ -388,10 +382,7 @@ def malcev_and_regularity_report(alg: FiniteAlgebra,
     On a Lukasiewicz near semiring every check passes; on other inputs the
     report documents what breaks and where.
     """
-    checks = [check_identity(alg, "p(x,y,y) = x", malcev_p(x, y, y), x),
-              check_identity(alg, "p(x,x,y) = y", malcev_p(x, x, y), y),
-              check_identity(alg, "s(x,x) = 0", difference_s(x, x), ZERO),
-              check_identity(alg, "s(0,x) = x", difference_s(ZERO, x), x)]
+    checks = list(check_laws(alg, MALCEV_LAWS))
     cons = congruences if congruences is not None else all_congruences(alg)
 
     bad = next(((p, q) for p, q in itertools.combinations(cons, 2)

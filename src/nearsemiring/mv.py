@@ -2,10 +2,11 @@
 
 Both directions are plain table transforms; round trips are required to be
 table-identical (the translations are term operations on the same carrier),
-and every produced structure is re-checked against its axioms.  MV-ideals are
-a table of Horn rules on the subset engine of the ideals module, built once
-per ideal_correspondence_report; the subsets closed under it are compared
-with those closed under the (I1)/(I2) table.
+and every produced structure is re-checked against its axioms once (the MV
+axioms are the law table MV_LAWS, kept per instance).  MV-ideals are a table
+of Horn rules on the subset engine of the ideals module, built once per
+ideal_correspondence_report; the subsets closed under it are compared with
+those closed under the (I1)/(I2) table.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .axioms import LUK_RS, CheckOutcome, check_axioms, require_class
-from .core import AlgebraError, FiniteAlgebra, Table, _as_table, _as_vector
+from .axioms import (LUK_RS, LawReport, Laws, check_axioms, check_laws, classify,
+                     require_class)
+from .core import AlgebraError, FiniteAlgebra, Table, _as_table, _as_vector, per_algebra
 from .ideals import ElementSet, _ideal_rules, _Rules
+from .terms import ONE, ZERO, x, y, z
 
 
 class AdjudicationError(Exception):
@@ -47,12 +50,13 @@ class MVAlgebra:
                 raise AlgebraError(f"names must have {n} entries, got {len(names)}")
             object.__setattr__(self, "names", names)
 
+    # as on FiniteAlgebra: labels, and pickles and copies that compute their own memos
+    __getstate__ = FiniteAlgebra.__getstate__
+    label = FiniteAlgebra.label
+
     @property
     def one(self) -> int:
         return self.neg[self.zero]
-
-    def label(self, v: int) -> str:
-        return self.names[v] if self.names is not None else str(v)
 
     def same_tables(self, other: "MVAlgebra") -> bool:
         return (self.size == other.size and self.oplus == other.oplus
@@ -62,41 +66,32 @@ class MVAlgebra:
         return self.oplus[self.neg[a]][b] == self.one
 
 
-@dataclass(frozen=True)
-class MVReport:
-    checks: tuple[CheckOutcome, ...]
+#: Chang's axioms (Cignoli, D'Ottaviano and Mundici, 2000) on the table view
+#: of check_mv_axioms: + is oplus, alpha is neg and 1 is neg 0
+MV_LAWS: Laws = (
+    ("oplus commutative", (("", x + y, y + x),)),
+    ("oplus associative", (("", (x + y) + z, x + (y + z)),)),
+    ("zero is neutral", (("", ZERO + x, x),)),
+    ("double negation", (("", x.a.a, x),)),
+    ("neg(neg x + y) + y symmetric", (("", (x.a + y).a + y, (y.a + x).a + x),)),
+    ("one absorbs", (("", x + ONE, ONE),)),
+)
 
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
 
-    def failures(self) -> tuple[CheckOutcome, ...]:
-        return tuple(c for c in self.checks if not c.ok)
+def _odot(mv: MVAlgebra) -> list[list[int]]:
+    """The table of x (.) y = neg(neg x (+) neg y)."""
+    n, op, neg = mv.size, mv.oplus, mv.neg
+    return [[neg[op[neg[a]][neg[b]]] for b in range(n)] for a in range(n)]
 
 
-def check_mv_axioms(mv: MVAlgebra) -> MVReport:
-    """A standard complete finite axiom set, checked exhaustively."""
-    n, op, neg, zero = mv.size, mv.oplus, mv.neg, mv.zero
-    one = mv.one
-    checks: list[CheckOutcome] = []
+@per_algebra
+def check_mv_axioms(mv: MVAlgebra) -> LawReport:
+    """MV_LAWS on mv read as a table algebra, with x*y = neg(neg x (+) neg y).
 
-    def law(name: str, violations) -> None:
-        first = next(iter(violations), None)
-        checks.append(CheckOutcome(name, first is None,
-                                   detail="" if first is None else f"at {first}"))
-
-    law("oplus commutative",
-        ((a, b) for a in range(n) for b in range(n) if op[a][b] != op[b][a]))
-    law("oplus associative",
-        ((a, b, c) for a in range(n) for b in range(n) for c in range(n)
-         if op[op[a][b]][c] != op[a][op[b][c]]))
-    law("zero is neutral", (a for a in range(n) if op[zero][a] != a))
-    law("double negation", (a for a in range(n) if neg[neg[a]] != a))
-    law("neg(neg x + y) + y symmetric",
-        ((a, b) for a in range(n) for b in range(n)
-         if op[neg[op[neg[a]][b]]][b] != op[neg[op[neg[b]][a]]][a]))
-    law("one absorbs", (a for a in range(n) if op[a][one] != one))
-    return MVReport(tuple(checks))
+    Computed once per instance and kept on it; an equal copy computes its own.
+    """
+    view = FiniteAlgebra(mv.size, mv.oplus, _odot(mv), mv.neg, mv.zero, mv.one)
+    return LawReport(check_laws(view, MV_LAWS))
 
 
 def to_mv(alg: FiniteAlgebra) -> MVAlgebra:
@@ -109,7 +104,8 @@ def to_mv(alg: FiniteAlgebra) -> MVAlgebra:
     if not report.ok:
         raise AdjudicationError(
             "translated structure fails MV axioms: "
-            + ", ".join(c.name + " " + c.detail for c in report.failures()))
+            + ", ".join(f"{c.name} -- witness: {c.witness.render(mv)}"
+                        for c in report.failures()))
     return mv
 
 
@@ -124,14 +120,12 @@ def from_mv(mv: MVAlgebra) -> FiniteAlgebra:
                          + ", ".join(c.name for c in report.failures()))
     n, op, neg = mv.size, mv.oplus, mv.neg
     plus = [[op[neg[op[neg[a]][b]]][b] for b in range(n)] for a in range(n)]
-    times = [[neg[op[neg[a]][neg[b]]] for b in range(n)] for a in range(n)]
-    alg = FiniteAlgebra(size=n, plus=plus, times=times, alpha=neg,
+    alg = FiniteAlgebra(size=n, plus=plus, times=_odot(mv), alpha=neg,
                         zero=mv.zero, one=mv.one, names=mv.names)
-    back = check_axioms(alg, LUK_RS)
-    if not back.ok:
+    if classify(alg) != LUK_RS:
         raise AdjudicationError(
             "translated structure fails Lukasiewicz semiring axioms: "
-            + ", ".join(c.name for c in back.failures()))
+            + ", ".join(c.name for c in check_axioms(alg, LUK_RS).failures()))
     return alg
 
 
@@ -145,25 +139,19 @@ def roundtrip_check(x: Union[FiniteAlgebra, MVAlgebra]) -> RoundTrip:
     """R(M(A)) = A for semirings, M(R(B)) = B for MV-algebras, on the nose."""
     if isinstance(x, FiniteAlgebra):
         back = from_mv(to_mv(x))
-        for name, mine, theirs in (("plus", x.plus, back.plus),
-                                   ("times", x.times, back.times)):
-            for i, j in itertools.product(range(x.size), repeat=2):
-                if mine[i][j] != theirs[i][j]:
-                    return RoundTrip(False,
-                                     f"{name}[{i}][{j}]: {mine[i][j]} != {theirs[i][j]}")
-        if x.alpha != back.alpha:
-            return RoundTrip(False, "alpha differs")
-        if (x.zero, x.one) != (back.zero, back.one):
-            return RoundTrip(False, "designated constants differ")
-        return RoundTrip(True)
-    back_mv = to_mv(from_mv(x))
-    for i, j in itertools.product(range(x.size), repeat=2):
-        if x.oplus[i][j] != back_mv.oplus[i][j]:
-            return RoundTrip(False,
-                             f"oplus[{i}][{j}]: {x.oplus[i][j]} != {back_mv.oplus[i][j]}")
-    if x.neg != back_mv.neg or x.zero != back_mv.zero:
-        return RoundTrip(False, "neg or zero differs")
-    return RoundTrip(True)
+        tables = (("plus", x.plus, back.plus), ("times", x.times, back.times))
+        rest = (("alpha differs", x.alpha != back.alpha),
+                ("designated constants differ", (x.zero, x.one) != (back.zero, back.one)))
+    else:
+        back = to_mv(from_mv(x))
+        tables = (("oplus", x.oplus, back.oplus),)
+        rest = (("neg or zero differs", x.neg != back.neg or x.zero != back.zero),)
+    for name, mine, theirs in tables:
+        for i, j in itertools.product(range(x.size), repeat=2):
+            if mine[i][j] != theirs[i][j]:
+                return RoundTrip(False, f"{name}[{i}][{j}]: {mine[i][j]} != {theirs[i][j]}")
+    mismatch = next((what for what, differs in rest if differs), "")
+    return RoundTrip(not mismatch, mismatch)
 
 
 def _mv_ideal_rules(mv: MVAlgebra) -> _Rules:

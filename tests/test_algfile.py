@@ -440,6 +440,17 @@ def test_duplicate_names_are_rejected_at_the_second():
         "duplicate name 'a'", 3, 20)
 
 
+def test_bare_word_names_are_refused_at_the_first_word():
+    text = ('kind = luk-rs\nsize = 2\nnames = [lo, hi]\nzero = 0\none = 1\n'
+            'plus = [[0,1],[1,1]]\ntimes = [[0,0],[0,1]]\nalpha = [1,0]\n')
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "names entries must be quoted strings", 3, 10)
+    # a kind may still be a word, and names may be quoted strings
+    assert parse(text.replace("[lo, hi]", '["lo", "hi"]')).names == ("lo", "hi")
+
+
 def test_map_diagnostics_are_located(tmp_path):
     m = tmp_path / "m.map"
     for text, message, line, col in (

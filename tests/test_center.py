@@ -1,6 +1,7 @@
 import functools
 import importlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -145,21 +146,7 @@ def test_semantic_centrality_matches_the_lattice_reference_on_the_bundled_corpus
     assert True in verdicts and False in verdicts
 
 
-def test_boolean_laws_hold_on_the_boolean_square():
-    # 0, a, b, 1 as the bit patterns 00, 01, 10, 11
-    meet = [[p & r for r in range(4)] for p in range(4)]
-    join = [[p | r for r in range(4)] for p in range(4)]
-    assert verify_boolean_laws(meet, join, [3 - p for p in range(4)], 0, 3) == []
-
-
-def test_boolean_laws_name_the_complement_laws_on_the_three_chain():
-    meet = [[min(p, r) for r in range(3)] for p in range(3)]
-    join = [[max(p, r) for r in range(3)] for p in range(3)]
-    assert verify_boolean_laws(meet, join, [2, 1, 0], 0, 2) == [
-        "complements meet to bottom", "complements join to top"]
-
-
-def test_boolean_laws_name_both_distributive_laws_on_the_diamond():
+def m3_tables():
     # M3: 0, the atoms 1, 2, 3, and 4 on top; each atom complements the next
     def meet(p, r):
         return p if p == r or r == 4 else r if p == 4 else 0
@@ -167,10 +154,115 @@ def test_boolean_laws_name_both_distributive_laws_on_the_diamond():
     def join(p, r):
         return p if p == r or r == 0 else r if p == 0 else 4
 
-    table = [[meet(p, r) for r in range(5)] for p in range(5)]
-    joins = [[join(p, r) for r in range(5)] for p in range(5)]
-    assert verify_boolean_laws(table, joins, [4, 2, 3, 1, 0], 0, 4) == [
+    return ([[meet(p, r) for r in range(5)] for p in range(5)],
+            [[join(p, r) for r in range(5)] for p in range(5)], [4, 2, 3, 1, 0], 0, 4)
+
+
+# 0, a, b, 1 as the bit patterns 00, 01, 10, 11
+BOOLEAN_SQUARE = ([[p & r for r in range(4)] for p in range(4)],
+                  [[p | r for r in range(4)] for p in range(4)], [3 - p for p in range(4)], 0, 3)
+THREE_CHAIN = ([[min(p, r) for r in range(3)] for p in range(3)],
+               [[max(p, r) for r in range(3)] for p in range(3)], [2, 1, 0], 0, 2)
+M3 = m3_tables()
+
+
+def test_boolean_laws_hold_on_the_boolean_square():
+    assert verify_boolean_laws(*BOOLEAN_SQUARE) == []
+
+
+def test_boolean_laws_name_the_complement_laws_on_the_three_chain():
+    assert verify_boolean_laws(*THREE_CHAIN) == [
+        "complements meet to bottom", "complements join to top"]
+
+
+def test_boolean_laws_name_both_distributive_laws_on_the_diamond():
+    assert verify_boolean_laws(*M3) == [
         "meet distributes over join", "join distributes over meet"]
+
+
+def reference_boolean_laws(meet, join, comp, bot, top):
+    """The hand-written scans verify_boolean_laws replaced, kept as its reference."""
+    es = range(len(comp))
+    laws = (
+        ("meet commutative", all(meet[p][r] == meet[r][p] for p in es for r in es)),
+        ("join commutative", all(join[p][r] == join[r][p] for p in es for r in es)),
+        ("meet associative", all(meet[meet[p][r]][s] == meet[p][meet[r][s]]
+                                 for p in es for r in es for s in es)),
+        ("join associative", all(join[join[p][r]][s] == join[p][join[r][s]]
+                                 for p in es for r in es for s in es)),
+        ("absorption", all(meet[p][join[p][r]] == p and join[p][meet[p][r]] == p
+                           for p in es for r in es)),
+        ("meet distributes over join",
+         all(meet[p][join[r][s]] == join[meet[p][r]][meet[p][s]]
+             for p in es for r in es for s in es)),
+        ("join distributes over meet",
+         all(join[p][meet[r][s]] == meet[join[p][r]][join[p][s]]
+             for p in es for r in es for s in es)),
+        ("top is meet identity", all(meet[p][top] == p for p in es)),
+        ("bottom is join identity", all(join[p][bot] == p for p in es)),
+        ("complements meet to bottom", all(meet[p][comp[p]] == bot for p in es)),
+        ("complements join to top", all(join[p][comp[p]] == top for p in es)),
+    )
+    return [name for name, holds in laws if not holds]
+
+
+def center_index_tables(alg):
+    """The index tables center() hands to verify_boolean_laws, or None when
+    Ce(A) is not closed (center() then makes no Boolean check)."""
+    elements = central_elements(alg)
+    index = {e: i for i, e in enumerate(elements)}
+    images = [alg.zero, alg.one, *(alg.alpha[e] for e in elements)]
+    images += [t[e][f] for t in (alg.plus, alg.times) for e in elements for f in elements]
+    if any(v not in index for v in images):
+        return None
+    return ([[index[alg.times[e][f]] for f in elements] for e in elements],
+            [[index[alg.plus[e][f]] for f in elements] for e in elements],
+            [index[alg.alpha[e]] for e in elements], index[alg.zero], index[alg.one])
+
+
+def random_boolean_tables(rng, k):
+    cell = range(k)
+    return ([[rng.choice(cell) for _ in cell] for _ in cell],
+            [[rng.choice(cell) for _ in cell] for _ in cell],
+            [rng.choice(cell) for _ in cell], rng.choice(cell), rng.choice(cell))
+
+
+def test_boolean_laws_match_the_reference_scans():
+    pools = [models(n, INRS) for n in range(1, 6)] + [models(n, LUK_NRS) for n in range(1, 8)]
+    centers = [center_index_tables(alg) for pool in pools for alg in pool]
+    centers = [tables for tables in centers if tables is not None]
+    assert len(centers) > 1000
+    rng = random.Random(23)
+    drawn = [random_boolean_tables(rng, rng.randint(1, 4)) for _ in range(3000)]
+    verdicts = set()
+    for tables in [BOOLEAN_SQUARE, THREE_CHAIN, M3] + centers + drawn:
+        got = verify_boolean_laws(*tables)
+        assert got == reference_boolean_laws(*tables), tables
+        verdicts.add(len(got))
+    assert 0 in verdicts and len(verdicts) > 3
+
+
+def test_the_boolean_order_is_implied_by_commutativity_and_absorption():
+    # center() checks no order apart: where both commutative laws and absorption
+    # hold, meet[i][j] = i (e*f = e) iff join[i][j] = j (e <= f).  Checked on
+    # every pair of idempotent commutative tables with k <= 3 (absorption
+    # forces idempotence).
+    implied = 0
+    for k in (1, 2, 3):
+        cells = list(itertools.combinations(range(k), 2))
+        tables = []
+        for values in itertools.product(range(k), repeat=len(cells)):
+            table = [[i if i == j else None for j in range(k)] for i in range(k)]
+            for (i, j), v in zip(cells, values):
+                table[i][j] = table[j][i] = v
+            tables.append(table)
+        for meet, join in itertools.product(tables, repeat=2):
+            if "absorption" in verify_boolean_laws(meet, join, list(range(k)), 0, 0):
+                continue
+            implied += 1
+            assert all((meet[i][j] == i) == (join[i][j] == j)
+                       for i in range(k) for j in range(k))
+    assert implied > 10
 
 
 def test_intervals_keep_the_class_of_their_parent():

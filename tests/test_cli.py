@@ -1,6 +1,7 @@
 import argparse
 import functools
 import importlib
+import inspect
 import io
 import json
 import os
@@ -50,6 +51,14 @@ def test_check_mv_document(capsys):
     status, out, _ = run(capsys, "check", path("l3-mv.alg"))
     assert status == 0
     assert "mv axioms" in out
+
+
+def test_check_mv_document_prints_the_witness_of_a_failed_axiom(capsys, tmp_path):
+    doc = tmp_path / "broken-mv.alg"
+    doc.write_text("kind = mv\nsize = 2\nzero = 0\noplus = [[0, 0], [0, 1]]\nneg = [1, 0]\n")
+    status, out, _ = run(capsys, "check", str(doc))
+    assert status == 1
+    assert "FAIL zero is neutral -- witness: x=1: lhs=0 rhs=1\n" in out
 
 
 def test_ideals_l3(capsys):
@@ -322,7 +331,6 @@ def test_center_and_decompose_reject_non_inrs(tmp_path, capsys):
 
 
 def test_center_evaluates_syntactic_centrality_once_per_element(monkeypatch, capsys):
-    # the package re-exports the center() function under the module's name
     center_module = importlib.import_module("nearsemiring.center")
     calls = []
     original = center_module.syntactic_centrality
@@ -335,6 +343,20 @@ def test_center_evaluates_syntactic_centrality_once_per_element(monkeypatch, cap
     status, _, _ = run(capsys, "center", path("b2xl3.alg"))
     assert status == 0
     assert sorted(calls) == list(range(6))
+
+
+def test_the_center_submodule_is_not_hidden_by_the_function():
+    import nearsemiring.center as m
+    assert m is importlib.import_module("nearsemiring.center")
+    assert callable(m.center)
+
+
+def test_library_and_command_line_share_the_size_guard_default():
+    from nearsemiring.congruences import all_congruences
+    from nearsemiring.core import DEFAULT_MAX_SIZE
+    library = inspect.signature(all_congruences).parameters["max_size"].default
+    for argv in (["congruences", "f.alg"], ["cb", "a.alg", "b.alg"]):
+        assert build_parser().parse_args(argv).max_size == library == DEFAULT_MAX_SIZE
 
 
 def test_threads_is_not_a_flag(capsys):

@@ -12,13 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearsemiring import axioms
-from nearsemiring.axioms import INRS, LUK_RS, CheckOutcome, Witness, check_axioms, check_identity
+from nearsemiring.axioms import (INRS, LUK_RS, CheckOutcome, Witness, check_axioms,
+                                 check_identity, check_laws)
 from nearsemiring.catalog import boolean2, full_corpus, l3_x_b2
-from nearsemiring.center import CENTRALITY_LAWS
+from nearsemiring.center import BOOLEAN_LAWS, CENTRALITY_LAWS
+from nearsemiring.congruences import MALCEV_LAWS
 from nearsemiring.core import FiniteAlgebra
+from nearsemiring.mv import MV_LAWS
 from nearsemiring.search import EnumerationTask, enumerate_algebras
-from nearsemiring.terms import (ONE, ZERO, Alpha, Plus, Times, Var, difference_s,
-                                eval_term, malcev_p, x, y)
+from nearsemiring.terms import ONE, ZERO, Alpha, Plus, Times, Var, eval_term
 
 
 def reference_check(alg, name, lhs, rhs, detail="", fixed=None):
@@ -55,10 +57,6 @@ def axiom_identities():
     return seen
 
 
-MALCEV_INSTANCES = (("p(x,y,y) = x", malcev_p(x, y, y), x),
-                    ("p(x,x,y) = y", malcev_p(x, x, y), y),
-                    ("s(x,x) = 0", difference_s(x, x), ZERO),
-                    ("s(0,x) = x", difference_s(ZERO, x), x))
 ALGEBRAS = (full_corpus() + (l3_x_b2(),)
             + tuple(alg for n in range(2, 5)
                     for alg in enumerate_algebras(EnumerationTask(n, INRS))))
@@ -86,10 +84,26 @@ def test_centrality_laws_match_the_reference_for_every_element():
     assert failures  # the witness path is exercised too
 
 
-def test_malcev_instances_match_the_reference():
-    for alg in ALGEBRAS:
-        for name, lhs, rhs in MALCEV_INSTANCES:
-            assert check_identity(alg, name, lhs, rhs) == reference_check(alg, name, lhs, rhs)
+def reference_laws(alg, laws):
+    """check_laws by the interpreted scan: per entry, the first failing
+    identity of its bundle, with the sublaw name as the detail."""
+    out = []
+    for name, bundle in laws:
+        failed = (reference_check(alg, name, lhs, rhs, detail) for detail, lhs, rhs in bundle)
+        out.append(next((c for c in failed if not c.ok), CheckOutcome(name, True)))
+    return tuple(out)
+
+
+def test_law_tables_match_the_reference():
+    # the MV axioms, the Boolean laws and the Mal'cev identities, read on
+    # every table of ALGEBRAS; witnesses included
+    for laws in (MV_LAWS, BOOLEAN_LAWS, MALCEV_LAWS):
+        failures = 0
+        for alg in ALGEBRAS:
+            got = check_laws(alg, laws)
+            assert got == reference_laws(alg, laws)
+            failures += sum(not c.ok for c in got)
+        assert failures  # the witness path is exercised for every table
 
 
 def test_generated_scan_names_only_its_own_identifiers():

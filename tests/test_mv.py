@@ -1,7 +1,13 @@
+import copy
+import importlib
 import itertools
+import pickle
+import random
 
 import pytest
 
+from nearsemiring import bundled_file
+from nearsemiring.algfile import load
 from nearsemiring.catalog import b2_x_b2, b2_x_l3, boolean2, godel3, luk_chain, trivial
 from nearsemiring.core import AlgebraError, product
 from nearsemiring.mv import (MVAlgebra, check_mv_axioms, from_mv,
@@ -69,6 +75,92 @@ def test_from_mv_rejects_broken_input():
     assert not report.ok
     with pytest.raises(ValueError, match="MV axioms"):
         from_mv(broken)
+
+
+def reference_mv_axioms(mv):
+    """The hand-written scans check_mv_axioms replaced, kept as its reference:
+    one (name, holds) per axiom."""
+    n, op, neg, zero, one = mv.size, mv.oplus, mv.neg, mv.zero, mv.one
+    es = range(n)
+    return [
+        ("oplus commutative", all(op[a][b] == op[b][a] for a in es for b in es)),
+        ("oplus associative", all(op[op[a][b]][c] == op[a][op[b][c]]
+                                  for a in es for b in es for c in es)),
+        ("zero is neutral", all(op[zero][a] == a for a in es)),
+        ("double negation", all(neg[neg[a]] == a for a in es)),
+        ("neg(neg x + y) + y symmetric",
+         all(op[neg[op[neg[a]][b]]][b] == op[neg[op[neg[b]][a]]][a] for a in es for b in es)),
+        ("one absorbs", all(op[a][one] == one for a in es)),
+    ]
+
+
+MV_TRANSLATES = tuple(to_mv(alg) for alg in (boolean2(), luk_chain(3), luk_chain(4), b2_x_b2()))
+
+
+def random_mv_tables(rng):
+    """A random table, or a translate with one cell of oplus or neg redrawn."""
+    if rng.random() < 0.5:
+        n = rng.randint(1, 4)
+        cell = range(n)
+        return MVAlgebra(n, [[rng.choice(cell) for _ in cell] for _ in cell],
+                         [rng.choice(cell) for _ in cell], rng.choice(cell))
+    mv = rng.choice(MV_TRANSLATES)
+    oplus, neg = [list(row) for row in mv.oplus], list(mv.neg)
+    a, b, v = (rng.randrange(mv.size) for _ in range(3))
+    if rng.random() < 0.8:
+        oplus[a][b] = v
+    else:
+        neg[a] = v
+    return MVAlgebra(mv.size, oplus, neg, mv.zero)
+
+
+def test_mv_axioms_match_the_reference_scans():
+    rng = random.Random(23)
+    pinned = [mv_chain(k) for k in range(1, 7)] + list(MV_TRANSLATES)
+    drawn = [random_mv_tables(rng) for _ in range(3000)]
+    passed = 0
+    for mv in pinned + drawn:
+        report = check_mv_axioms(mv)
+        assert [(c.name, c.ok) for c in report.checks] == reference_mv_axioms(mv), mv
+        passed += report.ok
+    assert len(pinned) < passed < len(pinned) + len(drawn)
+
+
+def test_a_failed_mv_axiom_carries_its_witness():
+    broken = MVAlgebra(size=2, oplus=((0, 0), (0, 1)), neg=(1, 0), zero=0, names=("lo", "hi"))
+    bad = {c.name: c.witness.render(broken) for c in check_mv_axioms(broken).failures()}
+    assert bad == {"zero is neutral": "x=hi: lhs=lo rhs=hi",
+                   "one absorbs": "x=lo: lhs=lo rhs=hi"}
+
+
+def test_mv_axiom_reports_stay_off_copies_and_pickles():
+    mv = to_mv(luk_chain(3))
+    assert check_mv_axioms(mv) is check_mv_axioms(mv)
+    for other in (copy.copy(mv), copy.deepcopy(mv), pickle.loads(pickle.dumps(mv))):
+        assert other == mv and vars(other).keys() < vars(mv).keys()
+
+
+def test_roundtrip_scans_each_object_once(monkeypatch):
+    # one MV scan per MV-algebra and one luk-rs scan per table, each direction
+    axioms_module = importlib.import_module("nearsemiring.axioms")
+    mv_module = importlib.import_module("nearsemiring.mv")
+    table_scans, mv_scans = [], []
+
+    def counted(scans, fn):
+        def wrapper(alg, *args):
+            scans.append(alg)
+            return fn(alg, *args)
+        return wrapper
+
+    monkeypatch.setattr(axioms_module, "check_axioms",
+                        counted(table_scans, axioms_module.check_axioms))
+    monkeypatch.setattr(mv_module, "check_laws", counted(mv_scans, mv_module.check_laws))
+    for name, tables, mvs in (("b2xl3.alg", 2, 1), ("l3-mv.alg", 1, 2)):
+        table_scans.clear()
+        mv_scans.clear()
+        assert roundtrip_check(load(bundled_file(name)).to_algebra()).ok
+        assert (len(table_scans), len(mv_scans)) == (tables, mvs), name
+        assert len({id(a) for a in table_scans + mv_scans}) == tables + mvs
 
 
 def test_mv_axioms_pass_on_translates():
