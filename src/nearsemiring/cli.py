@@ -80,6 +80,8 @@ def _echo(args: argparse.Namespace) -> str:
 def cmd_check(args) -> tuple[str, int]:
     doc = _load(args.file)
     if doc.is_mv:
+        if args.algebra_class:
+            raise UsageError(f"{args.file}: --class applies to table documents, got kind mv")
         mv = doc.to_algebra()
         report = Report(_echo(args))
         report.universe(mv)
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="universe-size guard (congruences) or central-pair cap (cb)")
     threshold = argparse.ArgumentParser(add_help=False)
     threshold.add_argument("--threshold", type=_positive, default=DEFAULT_SUBSET_THRESHOLD,
-                           help="universe-size bound for brute-force subset scans")
+                           help="universe-size bound for listing every closed subset")
 
     parser = argparse.ArgumentParser(
         prog="nsr", description="finite near-semiring workbench")

@@ -263,6 +263,12 @@ def test_usage_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_check_class_on_an_mv_document_is_a_usage_error(capsys):
+    mv_doc = path("l3-mv.alg")
+    assert run(capsys, "check", mv_doc, "--class", "inrs") == (
+        2, "", f"error: {mv_doc}: --class applies to table documents, got kind mv\n")
+
+
 def test_exit_statuses_deterministic(capsys):
     # identical body (everything after the argv echo) on a repeated run
     s1, out1, _ = run(capsys, "claims", path("l3.alg"))

@@ -3,21 +3,26 @@ import itertools
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearsemiring.algfile import load
-from nearsemiring.axioms import LUK_NRS, LUK_RS, classify
+from nearsemiring.axioms import INRS, LUK_NRS, LUK_RS, classify
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
 from nearsemiring.congruences import Partition, all_congruences
-from nearsemiring.ideals import (ElementSet, IdealCheck, all_ideals,
+from nearsemiring.ideals import (ElementSet, IdealCheck, _ideal_rules, _Rules,
+                                 _semiring_rules, all_ideals,
                                  generate_ideal, ideal_join_via_coset, is_ideal,
                                  principal_ideal, principal_ideal_report,
                                  pseudocomplement, semiring_claims_report,
                                  skeleton, subset_conditions, theta_of_ideal,
                                  theta_partition)
 from nearsemiring.core import FiniteAlgebra, leq, product
-from nearsemiring.mv import from_mv
+from nearsemiring.mv import _mv_ideal_rules, from_mv, to_mv
 from nearsemiring.search import EnumerationTask, enumerate_algebras
+
+from enumerated import models
 
 L3 = luk_chain(3)
 LUK_CORPUS = (boolean2(), L3, luk_chain(4), b2_x_b2(), b2_x_l3(), trivial())
@@ -120,6 +125,54 @@ def test_subset_conditions_match_reference_on_all_subsets():
         for mask in range(1 << alg.size):
             s = ElementSet(alg.size, mask)
             assert subset_conditions(alg, s) == reference_subset_conditions(alg, s)
+
+
+def reference_closed(rules, n):
+    """Every subset of [0, n) tested one by one: the reference for _Rules.closed."""
+    return [m for m in range(1 << n) if rules.first_failure(m) is None]
+
+
+def test_closed_matches_the_subset_scan_on_algebra_rule_tables():
+    # list and order, on the ideal, semiring and MV-ideal rules
+    b2 = boolean2()
+    pool = ([alg for n in range(1, 6) for alg in models(n, INRS)]
+            + [alg for n in range(1, 8) for cls in (LUK_NRS, LUK_RS) for alg in models(n, cls)]
+            + bundled_luk_algebras()
+            + [product(product(b2, b2), b2), product(L3, L3), luk_chain(12)])
+    for alg in pool:
+        rule_sets = [_ideal_rules(alg), _semiring_rules(alg)]
+        if classify(alg) == LUK_RS:
+            rule_sets.append(_mv_ideal_rules(to_mv(alg)))
+        for rules in rule_sets:
+            assert rules.closed(alg.size) == reference_closed(rules, alg.size)
+
+
+@st.composite
+def horn_tables(draw):
+    """(n, rules) over [0, n): random rules plus the shapes the engine treats
+    specially, in a random order with distinct witnesses."""
+    n = draw(st.integers(0, 8))
+    mask = st.integers(0, (1 << n) - 1)
+    rules = draw(st.lists(st.tuples(mask, mask), max_size=10))
+    rules += [(0, c) for c in draw(st.lists(mask, max_size=2))]          # premise 0
+    rules += [(p, p & c)                                                 # none can break
+              for p, c in draw(st.lists(st.tuples(mask, mask), max_size=2))]
+    if rules:                                                            # repeated pairs
+        rules += draw(st.lists(st.sampled_from(rules), max_size=3))
+    if draw(st.booleans()):                                              # forces the full set
+        rules.append((draw(mask), (1 << n) - 1))
+    rules = draw(st.permutations(rules))
+    return n, _Rules((p, c, k) for k, (p, c) in enumerate(rules))
+
+
+@settings(max_examples=80, deadline=None)
+@given(horn_tables())
+def test_closed_matches_the_subset_scan_on_random_horn_tables(table):
+    n, rules = table
+    closed = rules.closed(n)
+    assert closed == reference_closed(rules, n)
+    assert all(a < b for a, b in zip(closed, closed[1:]))
+    assert all(rules.closure(m) == m for m in closed)
 
 
 def test_i3_reported():
