@@ -52,6 +52,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from operator import itemgetter
@@ -68,7 +69,9 @@ class EnumerationTask:
     size: int
     algebra_class: str = LUK_NRS
     max_nodes: int = DEFAULT_MAX_NODES
-    threads: int = 1    # kept for callers that still pass threads=1; no other value
+    # perfbench/workloads.py passes threads=1, its one caller; the field goes
+    # when the benchmark change of ROADMAP item 1 drops that argument
+    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -79,19 +82,24 @@ class EnumerationTask:
             raise ValueError("caps must be positive")
         if self.threads != 1:
             raise ValueError("the search is single-threaded")
+        # every complete plus table is compared with its (n-2)! relabellings,
+        # which the search holds in memory: refuse a task for which that one
+        # test costs more steps than its whole node budget
+        orders = math.factorial(max(self.size - 2, 0))
+        if orders > self.max_nodes:
+            raise ValueError(f"size {self.size} needs {self.size - 2}! = {orders} relabellings "
+                             f"per plus table, more than the node cap of {self.max_nodes}")
 
 
 class EnumerationCapExceeded(Exception):
-    """Node cap hit; carries the nodes visited, the deduplicated partial
-    results and a resume token."""
+    """Node cap hit; carries the nodes visited and the deduplicated partial
+    results."""
 
-    def __init__(self, nodes: int, partial: tuple[FiniteAlgebra, ...],
-                 resume: tuple[int, ...]):
+    def __init__(self, nodes: int, partial: tuple[FiniteAlgebra, ...]):
         super().__init__(f"node cap exceeded after {nodes} nodes with {len(partial)} "
-                         f"model(s) found; resume token {','.join(map(str, resume))}")
+                         "model(s) found")
         self.nodes = nodes
         self.partial = partial
-        self.resume = resume
 
 
 @dataclass(frozen=True)
@@ -296,13 +304,11 @@ def _antitone_involutions(P: list[list[int]], n: int) -> list[tuple[int, ...]]:
 
 
 class _Search:
-    def __init__(self, task: EnumerationTask, resume: Optional[tuple[int, ...]]):
+    def __init__(self, task: EnumerationTask):
         self.n = task.size
         self.cls = task.algebra_class
         self.max_nodes = task.max_nodes
-        self.cursor = resume
         self.nodes = 0
-        self.path: list[int] = []
         self.found: dict[bytes, FiniteAlgebra] = {}
         self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         n = self.n
@@ -315,24 +321,11 @@ class _Search:
         # every relabelling fixing 0 and n-1 except the identity (the first order)
         self.relabellings = list(itertools.islice(_relabellings(0, self.mid, n - 1), 1, None))
 
-    # cursor-aware candidate iteration: skip branches before the resume point
-    def _candidates(self, values: Sequence[int]) -> Iterable[int]:
-        depth = len(self.path)
-        if (self.cursor is not None and depth < len(self.cursor)
-                and list(self.cursor[:depth]) == self.path):
-            start = self.cursor[depth]
-            return [v for v in values if v >= start]
-        return values
-
-    def _enter(self, value: int) -> None:
+    def _enter(self) -> None:
+        """Count one node; raise at the cap."""
         self.nodes += 1
         if self.nodes > self.max_nodes:
-            token = tuple(self.path + [value])
-            raise EnumerationCapExceeded(self.max_nodes, self._results(), token)
-        self.path.append(value)
-
-    def _leave(self) -> None:
-        self.path.pop()
+            raise EnumerationCapExceeded(self.max_nodes, self._results())
 
     def _results(self) -> tuple[FiniteAlgebra, ...]:
         return tuple(alg for _, alg in sorted(self.found.items()))
@@ -368,15 +361,14 @@ class _Search:
         # which reads the transposed cells, P[i][j] among them, and has the
         # same two sides swapped: checking (i, j) covers both new cells
         i, j = self.plus_cells[k]
-        for v in self._candidates(range(1, n)):
-            self._enter(v)
+        for v in range(1, n):
+            self._enter()
             P[i][j] = P[j][i] = v
             where[v] += (i, j), (j, i)
             if _assoc_ok(P, where, i, j):
                 self._plus_phase(P, where, k + 1)
             del where[v][-2:]
             P[i][j] = P[j][i] = None
-            self._leave()
 
     def _plus_automorphisms(self, P: list[list[int]]) -> Optional[list[_Relabelling]]:
         """Aut(P) but the identity, or None if a relabelling of P is smaller."""
@@ -385,17 +377,13 @@ class _Search:
 
     def _alpha_phase(self, P: list[list[int]], autos: list[_Relabelling]) -> None:
         # the roots: each involution least among its conjugates under Aut(P),
-        # with Aut(P, alpha); resume tokens index this list
-        roots = []
+        # with Aut(P, alpha)
         for alpha in _antitone_involutions(P, self.n):
             vec = (bytes(alpha),)
             fixed = _least(vec, ((vec, r) for r in autos))
             if fixed is not None:
-                roots.append((alpha, fixed))
-        for idx in self._candidates(range(len(roots))):
-            self._enter(idx)
-            self._times_phase(P, *roots[idx], autos)
-            self._leave()
+                self._enter()
+                self._times_phase(P, alpha, fixed, autos)
 
     def _times_phase(self, P: list[list[int]], alpha: tuple[int, ...],
                      autos: list[_Relabelling], plus_autos: list[_Relabelling]) -> None:
@@ -457,8 +445,8 @@ class _Search:
             # reads T[i][j] with the same sides swapped (T is commutative),
             # so _assoc_ok(i, j) covers both cells
             twin = self.cls == LUK_RS and i != j
-            for v in self._candidates(R):
-                self._enter(v)
+            for v in R:
+                self._enter()
                 Ti[j] = v
                 where[v].append((i, j))
                 if twin:
@@ -472,7 +460,6 @@ class _Search:
                     Tj[i] = None
                 where[v].pop()
                 Ti[j] = None
-                self._leave()
 
         # before the first cell: every determined instance reads a set cell
         if all(cell_ok(a, b) and (not assoc or _assoc_ok(T, where, a, b))
@@ -498,25 +485,22 @@ class _Search:
         self.found[bytes([n, 0, n - 1]) + b"".join(map(bytes, P)) + b"".join(rest)] = alg
 
 
-def enumerate_algebras(task: EnumerationTask,
-                       resume: Optional[tuple[int, ...]] = None
-                       ) -> tuple[FiniteAlgebra, ...]:
+def enumerate_algebras(task: EnumerationTask) -> tuple[FiniteAlgebra, ...]:
     """All models of the class at the given size, one per isomorphism type.
 
     The multiplication table is searched once per orbit root (plus, alpha),
     and leaves are deduplicated under Aut(plus, alpha); each model is the
     first labelled copy in search order.  Output is sorted by canonical
     form, so it is deterministic.  A node-cap overrun raises
-    EnumerationCapExceeded with the nodes visited, the partial results and a
-    resume token, whose involution entry indexes the roots of its plus table.
+    EnumerationCapExceeded with the nodes visited and the partial results.
     """
-    return _Search(task, resume).run()
+    return _Search(task).run()
 
 
 def enumerate_with_forms(task: EnumerationTask
                          ) -> tuple[tuple[CanonicalForm, FiniteAlgebra], ...]:
     """enumerate_algebras(task) with the canonical form the search kept for each model."""
-    search = _Search(task, None)
+    search = _Search(task)
     search.run()
     return tuple((CanonicalForm(data), alg) for data, alg in sorted(search.found.items()))
 

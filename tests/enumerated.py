@@ -8,7 +8,7 @@ from nearsemiring.search import EnumerationTask, _Search
 @functools.lru_cache(maxsize=None)
 def searched(n, cls):
     """(models, nodes) of one search; the size-7 runs are too slow to repeat."""
-    search = _Search(EnumerationTask(n, cls), None)
+    search = _Search(EnumerationTask(n, cls))
     return search.run(), search.nodes
 
 

@@ -1,10 +1,12 @@
 import argparse
+import dataclasses
 import functools
 import importlib
 import inspect
 import io
 import json
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -19,6 +21,8 @@ from nearsemiring.axioms import check_axioms
 from nearsemiring.catalog import luk_chain
 from nearsemiring.cli import build_parser, main
 from nearsemiring.search import EnumerationTask, canonical_form, enumerate_algebras
+
+from test_algfile import BUNDLED, mutate
 
 
 def path(name):
@@ -230,7 +234,7 @@ def test_enumerate_size_7_luk_rs_finishes_under_the_default_cap(capsys):
     assert "1 model(s) of class luk-rs at size 7" in out
 
 
-def test_enumerate_node_cap_is_an_error_with_the_resume_token(monkeypatch, capsys):
+def test_enumerate_node_cap_is_an_error_with_the_partial_count(monkeypatch, capsys):
     cli = importlib.import_module("nearsemiring.cli")
     search = importlib.import_module("nearsemiring.search")
     monkeypatch.setattr(cli, "EnumerationTask",
@@ -239,9 +243,16 @@ def test_enumerate_node_cap_is_an_error_with_the_resume_token(monkeypatch, capsy
     assert status == 2 and out == ""
     with pytest.raises(search.EnumerationCapExceeded) as cap:
         search.enumerate_algebras(search.EnumerationTask(4, "inrs", max_nodes=40))
-    token = ",".join(map(str, cap.value.resume))
     assert err == (f"error: node cap exceeded after 40 nodes with {len(cap.value.partial)}"
-                   f" model(s) found; resume token {token}\n")
+                   " model(s) found\n")
+
+
+def test_enumerate_size_beyond_the_cap_is_a_usage_error(capsys):
+    # refused by the task before the search builds its 11! relabellings
+    status, out, err = run(capsys, "enumerate", "--size", "13")
+    assert (status, out) == (2, "")
+    assert err == ("error: size 13 needs 11! = 39916800 relabellings per plus table, "
+                   "more than the node cap of 5000000\n")
 
 
 def test_dot_exports(capsys):
@@ -460,6 +471,63 @@ def test_every_table_command_exits_with_a_status_on_random_tables(text, max_size
             argv = [command, table, table, *extra] if command == "cb" else [command, table, *extra]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 assert main(argv) in (0, 1, 2)
+
+
+def structural_mutant(rng, doc):
+    """A bundled document with one whole-structure defect that a character
+    edit rarely makes: a wrong or huge size, a non-square table, an alpha
+    that is not an involution, swapped tables or a repeated key."""
+    kind = rng.choice(("size", "huge size", "ragged", "alpha", "duplicate key")
+                      + (() if doc.is_mv else ("swap",)))
+    first, unary = ("oplus", "neg") if doc.is_mv else ("plus", "alpha")
+    if kind == "size":
+        doc = dataclasses.replace(doc, size=doc.size + rng.choice((-1, 1)))
+    elif kind == "huge size":
+        doc = dataclasses.replace(doc, size=10 ** rng.randint(4, 30))
+    elif kind == "ragged":
+        table = [list(row) for row in getattr(doc, first)]
+        row = table[rng.randrange(doc.size)]
+        if rng.random() < 0.5:
+            row.pop()
+        else:
+            row.append(0)
+        doc = dataclasses.replace(doc, **{first: table})
+    elif kind == "alpha":
+        n = doc.size
+        # a rotation (an involution only at n <= 2), or a constant map
+        vec = [(x + 1) % n for x in range(n)] if rng.random() < 0.5 else [doc.zero] * n
+        doc = dataclasses.replace(doc, **{unary: vec})
+    elif kind == "swap":
+        doc = dataclasses.replace(doc, plus=doc.times, times=doc.plus)
+    text = serialize(doc)
+    if kind == "duplicate key":
+        lines = text.splitlines(keepends=True)
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+        text = "".join(lines)
+    return text
+
+
+def test_every_command_exits_with_a_status_on_seeded_mutants(tmp_path):
+    # one command per mutant, in turn; half the mutants are one-character
+    # edits of the bundled documents, half structural (structural_mutant)
+    rng = random.Random(9)
+    texts = [bundled_file(name).read_text() for name in BUNDLED]
+    docs = [parse(text) for text in texts]
+    commands = TABLE_COMMANDS + (("from-mv",),)
+    table = str(tmp_path / "t.alg")
+    for case in range(300):
+        if case % 2:
+            text = structural_mutant(rng, rng.choice(docs))
+        else:
+            text = mutate(rng, rng.choice(texts))
+        with open(table, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        command, *extra = commands[case % len(commands)]
+        argv = [command, table, table, *extra] if command == "cb" else [command, table, *extra]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            status = main(argv)
+        assert status in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, text)
 
 
 # Recorded stdout and exit status of every command on every bundled document

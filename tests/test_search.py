@@ -46,13 +46,12 @@ class FullRescanSearch(_Search):
         if k == len(self.plus_cells):
             return super()._plus_phase(P, where, k)
         i, j = self.plus_cells[k]
-        for v in self._candidates(range(1, self.n)):
-            self._enter(v)
+        for v in range(1, self.n):
+            self._enter()
             P[i][j] = P[j][i] = v
             if semilattice_ok_partial(P, self.n):
                 self._plus_phase(P, where, k + 1)
             P[i][j] = P[j][i] = None
-            self._leave()
 
     def _times_phase(self, P, alpha, autos, plus_autos):
         n = self.n
@@ -106,15 +105,14 @@ class FullRescanSearch(_Search):
             i, j = self.times_cells[k]
             # luk-rs sets the cells i <= j and their mirrors
             cells = {(i, j), (j, i)} if self.cls == LUK_RS else {(i, j)}
-            for v in self._candidates(range(n)):
-                self._enter(v)
+            for v in range(n):
+                self._enter()
                 for a, b in cells:
                     T[a][b] = v
                 if determined_ok():
                     fill(k + 1)
                 for a, b in cells:
                     T[a][b] = None
-                self._leave()
 
         if not determined_ok():
             return
@@ -151,9 +149,20 @@ class LabelledFullRescan(FullRescanSearch):
 
 
 def fix_first_plus_cell(search, value):
-    """Restrict the first plus cell (the first entry of every path) to value."""
-    candidates = search._candidates
-    search._candidates = lambda values: [value] if not search.path else candidates(values)
+    """Prune every plus table whose first cell is not value.
+
+    The first cell's values are still entered and checked, and a table past
+    the check that holds another value returns at the second cell, so two
+    searches wrapped alike still visit the same nodes.
+    """
+    plus_phase = search._plus_phase
+    i, j = search.plus_cells[0]
+
+    def fixed(P, where, k):
+        if k != 1 or P[i][j] == value:
+            plus_phase(P, where, k)
+
+    search._plus_phase = fixed
     return search
 
 
@@ -266,7 +275,7 @@ def test_incremental_checks_visit_the_same_nodes_as_a_full_rescan():
     for n, cls, first in cases + [(6, LUK_NRS, 3), (6, LUK_RS, 3)]:
         fast_search, full_search = ((LabelledSearch, LabelledFullRescan) if first
                                     else (_Search, FullRescanSearch))
-        fast, full = (S(EnumerationTask(n, cls), None) for S in (fast_search, full_search))
+        fast, full = (S(EnumerationTask(n, cls)) for S in (fast_search, full_search))
         if first:
             fast, full = (fix_first_plus_cell(s, first) for s in (fast, full))
         forms = [sorted(canonical_form(a).data for a in s.run()) for s in (fast, full)]
@@ -280,8 +289,7 @@ def test_orbit_roots_match_the_labelled_search():
     # model has (n-2)!/|Aut(A)| labelled copies with 0 and n-1 in place
     orbit_sums, nodes = {}, {}
     for n, cls in CHECKED_CASES:
-        search, reference = (S(EnumerationTask(n, cls), None)
-                             for S in (_Search, LabelledSearch))
+        search, reference = (S(EnumerationTask(n, cls)) for S in (_Search, LabelledSearch))
         models = search.run()
         assert tables(models) == tables(reference.run()), (n, cls)
         if n > 1:       # the one-element model is not a leaf of either search
@@ -441,20 +449,6 @@ def test_permutation_completeness():
             assert canonical_form(shuffled).data in forms
 
 
-def test_cap_raises_and_resume_completes():
-    task_full = EnumerationTask(4, INRS)
-    full = {canonical_form(a).data for a in enumerate_algebras(task_full)}
-    capped = EnumerationTask(4, INRS, max_nodes=40)
-    with pytest.raises(EnumerationCapExceeded) as err:
-        enumerate_algebras(capped)
-    assert err.value.nodes == 40
-    token = err.value.resume
-    collected = {canonical_form(a).data for a in err.value.partial}
-    resumed = enumerate_algebras(task_full, resume=token)
-    collected |= {canonical_form(a).data for a in resumed}
-    assert collected == full
-
-
 def test_trivial_and_forced_sizes():
     assert len(enumerate_algebras(EnumerationTask(1, LUK_RS))) == 1
     two = enumerate_algebras(EnumerationTask(2, LUK_RS))
@@ -472,31 +466,37 @@ def test_enumeration_task_validation():
     # the search is single-threaded: threads=1 is the field's one value
     with pytest.raises(ValueError, match="single-threaded"):
         EnumerationTask(3, LUK_NRS, threads=2)
+    # the search holds all (n-2)! relabellings and compares each complete
+    # plus table with them; 11! = 39,916,800 exceeds the default cap, so the
+    # task is refused before any relabelling is built
+    with pytest.raises(ValueError) as err:
+        EnumerationTask(13, LUK_NRS)
+    assert str(err.value) == ("size 13 needs 11! = 39916800 relabellings per plus table, "
+                              "more than the node cap of 5000000")
+    assert EnumerationTask(12, LUK_NRS).max_nodes == 5_000_000      # 10! = 3,628,800
+    with pytest.raises(ValueError, match="5! = 120 relabellings"):
+        EnumerationTask(7, INRS, max_nodes=119)
+    assert EnumerationTask(7, INRS, max_nodes=120).size == 7
 
 
-def test_chained_resume_reaches_the_full_enumeration():
-    # a token holds the plus cells and the involution index (the root
-    # depth), then one entry per times cell: all 4 middle cells at 4,inrs,
-    # the 10 of 16 with i <= j at 6,luk-rs
-    for n, cls, caps, root, times in ((4, INRS, (37, 113), 1 + 1, 4),
-                                      (6, LUK_RS, (97, 401), 6 + 1, 10)):
-        full = {canonical_form(a).data
-                for a in enumerate_algebras(EnumerationTask(n, cls))}
+def test_node_cap_raises_with_the_partial_models_and_admits_a_full_run():
+    # a capped run stops at exactly the cap with distinct models of the full
+    # run; a cap of the full run's node count finishes, one less raises
+    for n, cls, caps in ((4, INRS, (37, 40, 113)), (6, LUK_RS, (97, 401))):
+        search = _Search(EnumerationTask(n, cls))
+        models = search.run()
+        full = {canonical_form(a).data for a in models}
         for cap in caps:
-            collected, tokens = set(), []
-            for _ in range(200):
-                try:
-                    out = enumerate_algebras(EnumerationTask(n, cls, max_nodes=cap),
-                                             resume=tokens[-1] if tokens else None)
-                    collected |= {canonical_form(a).data for a in out}
-                    break
-                except EnumerationCapExceeded as err:
-                    collected |= {canonical_form(a).data for a in err.partial}
-                    tokens.append(err.resume)
-            else:
-                raise AssertionError("resume chain did not terminate")
-            assert collected == full, (n, cls, cap)
-            assert root < max(map(len, tokens)) <= root + times, (n, cls, cap)
+            with pytest.raises(EnumerationCapExceeded) as err:
+                enumerate_algebras(EnumerationTask(n, cls, max_nodes=cap))
+            assert err.value.nodes == cap, (n, cls, cap)
+            partial = [canonical_form(a).data for a in err.value.partial]
+            assert len(set(partial)) == len(partial), (n, cls, cap)
+            assert set(partial) <= full, (n, cls, cap)
+        assert enumerate_algebras(EnumerationTask(n, cls, max_nodes=search.nodes)) == models
+        with pytest.raises(EnumerationCapExceeded) as err:
+            enumerate_algebras(EnumerationTask(n, cls, max_nodes=search.nodes - 1))
+        assert err.value.nodes == search.nodes - 1
 
 
 def test_canonical_form_rejects_coinciding_constants():
