@@ -258,7 +258,6 @@ class CBFound:
 class CBSearchReport:
     found: tuple[CBFound, ...]
     searched_pairs: int
-    capped: bool
     notes: tuple[str, ...]
 
     @property
@@ -266,14 +265,13 @@ class CBSearchReport:
         return bool(self.found)
 
 
-def cb_search(algebra_a: FiniteAlgebra, algebra_b: FiniteAlgebra,
-              max_pairs: int = 256) -> CBSearchReport:
+def cb_search(algebra_a: FiniteAlgebra, algebra_b: FiniteAlgebra) -> CBSearchReport:
     """Search central pairs (a, b) with A = [0,b] and B = [0,a] up to isomorphism.
 
     For every qualifying pair the full construction runs and the resulting
-    isomorphism is verified.  Enumeration is capped at max_pairs central
-    pairs (documented default 256).  Both algebras must be inrs.  Each
-    interval and its isomorphism is built at most once per central element.
+    isomorphism is verified.  Both algebras must be inrs.  Each interval and
+    its isomorphism is built at most once per central element, and a pair
+    is examined only when [0,b] is isomorphic to A.
     """
     A, B = algebra_a, algebra_b
     require_class(A, INRS, "cb_search, algebra A")
@@ -281,7 +279,6 @@ def cb_search(algebra_a: FiniteAlgebra, algebra_b: FiniteAlgebra,
     notes: list[str] = []
     found: list[CBFound] = []
     searched = 0
-    capped = False
 
     if A.size != B.size:
         notes.append(f"sizes differ (|A|={A.size}, |B|={B.size}): on finite algebras "
@@ -289,7 +286,6 @@ def cb_search(algebra_a: FiniteAlgebra, algebra_b: FiniteAlgebra,
 
     @functools.cache
     def beta_for(a: int) -> tuple[Interval, Optional[Homomorphism]]:
-        # built on the first pair that reaches a, so max_pairs bounds the work
         int_a = _interval(A, a)
         return int_a, find_isomorphism(B, int_a.algebra)
 
@@ -300,18 +296,13 @@ def cb_search(algebra_a: FiniteAlgebra, algebra_b: FiniteAlgebra,
         if gamma is None:
             continue
         for a in ce_a:
-            if searched >= max_pairs:
-                capped = True
-                break
             searched += 1
             int_a, beta = beta_for(a)
             if beta is None:
                 continue
             inst = CBInstance(A, B, a, b, int_a, int_b, gamma, beta)
             found.append(CBFound(a, b, cb_isomorphism(inst)))
-        if capped:
-            break
-    if not found and A.size == B.size and not capped:
+    if not found and A.size == B.size:
         notes.append("no central pair carries mutual interval isomorphisms; "
                      "the algebras are not related by the construction")
     if found:
@@ -319,4 +310,4 @@ def cb_search(algebra_a: FiniteAlgebra, algebra_b: FiniteAlgebra,
         if not proper:
             notes.append("only the trivial intervals a=1, b=1 qualify: proper "
                          "central intervals are impossible at finite scale")
-    return CBSearchReport(tuple(found), searched, capped, tuple(notes))
+    return CBSearchReport(tuple(found), searched, tuple(notes))

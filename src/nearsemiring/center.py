@@ -9,14 +9,15 @@ through q(x,y,z) = x*y + x^a*z is checked independently, and the two verdicts
 are compared rather than trusted to coincide.  The Boolean algebra on Ce(A)
 is checked by the law table BOOLEAN_LAWS, read on index tables.
 
-The equational laws are CENTRALITY_LAWS, scanned exhaustively.  Per
-element, the two 3-variable (b) laws cost n^3 and the two 4-variable (c)
-laws for + and * cost n^4.  On a table classify places at inrs or above
-each is decided by an exact reduction in about n^2 steps: a (b) law by its
-instances with c = 0 or a = 0 (_reduced_b_law_holds), a (c) law by its
-edge instances and, for *, a scan over e*A and e^a*A (_reduced_law_holds).
-A law a reduction refutes is re-scanned in full for the witness.  The full
-scans remain the reference the tests compare the reductions against.
+Centrality is defined on an inrs, and both tests require one.  The
+equational laws are CENTRALITY_LAWS.  Per element, the two 3-variable (b)
+laws cost n^3 and the two 4-variable (c) laws for + and * cost n^4 as full
+scans; each is decided by an exact reduction in about n^2 steps: a (b) law
+by its instances with c = 0 or a = 0 (_reduced_b_law_holds), a (c) law by
+its edge instances and, for *, a scan over e*A and e^a*A
+(_reduced_law_holds).  A law a reduction refutes is re-scanned in full for
+the witness.  The full scans remain the reference the tests compare the
+reductions against.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .axioms import (INRS, LUK_NRS, LUK_RS, CheckOutcome, Laws, check_identity, check_laws,
-                     classify, require_class)
-from .congruences import Partition, all_congruences, kernel, principal_congruence
+from .axioms import INRS, LUK_NRS, CheckOutcome, Laws, check_identity, check_laws, require_class
+from .congruences import Partition, all_congruences, kernel
 from .core import FiniteAlgebra, Homomorphism, leq, product
 from .ideals import ElementSet, generate_ideal, pseudocomplement, principal_ideal
 from .terms import ONE, ZERO, Term, Var, church_q, x, y, z
@@ -109,17 +109,16 @@ _REDUCTIONS = {_B1_LAW[0]: _reduced_b_law_holds, _B2_LAW[0]: _reduced_b_law_hold
 def syntactic_centrality(alg: FiniteAlgebra, e: int) -> CheckOutcome:
     """The equational centrality conditions, in the order of CENTRALITY_LAWS.
 
-    On a table that classify places at inrs or above, the two 3-variable (b)
-    laws are decided in n^2 steps by _reduced_b_law_holds and the two
-    4-variable (c) laws by _reduced_law_holds; both reductions are exact
-    there and use only (i) and (iv).  Any other table, and any law a
-    reduction refutes, gets the full compiled scan, so the outcome and its
-    witness are those of the full scans.  Those scans of CENTRALITY_LAWS are
-    the reference the tests hold the reductions to.
+    Requires an inrs.  The two 3-variable (b) laws are decided in n^2 steps
+    by _reduced_b_law_holds and the two 4-variable (c) laws by
+    _reduced_law_holds; both reductions are exact on an inrs and use only
+    (i) and (iv).  A law a reduction refutes gets the full compiled scan, so
+    the outcome and its witness are those of the full scans.  Those scans of
+    CENTRALITY_LAWS are the reference the tests hold the reductions to.
     """
-    reductions = _REDUCTIONS if classify(alg) is not None else {}
+    require_class(alg, INRS, "centrality")
     for law in CENTRALITY_LAWS:
-        holds = reductions.get(law[0])
+        holds = _REDUCTIONS.get(law[0])
         if holds is not None and holds(alg, e, law):
             continue
         name, lhs, rhs = law
@@ -142,15 +141,13 @@ class SemanticCentrality:
 
 
 def semantic_centrality(alg: FiniteAlgebra, e: int) -> SemanticCentrality:
-    """theta(e,0) is the kernel K[e].  On luk-nrs and above theta(e,1) is
-    K[e^a]: s(e,1) = e^a and s(1,e) = 0 for the difference term s, and
-    Cg(a,b) = Cg(s(a,b),0) v Cg(s(b,a),0) there (see all_congruences)."""
-    t0 = kernel(alg, e)
-    if classify(alg) in (LUK_NRS, LUK_RS):
-        t1 = kernel(alg, alg.alpha[e])
-    else:
-        t1 = principal_congruence(alg, e, alg.one)
-    return SemanticCentrality(t0, t1)
+    """theta(e,0) is the kernel K[e] and theta(e,1) is K[e^a].  Requires an inrs.
+
+    Every congruence respects alpha, which on an inrs is an involution with
+    0^a = 1, so (e,1) lies in a congruence iff (e^a,0) does: Cg(e,1) = K[e^a].
+    """
+    require_class(alg, INRS, "centrality")
+    return SemanticCentrality(kernel(alg, e), kernel(alg, alg.alpha[e]))
 
 
 @dataclass(frozen=True)
@@ -223,47 +220,37 @@ class CentralLawsReport:
         return not self.failures
 
 
+def _meet(s: Term, t: Term) -> Term:
+    # alpha reverses the order of (A, +) on an inrs, so it carries joins to meets
+    return (s.a + t.a).a
+
+
+_e, _a, _b = Var("e"), Var("a"), Var("b")
+#: the central-element laws that centrality does not already decide, with e
+#: bound to the element under test; (s^a+t^a)^a is the meet of s and t
+CENTRAL_ELEMENT_LAWS = (
+    ("a<=e implies a*e = a", _meet(_a, _e) * _e, _meet(_a, _e)),
+    ("e*b is the meet of e and b", _e * _b, _meet(_e, _b)),
+)
+
+
 def _central_laws(alg: FiniteAlgebra, elements: tuple[int, ...]) -> CentralLawsReport:
-    n = alg.size
-    failures: list[LawFailure] = []
-
-    def fail(law: str, e: int, witness: str) -> None:
-        failures.append(LawFailure(law, e, witness))
-
-    for e in elements:
-        if alg.times[e][e] != e:
-            fail("e*e = e", e, "")
-        for a in range(n):
-            if alg.times[e][a] != alg.times[a][e]:
-                fail("e*a = a*e", e, f"a={alg.label(a)}")
-            if leq(alg, a, e) and alg.times[a][e] != a:
-                fail("a<=e implies a*e = a", e, f"a={alg.label(a)}")
-            m = alg.times[e][a]
-            glb_ok = (leq(alg, m, e) and leq(alg, m, a)
-                      and all(leq(alg, c, m) for c in range(n)
-                              if leq(alg, c, e) and leq(alg, c, a)))
-            if not glb_ok:
-                fail("e*b is the meet of e and b", e, f"b={alg.label(a)}")
-            for b in range(n):
-                if alg.times[alg.times[e][a]][b] != alg.times[a][alg.times[e][b]]:
-                    fail("(e*a)*b = a*(e*b)", e, f"a={alg.label(a)}, b={alg.label(b)}")
-        te = alg.times[e]
-        for a, b in itertools.combinations(range(n), 2):
-            if te[alg.plus[a][b]] != alg.plus[te[a]][te[b]]:
-                fail("e distributes over finite joins", e,
-                     f"family={{{alg.label(a)}, {alg.label(b)}}}")
-                break
-    return CentralLawsReport(tuple(failures), elements)
+    checks = ((e, check_identity(alg, name, lhs, rhs, fixed={"e": e}))
+              for e in elements for name, lhs, rhs in CENTRAL_ELEMENT_LAWS)
+    return CentralLawsReport(tuple(LawFailure(c.name, e, c.witness.render(alg))
+                                   for e, c in checks if not c.ok), elements)
 
 
 def central_laws_report(alg: FiniteAlgebra) -> CentralLawsReport:
-    """Arithmetic every central element must satisfy, checked exhaustively.
+    """CENTRAL_ELEMENT_LAWS at every central element, checked exhaustively.
 
-    Covers idempotency, commuting and sliding across products, absorption of
-    smaller elements, the meet description of e*b, and distribution over
-    finite joins.  The join law is checked on pairs a < b: by axiom (i) each
-    step of a finite join is e*(s+v) = e*s + e*v for an element s, so the
-    binary law gives every finite join by induction.  Requires an inrs.
+    a <= e implies a*e = a reads m(a,e)*e = m(a,e) for the meet m, and e*b
+    is the meet of e and b.  Four more laws hold at every central element,
+    each an instance of a centrality law that e has passed, so they are not
+    re-checked: e*e = e is (c) for * at (a1,b1,a2,b2) = (1,0,1,0) with (d);
+    e*a = a*e is (c) for * at (a,a,1,0) with (a) and (d); (e*a)*b = a*(e*b)
+    holds as (c) for * gives e*(a*b) at both (a,0,b,b) and (a,a,b,0); and
+    e*(a+b) = e*a + e*b is (c) for + at b1 = b2 = 0.  Requires an inrs.
     """
     require_class(alg, INRS, "central_laws_report")
     return _central_laws(alg, central_elements(alg))
@@ -279,7 +266,6 @@ class CenterReport:
     closure_failures: tuple[str, ...]
     boolean_failures: tuple[str, ...]
     factor_bijection_ok: bool
-    factor_pairs: tuple[tuple[int, Partition, Partition], ...]
     laws: CentralLawsReport               # central_laws_report on these elements
 
     @property
@@ -294,7 +280,7 @@ def center(alg: FiniteAlgebra) -> CenterReport:
     The Boolean order (e*f = e) is not checked apart: by commutativity and
     absorption it is the induced order (e+f = f), as e*f = e gives
     e+f = f+(f*e) = f and e+f = f gives e*f = e*(e+f) = e.  Requires an
-    inrs, as central_laws_report does.
+    inrs, as centrality does.
     """
     require_class(alg, INRS, "center")
     results = [is_central(alg, e) for e in range(alg.size)]
@@ -328,14 +314,12 @@ def center(alg: FiniteAlgebra) -> CenterReport:
         if p.complements(r):
             factor_members.add(p)
             factor_members.add(r)
-    pairs = tuple((r.element, r.semantic.theta_zero, r.semantic.theta_one)
-                  for r in results if r.central)
-    images = [t0 for _, t0, _ in pairs]
+    images = [r.semantic.theta_zero for r in results if r.central]
     bijection_ok = (len(set(images)) == len(images)
                     and set(images) == factor_members)
 
     return CenterReport(alg, elements, disagreements, tuple(closure),
-                        tuple(boolean), bijection_ok, pairs,
+                        tuple(boolean), bijection_ok,
                         _central_laws(alg, elements))
 
 

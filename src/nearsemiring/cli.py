@@ -261,12 +261,10 @@ def cmd_cb(args) -> tuple[str, int]:
     report = Report(_echo(args))
     report.plain(f"algebra A: size {alg_a.size}; algebra B: size {alg_b.size}")
     if args.search:
-        res = cb_search(alg_a, alg_b, max_pairs=args.max_size)
+        res = cb_search(alg_a, alg_b)
         report.section(f"search over central pairs ({res.searched_pairs} examined)")
         for note in res.notes:
             report.info(note)
-        if res.capped:
-            report.info("search capped before exhausting central pairs")
         for f in res.found:
             report.info(f"found a={alg_a.label(f.a)}, b={alg_b.label(f.b)}; "
                         f"isomorphism {list(f.iso.mapping)}")
@@ -354,9 +352,6 @@ def _positive(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # each flag goes only to the commands that read it
-    max_size = argparse.ArgumentParser(add_help=False)
-    max_size.add_argument("--max-size", type=_positive, default=DEFAULT_MAX_SIZE,
-                          help="universe-size guard (congruences) or central-pair cap (cb)")
     threshold = argparse.ArgumentParser(add_help=False)
     threshold.add_argument("--threshold", type=_positive, default=DEFAULT_SUBSET_THRESHOLD,
                            help="universe-size bound for listing every closed subset")
@@ -370,8 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="algebra_class", choices=CLASSES, default=None)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("congruences", parents=[max_size], help="Con(A) and structure checks")
+    p = sub.add_parser("congruences", help="Con(A) and structure checks")
     p.add_argument("file")
+    p.add_argument("--max-size", type=_positive, default=DEFAULT_MAX_SIZE,
+                   help="universe-size guard for Con(A)")
     p.set_defaults(func=cmd_congruences)
 
     p = sub.add_parser("ideals", parents=[threshold], help="Id(A) with pseudocomplements")
@@ -409,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("cb", parents=[max_size],
+    p = sub.add_parser("cb",
                        help="run or search the interval-isomorphism construction")
     p.add_argument("file_a")
     p.add_argument("file_b")

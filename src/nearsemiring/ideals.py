@@ -427,7 +427,9 @@ class SkeletonReport:
 
 
 def skeleton(alg: FiniteAlgebra) -> SkeletonReport:
-    """{I* : I in Id(A)} as a Boolean lattice, compared with the central ideals."""
+    """{I* : I in Id(A)} as a Boolean lattice, compared with the central ideals.
+
+    Requires an inrs, as centrality does."""
     from .center import central_elements, verify_boolean_laws
 
     lattice = all_ideals(alg)

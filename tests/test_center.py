@@ -1,10 +1,9 @@
 import functools
-import importlib
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nearsemiring import bundled_file, congruences
@@ -13,7 +12,8 @@ from nearsemiring.axioms import (INRS, LUK_NRS, LUK_RS, CheckOutcome, check_axio
                                  classify)
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
-from nearsemiring.center import (_B1_LAW, _B2_LAW, _PLUS_LAW, _TIMES_LAW, CENTRALITY_LAWS,
+from nearsemiring.center import (_B1_LAW, _B2_LAW, _PLUS_LAW, _TIMES_LAW, CENTRAL_ELEMENT_LAWS,
+                                 CENTRALITY_LAWS,
                                  _reduced_b_law_holds, _reduced_law_holds,
                                  center, central_elements, central_ideal_check,
                                  central_laws_report, decompose,
@@ -366,7 +366,7 @@ def reduction_pool():
 
 
 def test_reduced_centrality_equals_the_full_scans():
-    # the reduction only applies to inrs tables; the outcome, witness
+    # centrality is defined on inrs tables only; the outcome, witness
     # included, must be the one the full scans give
     for alg in reduction_pool():
         assert classify(alg) is not None
@@ -417,22 +417,15 @@ def small_tables(draw):
                          zero=draw(cell), one=draw(cell))
 
 
-@given(small_tables())
-@settings(max_examples=150, deadline=None)
-def test_centrality_on_arbitrary_tables_is_the_full_scan(alg):
-    # almost every drawn table is not an inrs, so this is the fallback path
-    for e in range(alg.size):
-        assert syntactic_centrality(alg, e) == reference_syntactic_centrality(alg, e)
-
-
-@given(small_tables())
+@given(small_tables(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_semantic_centrality_reads_the_principal_congruences(alg):
-    # theta(e,1) comes from the kernel K[e^a] on luk-* tables only
-    for e in range(alg.size):
-        sem = semantic_centrality(alg, e)
-        assert sem.theta_zero == congruences.principal_congruence(alg, e, alg.zero)
-        assert sem.theta_one == congruences.principal_congruence(alg, e, alg.one)
+def test_centrality_needs_an_inrs(alg, data):
+    # almost every drawn table is not an inrs; centrality is defined on inrs only
+    assume(classify(alg) is None)
+    e = data.draw(st.integers(0, alg.size - 1))
+    for test in (syntactic_centrality, semantic_centrality, is_central):
+        with pytest.raises(ValueError, match="fails inrs axiom"):
+            test(alg, e)
 
 
 def test_luk_rs_center_is_the_boolean_elements():
@@ -457,14 +450,36 @@ def test_center_on_the_largest_products(alg, size):
     assert report.ok and report.laws.ok
 
 
-def test_theta_e_1_is_the_kernel_of_e_alpha_on_luk_documents():
-    # what semantic_centrality reads on luk-nrs and above
-    luk = [alg for alg in map(table_algebra, BUNDLED) if classify(alg) in (LUK_NRS, LUK_RS)]
-    assert len(luk) == 8
-    for alg in luk:
+def test_theta_e_1_is_the_kernel_of_e_alpha_on_every_inrs():
+    # what semantic_centrality reads: alpha is an involution with 0^a = 1, and
+    # every congruence respects it
+    pool = reduction_pool() + tuple(map(table_algebra, BUNDLED))
+    assert {classify(alg) for alg in pool} == {INRS, LUK_NRS, LUK_RS}
+    for alg in pool:
         for e in range(alg.size):
             assert congruences.kernel(alg, alg.alpha[e]) == \
                 congruences.principal_congruence(alg, e, alg.one)
+
+
+def is_meet(alg, m, e, b):
+    """m is the greatest lower bound of e and b in the order of (A, +)."""
+    return (leq(alg, m, e) and leq(alg, m, b)
+            and all(leq(alg, c, m) for c in range(alg.size) if leq(alg, c, e) and leq(alg, c, b)))
+
+
+def test_central_element_laws_are_the_order_scans():
+    # the two identities against the leq scans they replaced, at every element,
+    # central or not
+    verdicts = set()
+    for alg in reduction_pool():
+        n = alg.size
+        for e in range(n):
+            scans = (all(alg.times[a][e] == a for a in range(n) if leq(alg, a, e)),
+                     all(is_meet(alg, alg.times[e][b], e, b) for b in range(n)))
+            for (name, lhs, rhs), scan in zip(CENTRAL_ELEMENT_LAWS, scans):
+                assert check_identity(alg, name, lhs, rhs, fixed={"e": e}).ok == scan, (alg, e)
+                verdicts.add((name, scan))
+    assert verdicts == {(law[0], ok) for law in CENTRAL_ELEMENT_LAWS for ok in (True, False)}
 
 
 def test_center_makes_one_principal_congruence_per_kernel(monkeypatch):
@@ -476,10 +491,7 @@ def test_center_makes_one_principal_congruence_per_kernel(monkeypatch):
         calls.append((a, b))
         return original(alg, a, b)
 
-    # the package exports a function named center, which hides the module
-    center_module = importlib.import_module("nearsemiring.center")
     monkeypatch.setattr(congruences, "principal_congruence", counted)
-    monkeypatch.setattr(center_module, "principal_congruence", counted)
     alg = power(boolean2(), 4)
     assert center(alg).ok
     assert sorted(calls) == [(x, alg.zero) for x in range(alg.size)]
