@@ -461,6 +461,15 @@ def test_theta_e_1_is_the_kernel_of_e_alpha_on_every_inrs():
                 congruences.principal_congruence(alg, e, alg.one)
 
 
+def test_semantic_centrality_reads_the_principal_congruences():
+    # theta(e,0) and theta(e,1) are Cg(e,0) and Cg(e,1) on every inrs of the pool
+    for alg in reduction_pool() + tuple(map(table_algebra, BUNDLED)):
+        for e in range(alg.size):
+            sem = semantic_centrality(alg, e)
+            assert sem.theta_zero == congruences.principal_congruence(alg, e, alg.zero)
+            assert sem.theta_one == congruences.principal_congruence(alg, e, alg.one)
+
+
 def is_meet(alg, m, e, b):
     """m is the greatest lower bound of e and b in the order of (A, +)."""
     return (leq(alg, m, e) and leq(alg, m, b)
