@@ -9,13 +9,14 @@ the pair together with the diagonal; the two routes are compared rather than
 assumed to agree.
 
 The kernels K[x] = Cg(x, 0) are computed once per algebra (kernel) and shared
-by Con(A), principal ideals and semantic centrality.  On a Lukasiewicz near
-semiring they generate Con(A): with the difference term s(x, y) = x^a * y,
-Cg(a, b) = Cg(s(a, b), 0) v Cg(s(b, a), 0).  Since K[x + y] = K[x] v K[y],
-the kernels of the join-irreducible elements of (A, +) already generate, so
-a handful of kernels replace the n(n-1)/2 principal pairs.  The identity
-fails on some inrs tables, so all_congruences uses the kernels only where
-classify finds luk-nrs or above.
+by Con(A), principal ideals and semantic centrality.  On every inrs
+K[x + y] = K[x] v K[y], so only the kernels of the join-irreducible elements
+of (A, +) are fixpoints, and every other kernel is their join.  On a
+Lukasiewicz near semiring the kernels generate Con(A): with the difference
+term s(x, y) = x^a * y, Cg(a, b) = Cg(s(a, b), 0) v Cg(s(b, a), 0), so the
+join-irreducible kernels already generate, and a handful of kernels replace
+the n(n-1)/2 principal pairs.  That identity fails on some inrs tables, so
+all_congruences uses the kernels only where classify finds luk-nrs or above.
 
 A Partition is one label vector: labels[v] is the least element of v's
 block.  Meet, join, refinement and permutability all read the labels.  Two
@@ -33,7 +34,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .axioms import LUK_NRS, LUK_RS, CheckOutcome, LawReport, Laws, check_laws, classify
-from .core import DEFAULT_MAX_SIZE, FiniteAlgebra, SizeLimitError, per_algebra
+from .core import DEFAULT_MAX_SIZE, FiniteAlgebra, SizeLimitError, join_irreducibles, per_algebra
 from .terms import ZERO, difference_s, malcev_p, x, y
 
 
@@ -274,27 +275,23 @@ def _kernel_slots(alg: FiniteAlgebra) -> list[Optional[Partition]]:
 def kernel(alg: FiniteAlgebra, x: int) -> Partition:
     """K[x] = Cg(x, 0), computed once per element and kept on the algebra instance.
 
-    A plain principal congruence, so valid on every class.
+    On a table classify finds inrs or better, K[x + y] = K[x] v K[y] (see
+    all_congruences) and every x != 0 is the join of the join-irreducibles
+    j <= x, so only the K[j] are principal congruence fixpoints: K[0] is
+    discrete, and any other K[x] is one union-find pass over the labels of
+    the K[j] with j <= x.  Every other table gets the fixpoint for every x.
     """
     ks = _kernel_slots(alg)
     k = ks[x]
     if k is None:
-        k = ks[x] = principal_congruence(alg, x, alg.zero)
+        if classify(alg) is not None and x not in join_irreducibles(alg):
+            P = alg.plus
+            k = Partition.from_pairs(alg.size, itertools.chain.from_iterable(
+                enumerate(kernel(alg, j).labels) for j in join_irreducibles(alg) if P[j][x] == x))
+        else:
+            k = principal_congruence(alg, x, alg.zero)
+        ks[x] = k
     return k
-
-
-def join_irreducibles(alg: FiniteAlgebra) -> tuple[int, ...]:
-    """The j != 0 of (A, +) that are not the join of the elements strictly below j."""
-    P, z = alg.plus, alg.zero
-    out = []
-    for j in range(alg.size):
-        below = z
-        for v, top in enumerate(P[j]):
-            if top == j and v != j:
-                below = P[below][v]
-        if below != j:
-            out.append(j)
-    return tuple(out)
 
 
 def all_congruences(alg: FiniteAlgebra,
@@ -306,7 +303,7 @@ def all_congruences(alg: FiniteAlgebra,
     the kernels Cg(s(a, b), 0) and Cg(s(b, a), 0) (s(x, y) = x^a * y), so
     the kernels generate.  That identity fails on some inrs tables (at n = 4
     already), so every other table is generated by its n(n-1)/2 principal
-    pairs.  The kernels also satisfy K[x + y] = K[x] v K[y]: modulo
+    pairs.  On every inrs the kernels satisfy K[x + y] = K[x] v K[y]: modulo
     K[x + y], x = x ^ (x + y) = x ^ 0 = 0 and likewise y = 0, with the meet
     term x ^ y = (x^a + y^a)^a of the induced order; modulo K[x] v K[y],
     x + y = 0 + 0 = 0.  Every x is the join of the join-irreducible elements

@@ -165,6 +165,26 @@ def leq(alg: FiniteAlgebra, a: int, b: int) -> bool:
     return alg.plus[a][b] == b
 
 
+@per_algebra
+def join_irreducibles(alg: FiniteAlgebra) -> tuple[int, ...]:
+    """The j != 0 of (A, +) that are not the join of the elements strictly below j.
+
+    Meaningful once (A, +) is a semilattice with least element 0 (axiom (i)):
+    then every x != 0 is the join of the j below it, so a map that preserves
+    binary joins is fixed by its values on G = J u {0}.
+    """
+    P, z = alg.plus, alg.zero
+    out = []
+    for j in range(alg.size):
+        below = z
+        for v, top in enumerate(P[j]):
+            if top == j and v != j:
+                below = P[below][v]
+        if below != j:
+            out.append(j)
+    return tuple(out)
+
+
 def product(a: FiniteAlgebra, b: FiniteAlgebra,
             max_size: int = DEFAULT_MAX_SIZE) -> FiniteAlgebra:
     """Direct product with componentwise tables.

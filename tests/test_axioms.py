@@ -1,12 +1,17 @@
 import importlib
+from collections import Counter
 
 import pytest
 
-from nearsemiring.axioms import (INRS, LUK_NRS, LUK_RS, check_axioms, classify,
-                                 require_class)
+from nearsemiring import axioms
+from nearsemiring.axioms import (BASE_LAWS, CLASS_LAWS, CLASSES, INRS, LUK_NRS, LUK_RS,
+                                 check_axioms, check_identity, check_laws, classify,
+                                 holds_over_generators, require_class)
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
 from nearsemiring.core import FiniteAlgebra
+
+from enumerated import oracle_pool
 
 
 def test_boolean2_passes_luk_rs():
@@ -80,3 +85,53 @@ def test_viii_and_join_recovery_on_corpus():
         report = check_axioms(alg, LUK_NRS)
         assert report.outcome("(viii)").ok
         assert report.outcome("x+y = ((x*y^a)^a*y^a)^a").ok
+
+
+def reference_classify(report):
+    """classify by the full scans: the longest passing prefix of a
+    check_axioms(alg, LUK_RS) report, as each class's axioms are a prefix of it."""
+    axioms = report.axioms
+    best = None
+    for cls in CLASSES:
+        if not all(c.ok for c in axioms[:len(BASE_LAWS) + 1 + len(CLASS_LAWS[cls])]):
+            break
+        best = cls
+    return best
+
+
+def test_classify_is_the_longest_passing_prefix_of_the_full_scans():
+    refuted = Counter()
+    for alg in oracle_pool():
+        report = check_axioms(alg, LUK_RS)
+        assert classify(alg) == reference_classify(report), alg
+        refuted.update((c.name, c.detail) for c in report.failures())
+    assert {classify(alg) for alg in oracle_pool()} == {None, *CLASSES}
+    # the reduced laws are refuted by the full scans, not only passed
+    for law in (("(i)", "(x+y)+z = x+(y+z)"), ("(iii)", ""), ("(assoc)", ""), ("(rdist)", "")):
+        assert refuted[law] > 0, law
+
+
+def test_each_reduction_decides_its_law_on_the_pool():
+    # each law alone, on every table of the pool that meets its premises, not
+    # only past the laws before it in the luk-rs order
+    laws = dict(BASE_LAWS + CLASS_LAWS[LUK_RS])
+    idempotent, commutative, associative = laws["(i)"][:3]
+    seen = set()
+    for alg in oracle_pool():
+        if not (check_identity(alg, *idempotent).ok and check_identity(alg, *commutative).ok):
+            continue
+        associative_full = check_identity(alg, *associative).ok
+        assert axioms._join_associative(alg) == associative_full, alg
+        seen.add(("(i)", associative_full))
+        if not check_laws(alg, BASE_LAWS[:1])[0].ok:
+            continue
+        full = {}
+        for name in ("(iii)", "(rdist)", "(assoc)"):
+            if name == "(assoc)" and not full["(iii)"]:
+                continue  # (assoc) is decided over G once (iii) holds
+            (_, lhs, rhs), = laws[name]
+            full[name] = check_identity(alg, name, lhs, rhs).ok
+            assert holds_over_generators(alg, lhs, rhs, "x") == full[name], (alg, name)
+            seen.add((name, full[name]))
+    assert seen == {(name, ok) for name in ("(i)", "(iii)", "(rdist)", "(assoc)")
+                    for ok in (True, False)}

@@ -184,19 +184,17 @@ def test_interval_parents_are_classified_once_per_call(monkeypatch):
     center_module = importlib.import_module("nearsemiring.center")
     cb_module = importlib.import_module("nearsemiring.cantor_bernstein")
     checked, intervals = [], []
-    check, interval = axioms.check_axioms, center_module._interval
+    decide, interval = axioms._decide_class, center_module._interval
 
-    def counting_check(alg, algebra_class):
+    def counting_decide(alg):
         checked.append(alg)
-        return check(alg, algebra_class)
+        return decide(alg)
 
     def counting_interval(alg, e):
         intervals.append(alg)
         return interval(alg, e)
 
-    monkeypatch.setattr(axioms, "check_axioms", counting_check)
-    # center imports no check_axioms; a re-added import would be counted too
-    monkeypatch.setattr(center_module, "check_axioms", counting_check, raising=False)
+    monkeypatch.setattr(axioms, "_decide_class", counting_decide)
     monkeypatch.setattr(center_module, "_interval", counting_interval)
     monkeypatch.setattr(cb_module, "_interval", counting_interval)
 
@@ -205,7 +203,7 @@ def test_interval_parents_are_classified_once_per_call(monkeypatch):
 
     a, b = dataclasses.replace(b2_x_l3()), dataclasses.replace(l3_x_b2())
     assert cb_search(a, b).any_found
-    # require_class answers from classify: one luk-rs check holds every class verdict
+    # require_class answers from classify: one decision holds every class verdict
     assert calls_on(a) == calls_on(b) == 1
     assert len(intervals) > 2
     # an interval over a central element keeps its parent's class: no

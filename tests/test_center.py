@@ -6,10 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nearsemiring import bundled_file, congruences
-from nearsemiring.algfile import load
+from nearsemiring import congruences
 from nearsemiring.axioms import (INRS, LUK_NRS, LUK_RS, CheckOutcome, check_axioms, check_identity,
-                                 classify)
+                                 classify, holds_over_generators)
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
 from nearsemiring.center import (_B1_LAW, _B2_LAW, _PLUS_LAW, _TIMES_LAW, CENTRAL_ELEMENT_LAWS,
@@ -19,10 +18,9 @@ from nearsemiring.center import (_B1_LAW, _B2_LAW, _PLUS_LAW, _TIMES_LAW, CENTRA
                                  central_laws_report, decompose,
                                  interval_algebra, is_central, q, semantic_centrality,
                                  syntactic_centrality, verify_boolean_laws)
-from nearsemiring.core import FiniteAlgebra, find_isomorphism, leq, product
-from nearsemiring.mv import from_mv
+from nearsemiring.core import FiniteAlgebra, find_isomorphism, join_irreducibles, leq, product
 
-from enumerated import models
+from enumerated import BUNDLED, models, oracle_pool, table_algebra
 
 L3 = luk_chain(3)
 CORPUS = (boolean2(), L3, luk_chain(4), b2_x_b2(), b2_x_l3(), godel3(), trivial())
@@ -122,14 +120,6 @@ def test_interval_algebra_rejects_non_central():
 def test_interval_names_follow_parent():
     iv = interval_algebra(b2_x_l3(), 3)
     assert iv.algebra.names == ("(0,0)", "(1,0)")
-
-
-BUNDLED = ("b2", "b2xb2", "b2xl3", "g3", "l3-mv", "l3", "l3xb2", "l4", "trivial")
-
-
-def table_algebra(name):
-    structure = load(bundled_file(name + ".alg")).to_algebra()
-    return structure if isinstance(structure, FiniteAlgebra) else from_mv(structure)
 
 
 def test_semantic_centrality_matches_the_lattice_reference_on_the_bundled_corpus():
@@ -394,6 +384,24 @@ def test_reduced_check_alone_decides_each_c_law():
     assert (_TIMES_LAW[0], True, False) in seen
 
 
+def test_plus_law_edges_over_generators_are_the_full_scans():
+    # x |-> e*x and x |-> e^a*x preserve joins iff they do on G = J u {0}, at
+    # every element of every inrs of the oracle pool, central or not
+    name, lhs, rhs = _PLUS_LAW
+    seen = set()
+    for alg in oracle_pool():
+        if classify(alg) is None:
+            continue
+        z = alg.zero
+        for e in range(alg.size):
+            for edge, free in (({"e": e, "b1": z, "b2": z}, "a1"),
+                               ({"e": e, "a1": z, "a2": z}, "b1")):
+                full = check_identity(alg, name, lhs, rhs, fixed=edge).ok
+                assert holds_over_generators(alg, lhs, rhs, free, fixed=edge) == full, (alg, e)
+                seen.add(full)
+    assert seen == {True, False}
+
+
 def test_reduced_check_alone_decides_each_b_law():
     # the c = 0 and a = 0 instances, for every element
     seen = set()
@@ -492,7 +500,8 @@ def test_central_element_laws_are_the_order_scans():
 
 
 def test_center_makes_one_principal_congruence_per_kernel(monkeypatch):
-    # Con(A), theta(e,0) and theta(e,1) all read the n kernels Cg(x,0)
+    # Con(A), theta(e,0) and theta(e,1) all read the kernels Cg(x,0); only the
+    # kernels of the join-irreducibles are fixpoints, the rest are their joins
     calls = []
     original = congruences.principal_congruence
 
@@ -503,4 +512,5 @@ def test_center_makes_one_principal_congruence_per_kernel(monkeypatch):
     monkeypatch.setattr(congruences, "principal_congruence", counted)
     alg = power(boolean2(), 4)
     assert center(alg).ok
-    assert sorted(calls) == [(x, alg.zero) for x in range(alg.size)]
+    assert sorted(calls) == [(j, alg.zero) for j in join_irreducibles(alg)]
+    assert len(calls) == 4

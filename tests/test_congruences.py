@@ -127,11 +127,15 @@ def test_principal_congruence_equals_the_union_closure_reference():
                 assert principal_congruence(alg, a, b) == reference_principal_congruence(alg, a, b)
 
 
-def test_kernel_of_a_join_is_the_join_of_the_kernels_on_luk_models():
-    # K[x+y] = K[x] v K[y], why the join-irreducible kernels generate Con(A)
-    for alg in luk_models():
+def test_kernel_of_a_join_is_the_join_of_the_kernels_on_every_inrs():
+    # K[x+y] = K[x] v K[y] on every inrs, why kernel joins the join-irreducible
+    # kernels and why they generate Con(A) on luk-*; kernel against the fixpoint
+    pool = [alg for n in range(1, 6) for alg in models(n, INRS)] + luk_models()
+    for alg in pool:
+        fixpoint = [principal_congruence(alg, a, alg.zero) for a in range(alg.size)]
+        assert [kernel(alg, a) for a in range(alg.size)] == fixpoint, alg
         for a, b in itertools.combinations_with_replacement(range(alg.size), 2):
-            assert kernel(alg, alg.plus[a][b]) == kernel(alg, a).join(kernel(alg, b)), (alg, a, b)
+            assert fixpoint[alg.plus[a][b]] == fixpoint[a].join(fixpoint[b]), (alg, a, b)
 
 
 def test_join_irreducibles_of_chains_and_products():
@@ -169,18 +173,18 @@ def test_memos_belong_to_one_algebra_instance(monkeypatch, collect, live_first):
     # another instance: each copy makes its own calls
     axioms_module = importlib.import_module("nearsemiring.axioms")
     congruences_module = importlib.import_module("nearsemiring.congruences")
-    check, principal = axioms_module.check_axioms, congruences_module.principal_congruence
+    decide, principal = axioms_module._decide_class, congruences_module.principal_congruence
     calls = []
 
-    def counted_check(alg, algebra_class):
-        calls.append(("check_axioms", alg))
-        return check(alg, algebra_class)
+    def counted_decide(alg):
+        calls.append(("_decide_class", alg))
+        return decide(alg)
 
     def counted_principal(alg, a, b):
         calls.append(("principal_congruence", alg))
         return principal(alg, a, b)
 
-    monkeypatch.setattr(axioms_module, "check_axioms", counted_check)
+    monkeypatch.setattr(axioms_module, "_decide_class", counted_decide)
     monkeypatch.setattr(congruences_module, "principal_congruence", counted_principal)
     was_enabled = gc.isenabled()
     if collect:
@@ -197,7 +201,7 @@ def test_memos_belong_to_one_algebra_instance(monkeypatch, collect, live_first):
             # the live algebra's memos may predate this test
             for copy in copies:
                 assert [name for name, alg in calls if alg is copy] == \
-                    ["check_axioms"] + ["principal_congruence"] * generators
+                    ["_decide_class"] + ["principal_congruence"] * generators
     finally:
         if was_enabled:
             gc.enable()

@@ -141,7 +141,7 @@ def test_mv_axiom_reports_stay_off_copies_and_pickles():
 
 
 def test_roundtrip_scans_each_object_once(monkeypatch):
-    # one MV scan per MV-algebra and one luk-rs scan per table, each direction
+    # one MV scan per MV-algebra and one class decision per table, each direction
     axioms_module = importlib.import_module("nearsemiring.axioms")
     mv_module = importlib.import_module("nearsemiring.mv")
     table_scans, mv_scans = [], []
@@ -152,8 +152,8 @@ def test_roundtrip_scans_each_object_once(monkeypatch):
             return fn(alg, *args)
         return wrapper
 
-    monkeypatch.setattr(axioms_module, "check_axioms",
-                        counted(table_scans, axioms_module.check_axioms))
+    monkeypatch.setattr(axioms_module, "_decide_class",
+                        counted(table_scans, axioms_module._decide_class))
     monkeypatch.setattr(mv_module, "check_laws", counted(mv_scans, mv_module.check_laws))
     for name, tables, mvs in (("b2xl3.alg", 2, 1), ("l3-mv.alg", 1, 2)):
         table_scans.clear()
