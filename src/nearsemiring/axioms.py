@@ -7,15 +7,17 @@ workbench leans on, and they take no algebraic shortcuts.
 
 ``classify`` only needs a verdict, so it decides the luk-rs axioms by exact
 reductions that lean on the axioms before them: associativity of + by
-up-sets, and the 3-variable laws (iii), (assoc) and (rdist) with one variable
+up-sets, and the 3-variable laws (iii), (assoc) and (rdist) with x ranged
 over G = J u {0}, the join-irreducibles of (A, +) and 0 (_decide_class gives
 the arguments).  Every failure a caller sees is still worded from
 ``check_axioms``, so every witness comes from the full scans, which stay the
-reference the tests hold ``classify`` to.
+reference the tests hold ``classify`` to.  ``holds`` decides the reduced
+identities, here and in ``center``.
 
 Each identity is compiled, on first use, into one generated Python scan: nested
 loops over the operation tables with the first variable varying fastest, so
-the first failing assignment is the reported witness.  The generated source
+the first failing assignment is the reported witness.  A variable ranges over
+A unless the scan is given a domain of its own for it.  The generated source
 names only the tables and its own loop variables.  ``terms.eval_term`` stays the
 reference semantics the compiled scans are tested against.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping, Optional
+from typing import Callable, Collection, Mapping, Optional
 
 from .core import FiniteAlgebra, join_irreducibles, leq, per_algebra
 from .terms import (JOIN_FROM_TIMES, LUK_LHS, LUK_RHS, ONE, ZERO, Alpha, Const, Plus,
@@ -76,28 +78,28 @@ def _source(t: Term, slot: Mapping[str, str]) -> str:
 
 
 @lru_cache(maxsize=256)
-def _compile(lhs: Term, rhs: Term, fixed: tuple[str, ...], over: Optional[str] = None
+def _compile(lhs: Term, rhs: Term, fixed: tuple[str, ...], ranged: tuple[str, ...] = ()
              ) -> tuple[tuple[str, ...], Callable]:
     """The scanned variables and the scan for lhs = rhs.
 
-    ``scan(P, T, A, Z, O, R, *fixed values)`` takes the plus, times and
-    alpha tables, the constants 0 and 1 and range(n), and returns the first
-    failing assignment, first variable fastest, as a tuple
-    (values..., lhs, rhs), or None.  Every variable ranges over R except
-    ``over``, if given: it ranges over one more argument after the fixed
-    values.
+    ``scan(P, T, A, Z, O, R, *fixed values, *domains)`` takes the plus, times
+    and alpha tables, the constants 0 and 1 and range(n), and returns the
+    first failing assignment, first variable fastest, as a tuple
+    (values..., lhs, rhs), or None.  Every variable ranges over R except the
+    ``ranged`` ones: each ranges over its own argument after the fixed
+    values, in the order of ``ranged``.
     """
     variables = tuple(v for v in dict.fromkeys(lhs.variables() + rhs.variables())
                       if v not in fixed)
     slot = {name: f"f{i}" for i, name in enumerate(fixed)}
     slot.update((name, f"v{i}") for i, name in enumerate(variables))
     left, right = _source(lhs, slot), _source(rhs, slot)
-    domain = f"f{len(fixed)}"
+    domain = {name: f"f{len(fixed) + i}" for i, name in enumerate(ranged)}
     params = ", ".join(["P", "T", "A", "Z", "O", "R"]
-                       + [f"f{i}" for i in range(len(fixed) + (over is not None))])
+                       + [f"f{i}" for i in range(len(fixed) + len(ranged))])
     lines = [f"def scan({params}):"]
     for depth, i in enumerate(reversed(range(len(variables)))):
-        lines.append(" " * (depth + 1) + f"for v{i} in {domain if variables[i] == over else 'R'}:")
+        lines.append(" " * (depth + 1) + f"for v{i} in {domain.get(variables[i], 'R')}:")
     pad = " " * (len(variables) + 1)
     found = "".join(f"v{i}, " for i in range(len(variables))) + f"{left}, {right}"
     lines += [f"{pad}if {left} != {right}:", f"{pad} return ({found})"]
@@ -130,21 +132,22 @@ def check_identity(alg: FiniteAlgebra, name: str, lhs: Term, rhs: Term,
     return CheckOutcome(name, False, Witness(tuple(zip(variables, values)), l, r), detail)
 
 
-def holds_over_generators(alg: FiniteAlgebra, lhs: Term, rhs: Term, over: str,
-                          fixed: Optional[Mapping[str, int]] = None) -> bool:
-    """lhs = rhs at every assignment with ``over`` in G = J u {0} and every
-    other variable in A; ``fixed`` binds as in check_identity.
+def holds(alg: FiniteAlgebra, lhs: Term, rhs: Term,
+          fixed: Optional[Mapping[str, int]] = None,
+          domains: Optional[Mapping[str, Collection[int]]] = None) -> bool:
+    """lhs = rhs with each variable of ``domains`` over its elements and
+    every other one over A; ``fixed`` binds as in check_identity.
 
-    Needs (i): then every x != 0 is a join of elements of J.  So if the
-    identity reads f(g + y) = f(g) + f(y) with g the variable ``over``, a
-    pass means that f preserves every binary join (write a = j + a' with j
-    in J and induct on the number of joinands).  Likewise, two maps that
-    preserve binary joins agree everywhere iff they agree on G.
+    Ranging g over G = J u {0} needs (i): then every x != 0 is a join of
+    elements of J.  So if the identity reads f(g + y) = f(g) + f(y), a pass
+    means that f preserves every binary join (write a = j + a' with j in J
+    and induct on the number of joinands).  Likewise, two maps that preserve
+    binary joins agree everywhere iff they agree on G.
     """
-    fixed = fixed or {}
-    _, scan = _compile(lhs, rhs, tuple(fixed), over)
+    fixed, domains = fixed or {}, domains or {}
+    _, scan = _compile(lhs, rhs, tuple(fixed), tuple(domains))
     return scan(alg.plus, alg.times, alg.alpha, alg.zero, alg.one, range(alg.size),
-                *fixed.values(), (alg.zero, *join_irreducibles(alg))) is None
+                *fixed.values(), *domains.values()) is None
 
 
 def _antitone(alg: FiniteAlgebra) -> CheckOutcome:
@@ -284,7 +287,7 @@ def _join_associative(alg: FiniteAlgebra) -> bool:
 
 #: the laws decided with x over G = J u {0}: once (i) holds, (iii) and (rdist)
 #: say that x |-> x*z and x |-> z*x preserve binary joins, and given (iii) both
-#: sides of (assoc) preserve joins in x (see holds_over_generators)
+#: sides of (assoc) preserve joins in x (see holds)
 _OVER_G = frozenset({"(iii)", "(assoc)", "(rdist)"})
 
 
@@ -297,7 +300,7 @@ def _laws_hold(alg: FiniteAlgebra, laws: Laws) -> bool:
             if law is _JOIN_ASSOCIATIVE:
                 ok = _join_associative(alg)
             elif name in _OVER_G:
-                ok = holds_over_generators(alg, lhs, rhs, "x")
+                ok = holds(alg, lhs, rhs, domains={"x": (alg.zero, *join_irreducibles(alg))})
             else:
                 ok = check_identity(alg, name, lhs, rhs).ok
             if not ok:

@@ -12,16 +12,12 @@ is checked by the law table BOOLEAN_LAWS, read on index tables.
 Centrality is defined on an inrs, and both tests require one.  The
 equational laws are CENTRALITY_LAWS.  Per element, the two 3-variable (b)
 laws cost n^3 and the two 4-variable (c) laws for + and * cost n^4 as full
-scans; each is decided by an exact reduction in about n^2 steps: a (b) law
-by its instances with c = 0 or a = 0 (_reduced_b_law_holds), a (c) law by
-its edge instances and, for *, a scan over e*A and e^a*A
-(_reduced_law_holds).  The two edge instances of the + law say that
-x |-> e*x and x |-> e^a*x preserve joins, so each is scanned with its free
-join argument over G = J u {0}, the join-irreducibles of (A, +) and 0, in
-n*|G| steps.  A law a reduction refutes is re-scanned in full for the
-witness.  The full scans remain the reference the tests compare the
-reductions against.  The semantic route reads the kernels K[e] and K[e^a],
-of which only the |J| kernels of join-irreducibles are fixpoints (kernel).
+scans; syntactic_centrality decides each by its rows in
+CENTRALITY_REDUCTIONS, reduced identities of about n^2 instances that
+axioms.holds scans, and re-scans a law its rows refute in full for the
+witness.  The full scans remain the reference the tests compare the rows
+against.  The semantic route reads the kernels K[e] and K[e^a], of which
+only the |J| kernels of join-irreducibles are fixpoints (kernel).
 """
 
 from __future__ import annotations
@@ -29,12 +25,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Collection, Sequence
 
-from .axioms import (INRS, LUK_NRS, CheckOutcome, Laws, check_identity, check_laws,
-                     holds_over_generators, require_class)
+from .axioms import (INRS, LUK_NRS, CheckOutcome, Laws, check_identity, check_laws, holds,
+                     require_class)
 from .congruences import Partition, all_congruences, kernel
-from .core import FiniteAlgebra, Homomorphism, leq, product
+from .core import FiniteAlgebra, Homomorphism, join_irreducibles, leq, product
 from .ideals import ElementSet, generate_ideal, pseudocomplement, principal_ideal
 from .terms import ONE, ZERO, Term, Var, church_q, x, y, z
 
@@ -44,92 +40,82 @@ def q(alg: FiniteAlgebra, e: int, a: int, b: int) -> int:
     return alg.plus[alg.times[e][a]][alg.times[alg.alpha[e]][b]]
 
 
-def _centrality_laws() -> tuple[tuple[str, Term, Term], ...]:
-    e, a, b, c, a1, a2, b1, b2 = (Var(v) for v in ("e", "a", "b", "c", "a1", "a2", "b1", "b2"))
-    return (
-        ("(a) q(e,a,a)=a", church_q(e, a, a), a),
-        ("(b) q(e,q(e,a,b),c)=q(e,a,c)", church_q(e, church_q(e, a, b), c), church_q(e, a, c)),
-        ("(b) q(e,a,q(e,b,c))=q(e,a,c)", church_q(e, a, church_q(e, b, c)), church_q(e, a, c)),
-        ("(c) q commutes with +", church_q(e, a1 + a2, b1 + b2),
-         church_q(e, a1, b1) + church_q(e, a2, b2)),
-        ("(c) q commutes with *", church_q(e, a1 * a2, b1 * b2),
-         church_q(e, a1, b1) * church_q(e, a2, b2)),
-        ("(c) q commutes with alpha", church_q(e, a.a, b.a), church_q(e, a, b).a),
-        ("(d) q(e,1,0)=e", church_q(e, ONE, ZERO), e),
+def _centrality_laws() -> tuple[tuple[tuple[str, Term, Term], ...], dict[str, tuple]]:
+    e, a, b, c, a1, a2, b1, b2, u1, u2, v1, v2 = (
+        Var(v) for v in ("e", "a", "b", "c", "a1", "a2", "b1", "b2", "u1", "u2", "v1", "v2"))
+    plus = ("(c) q commutes with +", church_q(e, a1 + a2, b1 + b2),
+            church_q(e, a1, b1) + church_q(e, a2, b2))
+    times = ("(c) q commutes with *", church_q(e, a1 * a2, b1 * b2),
+             church_q(e, a1, b1) * church_q(e, a2, b2))
+
+    def edges(law: tuple[str, Term, Term]) -> tuple:
+        return ((law[1], law[2], ("b1", "b2"), {"a1": "G"}),
+                (law[1], law[2], ("a1", "a2"), {"b1": "G"}))
+
+    table = (
+        (("(a) q(e,a,a)=a", church_q(e, a, a), a), ()),
+        (("(b) q(e,q(e,a,b),c)=q(e,a,c)", church_q(e, church_q(e, a, b), c), church_q(e, a, c)),
+         ((e * church_q(e, a, b), e * a, (), {}),)),
+        (("(b) q(e,a,q(e,b,c))=q(e,a,c)", church_q(e, a, church_q(e, b, c)), church_q(e, a, c)),
+         ((e.a * church_q(e, b, c), e.a * c, (), {}),)),
+        (plus, edges(plus)),
+        (times, edges(times) + ((u1 * u2 + v1 * v2, (u1 + v1) * (u2 + v2), (),
+                                 {"u1": "E", "u2": "E", "v1": "E'", "v2": "E'"}),)),
+        (("(c) q commutes with alpha", church_q(e, a.a, b.a), church_q(e, a, b).a), ()),
+        (("(d) q(e,1,0)=e", church_q(e, ONE, ZERO), e), ()),
     )
+    return tuple(law for law, _ in table), {law[0]: rows for law, rows in table if rows}
 
 
 #: the equational centrality conditions on q(x,y,z) = x*y + x^a*z, in the order
-#: they are checked, with e bound to the element under test.  q(e,0,0)=0 and
-#: q(e,1,1)=1 are the a=0 and a=1 instances of (a).
-CENTRALITY_LAWS = _centrality_laws()
-#: the two 3-variable (b) laws, which _reduced_b_law_holds decides on an inrs
-_B1_LAW, _B2_LAW = CENTRALITY_LAWS[1:3]
-#: the two 4-variable laws, which _reduced_law_holds decides on an inrs
-_PLUS_LAW, _TIMES_LAW = CENTRALITY_LAWS[3:5]
+#: they are checked, with e bound to the element under test (q(e,0,0)=0 and
+#: q(e,1,1)=1 are the a=0 and a=1 instances of (a)); and, per (b) law and (c)
+#: law of + and *, the rows (lhs, rhs, zeros, domains) that decide it
+CENTRALITY_LAWS, CENTRALITY_REDUCTIONS = _centrality_laws()
 
 
-def _reduced_b_law_holds(alg: FiniteAlgebra, e: int, law: tuple[str, Term, Term]) -> bool:
-    """A (b) law at e, decided in n^2 steps on an inrs.
-
-    With u = q(e,a,b), the first law's instances with c = 0 read e*u = e*a,
-    and the second's with a = 0 read e^a*q(e,b,c) = e^a*c (by x*0 = 0 and
-    0+x = x).  Given those, both sides of every instance are e*a + e^a*c.
-    """
-    P, R = alg.plus, range(alg.size)
-    te, tc = alg.times[e], alg.times[alg.alpha[e]]
-    if law is _B1_LAW:
-        return all(te[P[te[a]][tc[b]]] == te[a] for a in R for b in R)
-    return all(tc[P[te[b]][tc[c]]] == tc[c] for b in R for c in R)
+def _domain(alg: FiniteAlgebra, e: int, name: str) -> Collection[int]:
+    """G = J u {0}, E = e*A or E' = e^a*A."""
+    if name == "G":
+        return (alg.zero, *join_irreducibles(alg))
+    return set(alg.times[e if name == "E" else alg.alpha[e]])
 
 
-def _reduced_law_holds(alg: FiniteAlgebra, e: int, law: tuple[str, Term, Term]) -> bool:
-    """The (c) law for + or * at e, decided in about n^2 steps on an inrs.
-
-    Its instances with both b's = 0, and with both a's = 0, say that e and
-    e^a distribute from the left over the operation (by x*0 = 0 and 0+x = x).
-    For + they say that x |-> e*x and x |-> e^a*x preserve joins, so each is
-    scanned with its free join argument over G = J u {0}
-    (holds_over_generators), n*|G| instances instead of n^2.
-    Given those, the + law follows by the semilattice laws, and both sides of
-    the * law depend only on u = e*a and v = e^a*b: what remains is
-    u1*u2 + v1*v2 = (u1+v1)*(u2+v2) over E^2 x E'^2, with E = e*A and
-    E' = e^a*A (|E|*|E'| = n for a central e).
-    """
-    name, lhs, rhs = law
-    z = alg.zero
-    edges = (({"e": e, "b1": z, "b2": z}, "a1"), ({"e": e, "a1": z, "a2": z}, "b1"))
-    if law is _PLUS_LAW:
-        return all(holds_over_generators(alg, lhs, rhs, free, fixed=edge) for edge, free in edges)
-    if not all(check_identity(alg, name, lhs, rhs, fixed=edge).ok for edge, _ in edges):
-        return False
-    P, T = alg.plus, alg.times
-    E, E_co = set(T[e]), set(T[alg.alpha[e]])
-    return all(P[T[u1][u2]][T[v1][v2]] == T[P[u1][v1]][P[u2][v2]]
-               for u1 in E for u2 in E for v1 in E_co for v2 in E_co)
-
-
-#: law name -> its exact reduction on an inrs
-_REDUCTIONS = {_B1_LAW[0]: _reduced_b_law_holds, _B2_LAW[0]: _reduced_b_law_holds,
-               _PLUS_LAW[0]: _reduced_law_holds, _TIMES_LAW[0]: _reduced_law_holds}
+def _reductions_hold(alg: FiniteAlgebra, e: int, rows: tuple) -> bool:
+    """Every row at e: lhs = rhs with e bound, the variables of zeros bound to
+    0 and each variable of domains over its domain, built when a row reads it."""
+    for lhs, rhs, zeros, ranged in rows:
+        if not holds(alg, lhs, rhs, {"e": e, **dict.fromkeys(zeros, alg.zero)},
+                     {v: _domain(alg, e, name) for v, name in ranged.items()}):
+            return False
+    return True
 
 
 def syntactic_centrality(alg: FiniteAlgebra, e: int) -> CheckOutcome:
     """The equational centrality conditions, in the order of CENTRALITY_LAWS.
 
-    Requires an inrs.  The two 3-variable (b) laws are decided in n^2 steps
-    by _reduced_b_law_holds and the two 4-variable (c) laws by
-    _reduced_law_holds; both reductions are exact on an inrs and use only
-    (i) and (iv).  A law a reduction refutes gets the full compiled scan, so
-    the outcome and its witness are those of the full scans.  Those scans of
-    CENTRALITY_LAWS are the reference the tests hold the reductions to.
+    Requires an inrs.  A law with rows in CENTRALITY_REDUCTIONS is decided
+    by them in about n^2 steps; a law its rows refute gets the full compiled
+    scan, so the outcome and its witness are those of the full scans, the
+    reference the tests hold the rows to.  The rows are exact given (i),
+    (iii), (iv) and the laws before them:
+
+    - (b): with u = q(e,a,b), the first law's instances with c = 0 read
+      e*u = e*a and the second's with a = 0 read e^a*q(e,b,c) = e^a*c.
+      Given those, both sides of every instance are e*a + e^a*c.
+    - (c): the instances with b1 = b2 = 0, and with a1 = a2 = 0, say that e
+      and e^a distribute from the left.  For + they say that x |-> e*x and
+      x |-> e^a*x preserve joins, so a1 (b1) ranges over G (axioms.holds);
+      given that and (iii), so do both sides of the * edges.  Given the
+      edges, the + law follows, and both sides of the * law depend only on
+      u = e*a and v = e^a*b, leaving u1*u2 + v1*v2 = (u1+v1)*(u2+v2) over
+      E^2 x E'^2 (|E|*|E'| = n for a central e).
     """
     require_class(alg, INRS, "centrality")
-    for law in CENTRALITY_LAWS:
-        holds = _REDUCTIONS.get(law[0])
-        if holds is not None and holds(alg, e, law):
+    for name, lhs, rhs in CENTRALITY_LAWS:
+        rows = CENTRALITY_REDUCTIONS.get(name)
+        if rows and _reductions_hold(alg, e, rows):
             continue
-        name, lhs, rhs = law
         out = check_identity(alg, name, lhs, rhs, fixed={"e": e})
         if not out.ok:
             return out

@@ -52,7 +52,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from operator import itemgetter
@@ -84,10 +83,15 @@ class EnumerationTask:
             raise ValueError("the search is single-threaded")
         # every complete plus table is compared with its (n-2)! relabellings,
         # which the search holds in memory: refuse a task for which that one
-        # test costs more steps than its whole node budget
-        orders = math.factorial(max(self.size - 2, 0))
+        # test costs more steps than its whole node budget; k! stops growing
+        # once it passes the cap, and only a finished (n-2)! is printed
+        orders, k = 1, 1
+        while orders <= self.max_nodes and k < self.size - 2:
+            k += 1
+            orders *= k
         if orders > self.max_nodes:
-            raise ValueError(f"size {self.size} needs {self.size - 2}! = {orders} relabellings "
+            value = f" = {orders}" if k == self.size - 2 else ""
+            raise ValueError(f"size {self.size} needs {self.size - 2}!{value} relabellings "
                              f"per plus table, more than the node cap of {self.max_nodes}")
 
 

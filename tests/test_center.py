@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from nearsemiring import congruences
 from nearsemiring.axioms import (INRS, LUK_NRS, LUK_RS, CheckOutcome, check_axioms, check_identity,
-                                 classify, holds_over_generators)
+                                 classify, holds)
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
-from nearsemiring.center import (_B1_LAW, _B2_LAW, _PLUS_LAW, _TIMES_LAW, CENTRAL_ELEMENT_LAWS,
-                                 CENTRALITY_LAWS,
-                                 _reduced_b_law_holds, _reduced_law_holds,
+from nearsemiring.center import (CENTRAL_ELEMENT_LAWS, CENTRALITY_LAWS, CENTRALITY_REDUCTIONS,
+                                 _reductions_hold,
                                  center, central_elements, central_ideal_check,
                                  central_laws_report, decompose,
                                  interval_algebra, is_central, q, semantic_centrality,
@@ -364,55 +363,66 @@ def test_reduced_centrality_equals_the_full_scans():
             assert syntactic_centrality(alg, e) == reference_syntactic_centrality(alg, e)
 
 
+B1_LAW, B2_LAW, PLUS_LAW, TIMES_LAW = CENTRALITY_LAWS[1:5]
+
+
 def test_reduced_check_alone_decides_each_c_law():
-    # taken alone, for every element and not only past (a) and (b)
+    # the + law taken alone, for every element and not only past (a) and (b);
+    # the * law wherever the + law holds, as its edges over G lean on it
     seen = set()
     for alg in reduction_pool():
         z = alg.zero
         for e in range(alg.size):
-            for law in (_PLUS_LAW, _TIMES_LAW):
+            for law in (PLUS_LAW, TIMES_LAW):
                 name, lhs, rhs = law
                 full = check_identity(alg, name, lhs, rhs, fixed={"e": e}).ok
-                assert _reduced_law_holds(alg, e, law) == full, (alg, e, name)
+                assert _reductions_hold(alg, e, CENTRALITY_REDUCTIONS[name]) == full, (alg, e, name)
                 edges = all(check_identity(alg, name, lhs, rhs, fixed=edge).ok
                             for edge in ({"e": e, "b1": z, "b2": z}, {"e": e, "a1": z, "a2": z}))
                 seen.add((name, edges, full))
+                if not full:
+                    break
     # both laws pass and fail, and some * failures pass the edge instances:
-    # only the E^2 x E'^2 scan refutes those
-    assert {(law[0], full) for law in (_PLUS_LAW, _TIMES_LAW) for full in (True, False)} == {
+    # only the E^2 x E'^2 row refutes those
+    assert {(law[0], full) for law in (PLUS_LAW, TIMES_LAW) for full in (True, False)} == {
         (name, full) for name, _, full in seen}
-    assert (_TIMES_LAW[0], True, False) in seen
+    assert (TIMES_LAW[0], True, False) in seen
 
 
 def test_plus_law_edges_over_generators_are_the_full_scans():
     # x |-> e*x and x |-> e^a*x preserve joins iff they do on G = J u {0}, at
-    # every element of every inrs of the oracle pool, central or not
-    name, lhs, rhs = _PLUS_LAW
+    # every element of every inrs of the oracle pool, central or not; where
+    # both do, the edges of the * law hold iff they do with a1 or b1 over G
     seen = set()
     for alg in oracle_pool():
         if classify(alg) is None:
             continue
-        z = alg.zero
+        z, generators = alg.zero, (alg.zero, *join_irreducibles(alg))
         for e in range(alg.size):
-            for edge, free in (({"e": e, "b1": z, "b2": z}, "a1"),
-                               ({"e": e, "a1": z, "a2": z}, "b1")):
-                full = check_identity(alg, name, lhs, rhs, fixed=edge).ok
-                assert holds_over_generators(alg, lhs, rhs, free, fixed=edge) == full, (alg, e)
-                seen.add(full)
-    assert seen == {True, False}
+            for name, lhs, rhs in (PLUS_LAW, TIMES_LAW):
+                fulls = []
+                for edge, free in (({"e": e, "b1": z, "b2": z}, "a1"),
+                                   ({"e": e, "a1": z, "a2": z}, "b1")):
+                    full = check_identity(alg, name, lhs, rhs, fixed=edge).ok
+                    assert holds(alg, lhs, rhs, edge, {free: generators}) == full, (alg, e, name)
+                    seen.add((name, full))
+                    fulls.append(full)
+                if not all(fulls):
+                    break
+    assert seen == {(law[0], ok) for law in (PLUS_LAW, TIMES_LAW) for ok in (True, False)}
 
 
 def test_reduced_check_alone_decides_each_b_law():
-    # the c = 0 and a = 0 instances, for every element
+    # the short forms of the c = 0 and a = 0 instances, for every element
     seen = set()
     for alg in reduction_pool():
         for e in range(alg.size):
-            for law in (_B1_LAW, _B2_LAW):
+            for law in (B1_LAW, B2_LAW):
                 name, lhs, rhs = law
                 full = check_identity(alg, name, lhs, rhs, fixed={"e": e}).ok
-                assert _reduced_b_law_holds(alg, e, law) == full, (alg, e, name)
+                assert _reductions_hold(alg, e, CENTRALITY_REDUCTIONS[name]) == full, (alg, e, name)
                 seen.add((name, full))
-    assert seen == {(law[0], full) for law in (_B1_LAW, _B2_LAW) for full in (True, False)}
+    assert seen == {(law[0], full) for law in (B1_LAW, B2_LAW) for full in (True, False)}
 
 
 @st.composite

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from nearsemiring import axioms
 from nearsemiring.axioms import (INRS, LUK_RS, CheckOutcome, Witness, check_axioms,
-                                 check_identity, check_laws)
+                                 check_identity, check_laws, holds)
 from nearsemiring.catalog import boolean2, full_corpus, l3_x_b2
 from nearsemiring.center import BOOLEAN_LAWS, CENTRALITY_LAWS
 from nearsemiring.congruences import MALCEV_LAWS
-from nearsemiring.core import FiniteAlgebra
+from nearsemiring.core import FiniteAlgebra, join_irreducibles
 from nearsemiring.mv import MV_LAWS
 from nearsemiring.search import EnumerationTask, enumerate_algebras
 from nearsemiring.terms import ONE, ZERO, Alpha, Plus, Times, Var, eval_term
@@ -122,6 +122,37 @@ def test_generated_scan_names_only_its_own_identifiers():
     alg = boolean2()
     assert (check_identity(alg, "odd", lhs, rhs, fixed={"e": 1})
             == reference_check(alg, "odd", lhs, rhs, fixed={"e": 1}))
+
+
+def reference_holds(alg, lhs, rhs, fixed, domains):
+    variables = [v for v in dict.fromkeys(lhs.variables() + rhs.variables()) if v not in fixed]
+    for combo in itertools.product(*(domains.get(v, range(alg.size)) for v in variables)):
+        env = {**fixed, **dict(zip(variables, combo))}
+        if eval_term(alg, lhs, env) != eval_term(alg, rhs, env):
+            return False
+    return True
+
+
+def test_holds_ranges_each_variable_over_its_domain():
+    # two or three ranged variables and a fixed e, against eval_term over
+    # exactly the product of their domains: x over G = J u {0}, y over e*A,
+    # z over e^a*A or A; some identities pass only on the domains
+    x, y, z, e = (Var(v) for v in "xyze")
+    identities = (((x + y) * z, x * z + y * z, "xy"),
+                  (e * (x * y), (e * x) * (e * y), "xy"),
+                  (x * y + z, z + y * x, "xyz"),
+                  (x * (y + z), x * y + x * z, "xyz"))
+    seen = set()
+    for alg in full_corpus() + (l3_x_b2(),):
+        for f in range(alg.size):
+            every = {"x": (alg.zero, *join_irreducibles(alg)), "y": set(alg.times[f]),
+                     "z": set(alg.times[alg.alpha[f]])}
+            for lhs, rhs, ranged in identities:
+                domains = {v: every[v] for v in ranged}
+                got = holds(alg, lhs, rhs, {"e": f}, domains)
+                assert got == reference_holds(alg, lhs, rhs, {"e": f}, domains), (alg, f, lhs)
+                seen.add((got, check_identity(alg, "", lhs, rhs, fixed={"e": f}).ok))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 @st.composite

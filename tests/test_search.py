@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -477,6 +478,18 @@ def test_enumeration_task_validation():
     with pytest.raises(ValueError, match="5! = 120 relabellings"):
         EnumerationTask(7, INRS, max_nodes=119)
     assert EnumerationTask(7, INRS, max_nodes=120).size == 7
+
+
+def test_oversized_task_is_refused_without_computing_its_factorial():
+    # (n-2)! is multiplied out only until it passes the cap, and an
+    # unfinished product is never printed
+    for size in (2000, 10**6):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            EnumerationTask(size, LUK_NRS)
+        assert time.perf_counter() - start < 0.5
+        assert str(err.value) == (f"size {size} needs {size - 2}! relabellings per plus table, "
+                                  "more than the node cap of 5000000")
 
 
 def test_node_cap_raises_with_the_partial_models_and_admits_a_full_run():
