@@ -16,8 +16,8 @@ scans; syntactic_centrality decides each by its rows in
 CENTRALITY_REDUCTIONS, reduced identities of about n^2 instances that
 axioms.holds scans, and re-scans a law its rows refute in full for the
 witness.  The full scans remain the reference the tests compare the rows
-against.  The semantic route reads the kernels K[e] and K[e^a], of which
-only the |J| kernels of join-irreducibles are fixpoints (kernel).
+against.  The semantic route reads the kernels K[e] and K[e^a], joins of
+the |J| prime quotients Cg(j_*, j), the only fixpoints (kernel).
 """
 
 from __future__ import annotations

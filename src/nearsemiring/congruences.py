@@ -8,15 +8,19 @@ closure is computed independently as the subalgebra of A x A generated by
 the pair together with the diagonal; the two routes are compared rather than
 assumed to agree.
 
-The kernels K[x] = Cg(x, 0) are computed once per algebra (kernel) and shared
-by Con(A), principal ideals and semantic centrality.  On every inrs
-K[x + y] = K[x] v K[y], so only the kernels of the join-irreducible elements
-of (A, +) are fixpoints, and every other kernel is their join.  On a
-Lukasiewicz near semiring the kernels generate Con(A): with the difference
-term s(x, y) = x^a * y, Cg(a, b) = Cg(s(a, b), 0) v Cg(s(b, a), 0), so the
-join-irreducible kernels already generate, and a handful of kernels replace
-the n(n-1)/2 principal pairs.  That identity fails on some inrs tables, so
-all_congruences uses the kernels only where classify finds luk-nrs or above.
+Con(A) and the kernels K[x] = Cg(x, 0) both read one memo per algebra: the
+|J| prime quotients P[j] = Cg(j_*, j), where J is the set of join-irreducible
+elements of (A, +) and j_* is the unique lower cover of j.  Every inrs
+carries the meet term x ^ y = (x^a + y^a)^a of the induced order, so it is a
+finite lattice, and the perspectivity argument for finite lattices applies
+(Gratzer, The Congruences of a Finite Lattice, 2006; Freese, Computing
+congruences efficiently, Algebra Universalis 59, 2008).  The classes of a
+congruence are convex, so it is the join of the Cg(c, d) over the covers
+c < d it collapses.  For such a cover take j minimal with j <= d and
+j not <= c: then j is in J, j ^ c = j_* and j + c = d, so Cg(c, d) = P[j].
+Hence Con(A) is the join closure of the P[j] (all_congruences), and
+K[x] = V{P[j] : j in J, j <= x} (kernel), since K[j] = P[j] v K[j_*] and
+K[x + y] = K[x] v K[y].  Both require an inrs.
 
 A Partition is one label vector: labels[v] is the least element of v's
 block.  Meet, join, refinement and permutability all read the labels.  Two
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .axioms import LUK_NRS, LUK_RS, CheckOutcome, LawReport, Laws, check_laws, classify
+from .axioms import INRS, CheckOutcome, LawReport, Laws, check_laws, require_class
 from .core import DEFAULT_MAX_SIZE, FiniteAlgebra, SizeLimitError, join_irreducibles, per_algebra
 from .terms import ZERO, difference_s, malcev_p, x, y
 
@@ -268,65 +272,53 @@ def polynomial_pairs(alg: FiniteAlgebra, a: int, b: int) -> PairSet:
 
 
 @per_algebra
+def prime_quotients(alg: FiniteAlgebra) -> dict[int, Partition]:
+    """{j: P[j]} with P[j] = Cg(j_*, j) for every j in J, the only principal
+    congruence fixpoints behind Con(A) and the kernels.  Requires an inrs."""
+    require_class(alg, INRS, "congruences")
+    return {j: principal_congruence(alg, lower, j)
+            for j, lower in join_irreducibles(alg).items()}
+
+
+@per_algebra
 def _kernel_slots(alg: FiniteAlgebra) -> list[Optional[Partition]]:
     return [None] * alg.size
 
 
 def kernel(alg: FiniteAlgebra, x: int) -> Partition:
-    """K[x] = Cg(x, 0), computed once per element and kept on the algebra instance.
-
-    On a table classify finds inrs or better, K[x + y] = K[x] v K[y] (see
-    all_congruences) and every x != 0 is the join of the join-irreducibles
-    j <= x, so only the K[j] are principal congruence fixpoints: K[0] is
-    discrete, and any other K[x] is one union-find pass over the labels of
-    the K[j] with j <= x.  Every other table gets the fixpoint for every x.
+    """K[x] = Cg(x, 0): the join of the prime quotients P[j] with j in J below
+    x, one union-find pass over their labels, kept per element on the algebra
+    instance; K[0] is discrete.  Modulo K[j], j_* = j_* ^ j = j_* ^ 0 = 0, so
+    K[j] = P[j] v K[j_*]; modulo K[x + y], x = x ^ (x + y) = x ^ 0 = 0, and
+    modulo K[x] v K[y], x + y = 0, so K[x + y] = K[x] v K[y].  Requires an inrs.
     """
     ks = _kernel_slots(alg)
     k = ks[x]
     if k is None:
-        if classify(alg) is not None and x not in join_irreducibles(alg):
-            P = alg.plus
-            k = Partition.from_pairs(alg.size, itertools.chain.from_iterable(
-                enumerate(kernel(alg, j).labels) for j in join_irreducibles(alg) if P[j][x] == x))
-        else:
-            k = principal_congruence(alg, x, alg.zero)
-        ks[x] = k
+        P = alg.plus
+        k = ks[x] = Partition.from_pairs(alg.size, itertools.chain.from_iterable(
+            enumerate(p.labels) for j, p in prime_quotients(alg).items() if P[j][x] == x))
     return k
 
 
 def all_congruences(alg: FiniteAlgebra,
                     max_size: int = DEFAULT_MAX_SIZE) -> tuple[Partition, ...]:
-    """Complete Con(A): the join closure of a generating set of congruences.
+    """Complete Con(A): the join closure of the prime quotients P[j] = Cg(j_*, j).
 
-    Every congruence is the join of the principal congruences of its pairs.
-    On a table classify places at luk-nrs or above, Cg(a, b) is the join of
-    the kernels Cg(s(a, b), 0) and Cg(s(b, a), 0) (s(x, y) = x^a * y), so
-    the kernels generate.  That identity fails on some inrs tables (at n = 4
-    already), so every other table is generated by its n(n-1)/2 principal
-    pairs.  On every inrs the kernels satisfy K[x + y] = K[x] v K[y]: modulo
-    K[x + y], x = x ^ (x + y) = x ^ 0 = 0 and likewise y = 0, with the meet
-    term x ^ y = (x^a + y^a)^a of the induced order; modulo K[x] v K[y],
-    x + y = 0 + 0 = 0.  Every x is the join of the join-irreducible elements
-    below it, so on luk-nrs and above their kernels alone generate (Gratzer,
-    The Congruences of a Finite Lattice, 2006, argues the same way for
-    lattices).
-
-    The closure adds one distinct generator g at a time, joining g with
-    every congruence found so far: |Con| * m joins for m generators.
-    Includes the diagonal and the full relation; output is canonically
-    ordered (finest first).
+    Every congruence is the join of the Cg(c, d) over the covers c < d it
+    collapses, because its classes are convex in the lattice order of the
+    inrs, and each such Cg(c, d) is the P[j] of the least j in J below d and
+    not below c (see the module docstring).  The closure adds one distinct
+    P[j] at a time, joining it with every congruence found so far:
+    |Con| * m joins for m distinct generators.  Includes the diagonal and
+    the full relation; output is canonically ordered (finest first).
+    Requires an inrs, after the size check.
     """
     n = alg.size
     if n > max_size:
         raise SizeLimitError(f"universe size {n} exceeds the {max_size} limit")
-    if classify(alg) in (LUK_NRS, LUK_RS):
-        generators = [kernel(alg, j) for j in join_irreducibles(alg)]
-    else:
-        generators = [principal_congruence(alg, a, b)
-                      for a in range(n) for b in range(a + 1, n)]
-
     cons = {Partition.discrete(n)}
-    for g in dict.fromkeys(generators):
+    for g in dict.fromkeys(prime_quotients(alg).values()):
         cons |= {c.join(g) for c in cons}
     return tuple(sorted(cons, key=partition_sort_key))
 
@@ -376,8 +368,9 @@ def malcev_and_regularity_report(alg: FiniteAlgebra,
                                  ) -> MalcevReport:
     """Run all four structure checks, recording failures instead of rejecting.
 
-    On a Lukasiewicz near semiring every check passes; on other inputs the
-    report documents what breaks and where.
+    On a Lukasiewicz near semiring every check passes; on another inrs the
+    report documents what breaks and where.  Con(A), when not given,
+    requires an inrs.
     """
     checks = list(check_laws(alg, MALCEV_LAWS))
     cons = congruences if congruences is not None else all_congruences(alg)

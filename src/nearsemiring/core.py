@@ -166,23 +166,25 @@ def leq(alg: FiniteAlgebra, a: int, b: int) -> bool:
 
 
 @per_algebra
-def join_irreducibles(alg: FiniteAlgebra) -> tuple[int, ...]:
-    """The j != 0 of (A, +) that are not the join of the elements strictly below j.
+def join_irreducibles(alg: FiniteAlgebra) -> dict[int, int]:
+    """{j: j_*} for the j != 0 of (A, +) that are not the join j_* of the
+    elements strictly below j.
 
     Meaningful once (A, +) is a semilattice with least element 0 (axiom (i)):
-    then every x != 0 is the join of the j below it, so a map that preserves
-    binary joins is fixed by its values on G = J u {0}.
+    then j_* is the unique lower cover of j, every x != 0 is the join of the
+    j below it, and a map that preserves binary joins is fixed by its values
+    on G = J u {0}.  The keys ascend.
     """
     P, z = alg.plus, alg.zero
-    out = []
+    out = {}
     for j in range(alg.size):
         below = z
         for v, top in enumerate(P[j]):
             if top == j and v != j:
                 below = P[below][v]
         if below != j:
-            out.append(j)
-    return tuple(out)
+            out[j] = below
+    return out
 
 
 def product(a: FiniteAlgebra, b: FiniteAlgebra,

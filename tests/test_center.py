@@ -510,8 +510,8 @@ def test_central_element_laws_are_the_order_scans():
 
 
 def test_center_makes_one_principal_congruence_per_kernel(monkeypatch):
-    # Con(A), theta(e,0) and theta(e,1) all read the kernels Cg(x,0); only the
-    # kernels of the join-irreducibles are fixpoints, the rest are their joins
+    # Con(A), theta(e,0) and theta(e,1) all read the prime quotients
+    # Cg(j_*, j) of the join-irreducibles; they are the only fixpoints
     calls = []
     original = congruences.principal_congruence
 
@@ -520,7 +520,8 @@ def test_center_makes_one_principal_congruence_per_kernel(monkeypatch):
         return original(alg, a, b)
 
     monkeypatch.setattr(congruences, "principal_congruence", counted)
-    alg = power(boolean2(), 4)
-    assert center(alg).ok
-    assert sorted(calls) == [(j, alg.zero) for j in join_irreducibles(alg)]
-    assert len(calls) == 4
+    for alg, generators in ((power(boolean2(), 4), 4), (power(godel3(), 2), 4)):
+        calls.clear()
+        assert center(alg).ok
+        assert sorted(calls) == sorted((lower, j) for j, lower in join_irreducibles(alg).items())
+        assert len(calls) == generators

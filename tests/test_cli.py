@@ -437,10 +437,13 @@ def test_cb_search_and_dot_center_reject_non_inrs(tmp_path, capsys):
         table.write_text(text)
         for argv in (("cb", str(table), path("b2.alg"), "--search"),
                      ("cb", path("b2.alg"), str(table), "--search"),
-                     ("dot", str(table), "--lattice", "ce")):
+                     ("dot", str(table), "--lattice", "ce"),
+                     ("congruences", str(table)),
+                     ("dot", str(table), "--lattice", "con"),
+                     ("principal-ideal", str(table), "--element", "1")):
             status, out, err = run(capsys, *argv)
-            assert status == 2 and out == ""
-            assert err.startswith("error: algebra fails inrs axiom (i)")
+            assert status == 2 and out == "", argv
+            assert err.startswith("error: algebra fails inrs axiom (i)"), argv
 
 
 TABLE_COMMANDS = (("check",), ("congruences",), ("ideals",), ("center",),

@@ -6,17 +6,17 @@ import itertools
 
 import pytest
 
-from nearsemiring.axioms import CLASSES, INRS, LUK_NRS, LUK_RS, classify
+from nearsemiring.axioms import CLASSES, INRS, LUK_NRS, LUK_RS, check_laws, classify
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
 from nearsemiring.congruences import (Partition, all_congruences, join_irreducibles, kernel,
                                       malcev_and_regularity_report,
-                                      partition_sort_key, polynomial_pairs,
+                                      partition_sort_key, polynomial_pairs, prime_quotients,
                                       principal_congruence, werner_comparison)
 from nearsemiring.core import product
-from nearsemiring.terms import eval_term, x
+from nearsemiring.terms import eval_term, x, y
 
-from enumerated import models
+from enumerated import models, oracle_pool
 
 L3 = luk_chain(3)
 
@@ -110,11 +110,13 @@ def kernel_identity_holds(alg, a, b):
 
 
 def test_all_congruences_equals_the_all_pairs_reference():
-    # the join-irreducible kernels generate on luk-* only; every class is compared
+    # the prime quotients generate on every inrs; every class is compared, and
+    # g3^3 is an inrs that is not Lukasiewicz
     pool = ([alg for n in range(1, 6) for cls in CLASSES for alg in models(n, cls)]
             + luk_models()
             + [product(product(L3, luk_chain(4)), boolean2()),
-               functools.reduce(product, [L3] * 3), functools.reduce(product, [boolean2()] * 5)])
+               functools.reduce(product, [L3] * 3), functools.reduce(product, [boolean2()] * 5),
+               functools.reduce(product, [godel3()] * 3)])
     assert {classify(alg) for alg in pool} == set(CLASSES)
     for alg in pool:
         assert all_congruences(alg) == reference_all_congruences(alg)
@@ -128,8 +130,8 @@ def test_principal_congruence_equals_the_union_closure_reference():
 
 
 def test_kernel_of_a_join_is_the_join_of_the_kernels_on_every_inrs():
-    # K[x+y] = K[x] v K[y] on every inrs, why kernel joins the join-irreducible
-    # kernels and why they generate Con(A) on luk-*; kernel against the fixpoint
+    # K[x+y] = K[x] v K[y] on every inrs, why kernel joins the prime quotients
+    # below x; kernel against the fixpoint
     pool = [alg for n in range(1, 6) for alg in models(n, INRS)] + luk_models()
     for alg in pool:
         fixpoint = [principal_congruence(alg, a, alg.zero) for a in range(alg.size)]
@@ -139,9 +141,32 @@ def test_kernel_of_a_join_is_the_join_of_the_kernels_on_every_inrs():
 
 
 def test_join_irreducibles_of_chains_and_products():
-    assert join_irreducibles(luk_chain(5)) == (1, 2, 3, 4)
-    assert join_irreducibles(b2_x_l3()) == (1, 2, 3)
-    assert join_irreducibles(trivial()) == ()
+    # each join-irreducible j maps to its lower cover j_*
+    assert join_irreducibles(luk_chain(5)) == {1: 0, 2: 1, 3: 2, 4: 3}
+    assert join_irreducibles(b2_x_l3()) == {1: 0, 2: 1, 3: 0}
+    assert join_irreducibles(trivial()) == {}
+
+
+def test_every_cover_generates_the_prime_quotient_of_its_least_join_irreducible():
+    # for a cover c < d and a least j in J with j <= d and j not <= c,
+    # j ^ c = j_* and j + c = d, so Cg(c, d) = Cg(j_*, j) = P[j]
+    covers = 0
+    for alg in oracle_pool():
+        if classify(alg) is None:
+            continue
+        P, n = alg.plus, alg.size
+        quotients = prime_quotients(alg)
+        for c, d in itertools.permutations(range(n), 2):
+            if P[c][d] != d or any(P[c][v] == v and P[v][d] == d and v not in (c, d)
+                                   for v in range(n)):
+                continue
+            below = [j for j in quotients if P[j][d] == d and P[j][c] != c]
+            least = [j for j in below if all(P[i][j] != j for i in below if i != j)]
+            assert least, (alg, c, d)
+            for j in least:
+                assert principal_congruence(alg, c, d) == quotients[j], (alg, c, d, j)
+            covers += 1
+    assert covers == 4885
 
 
 def test_kernels_generate_every_principal_congruence_on_luk_models():
@@ -152,7 +177,9 @@ def test_kernels_generate_every_principal_congruence_on_luk_models():
 
 
 def test_kernel_identity_fails_on_inrs():
-    # why all_congruences keeps the principal pairs below luk-nrs
+    # the difference-term identity Cg(a, b) = K[s(a, b)] v K[s(b, a)] holds on
+    # luk-* only; Con(A) does not lean on it, the prime quotients generate on
+    # every inrs
     failures = [(alg, a, b) for alg in models(4, INRS)
                 for a, b in itertools.combinations(range(4), 2)
                 if not kernel_identity_holds(alg, a, b)]
@@ -192,7 +219,7 @@ def test_memos_belong_to_one_algebra_instance(monkeypatch, collect, live_first):
     else:
         gc.disable()
     try:
-        # Con(A) reads one kernel per join-irreducible element
+        # Con(A) reads one prime quotient per join-irreducible element
         for live, generators in ((luk_chain(5), 4), (b2_x_l3(), 3)):
             copies = [dataclasses.replace(live) for _ in range(2)]
             for alg in [live, *copies] if live_first else [*copies, live]:
@@ -279,11 +306,30 @@ def test_every_congruence_verified_post_hoc():
             assert p.congruence_defect(alg) is None
 
 
-def test_congruence_lattice_distributive_on_luk_corpus():
-    for alg in LUK_CORPUS:
+def majority(u, v, w):
+    """m(u,v,w) = (u^v) + (v^w) + (u^w), with the meet term u ^ v = (u^a + v^a)^a."""
+    def meet(s, t):
+        return (s.a + t.a).a
+    return meet(u, v) + meet(v, w) + meet(u, w)
+
+
+#: the majority identities, which hold on every inrs
+MAJORITY_LAWS = (
+    ("m(x,x,y) = x", (("", majority(x, x, y), x),)),
+    ("m(x,y,x) = x", (("", majority(x, y, x), x),)),
+    ("m(y,x,x) = x", (("", majority(y, x, x), x),)),
+)
+
+
+def test_congruence_lattice_distributive_on_every_enumerated_inrs():
+    # Jonsson: a majority term makes every inrs variety congruence distributive
+    pool = [alg for n in range(1, 6) for alg in models(n, INRS)] + luk_models()
+    assert len(pool) == 1059
+    for alg in pool:
+        assert all(out.ok for out in check_laws(alg, MAJORITY_LAWS)), alg
         cons = all_congruences(alg)
         for a, b, c in itertools.product(cons, repeat=3):
-            assert a.meet(b.join(c)) == a.meet(b).join(a.meet(c))
+            assert a.meet(b.join(c)) == a.meet(b).join(a.meet(c)), alg
 
 
 def test_all_congruences_deterministic():
