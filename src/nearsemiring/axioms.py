@@ -12,13 +12,15 @@ over G = J u {0}, the join-irreducibles of (A, +) and 0 (_decide_class gives
 the arguments).  Every failure a caller sees is still worded from
 ``check_axioms``, so every witness comes from the full scans, which stay the
 reference the tests hold ``classify`` to.  ``holds`` decides the reduced
-identities, here and in ``center``.
+identities, here and, through ``holds_at``, in ``center``.
 
 Each identity is compiled, on first use, into one generated Python scan: nested
 loops over the operation tables with the first variable varying fastest, so
 the first failing assignment is the reported witness.  A variable ranges over
-A unless the scan is given a domain of its own for it.  The generated source
-names only the tables and its own loop variables.  ``terms.eval_term`` stays the
+A unless the scan is given a domain of its own for it.  Each subterm, and each
+table row it reads, is computed in the outermost loop where its variables are
+bound.  The generated source names only the tables, its loop variables and
+its hoisted locals.  ``terms.eval_term`` stays the
 reference semantics the compiled scans are tested against.
 """
 
@@ -62,21 +64,6 @@ class CheckOutcome:
     detail: str = ""
 
 
-def _source(t: Term, slot: Mapping[str, str]) -> str:
-    """t as a Python expression over the tables; a variable reads its slot."""
-    if isinstance(t, Var):
-        return slot[t.name]
-    if isinstance(t, Const):
-        return "Z" if t.which == "0" else "O"
-    if isinstance(t, Plus):
-        return f"P[{_source(t.left, slot)}][{_source(t.right, slot)}]"
-    if isinstance(t, Times):
-        return f"T[{_source(t.left, slot)}][{_source(t.right, slot)}]"
-    if isinstance(t, Alpha):
-        return f"A[{_source(t.arg, slot)}]"
-    raise TypeError(f"not a term: {t!r}")
-
-
 @lru_cache(maxsize=256)
 def _compile(lhs: Term, rhs: Term, fixed: tuple[str, ...], ranged: tuple[str, ...] = ()
              ) -> tuple[tuple[str, ...], Callable]:
@@ -88,20 +75,57 @@ def _compile(lhs: Term, rhs: Term, fixed: tuple[str, ...], ranged: tuple[str, ..
     (values..., lhs, rhs), or None.  Every variable ranges over R except the
     ``ranged`` ones: each ranges over its own argument after the fixed
     values, in the order of ``ranged``.
+
+    Every subterm, and every table row a product or sum reads, is computed
+    once in the outermost loop where all of its variables are bound (before
+    the loops if it reads only fixed values and constants), as a local
+    h0, h1, ...; only the subterms that read the innermost variable are
+    evaluated per instance.  Equal subterms share one local.
     """
     variables = tuple(v for v in dict.fromkeys(lhs.variables() + rhs.variables())
                       if v not in fixed)
-    slot = {name: f"f{i}" for i, name in enumerate(fixed)}
-    slot.update((name, f"v{i}") for i, name in enumerate(variables))
-    left, right = _source(lhs, slot), _source(rhs, slot)
+    k = len(variables)
+    # a fixed value is bound on entry (depth 0), variable i by the loop at depth k - i
+    bound = {name: (f"f{i}", 0) for i, name in enumerate(fixed)}
+    bound.update((name, (f"v{i}", k - i)) for i, name in enumerate(variables))
+    hoisted: list[list[str]] = [[] for _ in range(k + 1)]
+    local: dict[str, str] = {}
+
+    def bind(expr: str, depth: int) -> tuple[str, int]:
+        """expr, or the local holding it when it is invariant in the innermost loop."""
+        if depth == k:
+            return expr, depth
+        if expr not in local:
+            local[expr] = f"h{len(local)}"
+            hoisted[depth].append(f"{local[expr]} = {expr}")
+        return local[expr], depth
+
+    def source(t: Term) -> tuple[str, int]:
+        """t as a Python expression over the tables, and the depth binding it."""
+        if isinstance(t, Var):
+            return bound[t.name]
+        if isinstance(t, Const):
+            return ("Z" if t.which == "0" else "O"), 0
+        if isinstance(t, Alpha):
+            arg, depth = source(t.arg)
+            return bind(f"A[{arg}]", depth)
+        if isinstance(t, (Plus, Times)):
+            (left, dl), (right, dr) = source(t.left), source(t.right)
+            row, _ = bind(f"{'P' if isinstance(t, Plus) else 'T'}[{left}]", dl)
+            return bind(f"{row}[{right}]", max(dl, dr))
+        raise TypeError(f"not a term: {t!r}")
+
+    (left, _), (right, _) = source(lhs), source(rhs)
     domain = {name: f"f{len(fixed) + i}" for i, name in enumerate(ranged)}
     params = ", ".join(["P", "T", "A", "Z", "O", "R"]
                        + [f"f{i}" for i in range(len(fixed) + len(ranged))])
-    lines = [f"def scan({params}):"]
-    for depth, i in enumerate(reversed(range(len(variables)))):
-        lines.append(" " * (depth + 1) + f"for v{i} in {domain.get(variables[i], 'R')}:")
-    pad = " " * (len(variables) + 1)
-    found = "".join(f"v{i}, " for i in range(len(variables))) + f"{left}, {right}"
+    lines = [f"def scan({params}):"] + [" " + h for h in hoisted[0]]
+    for depth in range(1, k + 1):
+        i = k - depth
+        lines.append(" " * depth + f"for v{i} in {domain.get(variables[i], 'R')}:")
+        lines += [" " * (depth + 1) + h for h in hoisted[depth]]
+    pad = " " * (k + 1)
+    found = "".join(f"v{i}, " for i in range(k)) + f"{left}, {right}"
     lines += [f"{pad}if {left} != {right}:", f"{pad} return ({found})"]
     space: dict = {}
     exec("\n".join(lines), space)
@@ -145,9 +169,18 @@ def holds(alg: FiniteAlgebra, lhs: Term, rhs: Term,
     binary joins agree everywhere iff they agree on G.
     """
     fixed, domains = fixed or {}, domains or {}
-    _, scan = _compile(lhs, rhs, tuple(fixed), tuple(domains))
+    return holds_at(alg, lhs, rhs, tuple(fixed), tuple(domains),
+                    *fixed.values(), *domains.values())
+
+
+def holds_at(alg: FiniteAlgebra, lhs: Term, rhs: Term, fixed: tuple[str, ...],
+             ranged: tuple[str, ...], *args: object) -> bool:
+    """holds with the variable names apart from their values: args are the
+    values of fixed, then the domains of ranged, in order.  A caller that
+    decides one identity many times builds the name tuples once."""
+    _, scan = _compile(lhs, rhs, fixed, ranged)
     return scan(alg.plus, alg.times, alg.alpha, alg.zero, alg.one, range(alg.size),
-                *fixed.values(), *domains.values()) is None
+                *args) is None
 
 
 def _antitone(alg: FiniteAlgebra) -> CheckOutcome:

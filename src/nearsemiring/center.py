@@ -14,7 +14,7 @@ equational laws are CENTRALITY_LAWS.  Per element, the two 3-variable (b)
 laws cost n^3 and the two 4-variable (c) laws for + and * cost n^4 as full
 scans; syntactic_centrality decides each by its rows in
 CENTRALITY_REDUCTIONS, reduced identities of about n^2 instances that
-axioms.holds scans, and re-scans a law its rows refute in full for the
+axioms.holds_at scans, and re-scans a law its rows refute in full for the
 witness.  The full scans remain the reference the tests compare the rows
 against.  The semantic route reads the kernels K[e] and K[e^a], joins of
 the |J| prime quotients Cg(j_*, j), the only fixpoints (kernel).
@@ -25,9 +25,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Sequence
+from typing import Collection, Optional, Sequence
 
-from .axioms import (INRS, LUK_NRS, CheckOutcome, Laws, check_identity, check_laws, holds,
+from .axioms import (INRS, LUK_NRS, CheckOutcome, Laws, check_identity, check_laws, holds_at,
                      require_class)
 from .congruences import Partition, all_congruences, kernel
 from .core import FiniteAlgebra, Homomorphism, join_irreducibles, leq, product
@@ -48,19 +48,24 @@ def _centrality_laws() -> tuple[tuple[tuple[str, Term, Term], ...], dict[str, tu
     times = ("(c) q commutes with *", church_q(e, a1 * a2, b1 * b2),
              church_q(e, a1, b1) * church_q(e, a2, b2))
 
+    def row(lhs: Term, rhs: Term, zeros: tuple[str, ...] = (),
+            domains: Optional[dict[str, str]] = None) -> tuple:
+        domains = domains or {}
+        return lhs, rhs, ("e", *zeros), tuple(domains), tuple(domains.values())
+
     def edges(law: tuple[str, Term, Term]) -> tuple:
-        return ((law[1], law[2], ("b1", "b2"), {"a1": "G"}),
-                (law[1], law[2], ("a1", "a2"), {"b1": "G"}))
+        return (row(law[1], law[2], ("b1", "b2"), {"a1": "G"}),
+                row(law[1], law[2], ("a1", "a2"), {"b1": "G"}))
 
     table = (
         (("(a) q(e,a,a)=a", church_q(e, a, a), a), ()),
         (("(b) q(e,q(e,a,b),c)=q(e,a,c)", church_q(e, church_q(e, a, b), c), church_q(e, a, c)),
-         ((e * church_q(e, a, b), e * a, (), {}),)),
+         (row(e * church_q(e, a, b), e * a),)),
         (("(b) q(e,a,q(e,b,c))=q(e,a,c)", church_q(e, a, church_q(e, b, c)), church_q(e, a, c)),
-         ((e.a * church_q(e, b, c), e.a * c, (), {}),)),
+         (row(e.a * church_q(e, b, c), e.a * c),)),
         (plus, edges(plus)),
-        (times, edges(times) + ((u1 * u2 + v1 * v2, (u1 + v1) * (u2 + v2), (),
-                                 {"u1": "E", "u2": "E", "v1": "E'", "v2": "E'"}),)),
+        (times, edges(times) + (row(u1 * u2 + v1 * v2, (u1 + v1) * (u2 + v2), (),
+                                    {"u1": "E", "u2": "E", "v1": "E'", "v2": "E'"}),)),
         (("(c) q commutes with alpha", church_q(e, a.a, b.a), church_q(e, a, b).a), ()),
         (("(d) q(e,1,0)=e", church_q(e, ONE, ZERO), e), ()),
     )
@@ -70,7 +75,8 @@ def _centrality_laws() -> tuple[tuple[tuple[str, Term, Term], ...], dict[str, tu
 #: the equational centrality conditions on q(x,y,z) = x*y + x^a*z, in the order
 #: they are checked, with e bound to the element under test (q(e,0,0)=0 and
 #: q(e,1,1)=1 are the a=0 and a=1 instances of (a)); and, per (b) law and (c)
-#: law of + and *, the rows (lhs, rhs, zeros, domains) that decide it
+#: law of + and *, the rows that decide it: (lhs, rhs, the fixed variables, e
+#: then those bound to 0, the ranged variables, the domain of each)
 CENTRALITY_LAWS, CENTRALITY_REDUCTIONS = _centrality_laws()
 
 
@@ -82,11 +88,12 @@ def _domain(alg: FiniteAlgebra, e: int, name: str) -> Collection[int]:
 
 
 def _reductions_hold(alg: FiniteAlgebra, e: int, rows: tuple) -> bool:
-    """Every row at e: lhs = rhs with e bound, the variables of zeros bound to
-    0 and each variable of domains over its domain, built when a row reads it."""
-    for lhs, rhs, zeros, ranged in rows:
-        if not holds(alg, lhs, rhs, {"e": e, **dict.fromkeys(zeros, alg.zero)},
-                     {v: _domain(alg, e, name) for v, name in ranged.items()}):
+    """Every row at e: lhs = rhs with e bound, the other fixed variables bound
+    to 0 and each ranged variable over its domain, built when a row reads it."""
+    zero = alg.zero
+    for lhs, rhs, fixed, ranged, domains in rows:
+        if not holds_at(alg, lhs, rhs, fixed, ranged, e, *(zero,) * (len(fixed) - 1),
+                        *(_domain(alg, e, name) for name in domains)):
             return False
     return True
 

@@ -1,14 +1,25 @@
 """Exhaustive enumeration of the table models up to isomorphism.
 
 Search order: bounded join-semilattice tables first (few at small sizes),
-then antitone involutions of the induced order, then the multiplication
-table.  Both tables are filled cell by cell with an incremental forward
-check: after each assignment only the constraint instances that read the
-new cell are re-tested (associativity of + for the plus table; left
-distributivity and the interchange/associativity axioms of the requested
-class for the multiplication table), found through indices by the cells
-they read.  An instance can only newly fail when it reads the new cell, so
-this prunes exactly the nodes a full rescan would.
+then antitone involutions alpha of the induced order, then the
+multiplication table.  The plus table is filled cell by cell with an
+incremental forward check: after each assignment only the associativity
+instances that read the new cell are re-tested, found through an index of
+the cells by value.  An instance can only newly fail when it reads the new
+cell, so this prunes exactly the nodes a full rescan would.
+
+The multiplication table of an inrs is filled the same way, checked for
+left distributivity.  A luk-* table is not searched cell by cell: it is
+built.  Finite basic algebras, term equivalent to the luk-nrs models,
+correspond one to one with bounded lattices that carry an antitone
+involution sigma_y on every section [y, 1] (Chajda, Halas and Kuhr,
+Semilattice Structures, 2007), with sigma_0 = alpha and sigma_1 the
+identity.  With x (+) y = sigma_y(alpha(x) + y) and x*y =
+alpha(alpha(x) (+) alpha(y)), as in mv.from_mv, column w of the times table
+is x*w = alpha(sigma_y(x + y)) for y = alpha(w).  So each root (P, alpha)
+has one luk-nrs table per choice of the sigma_y, y a middle element, and
+each choice tried is one node.  luk-rs keeps the commutative ones: a
+finite commutative basic algebra is an MV-algebra (Botur and Halas, 2008).
 
 Isomorphic copies are never searched twice.  The relabellings are the
 permutations fixing 0 and n-1, and tables are compared in the search's own
@@ -19,9 +30,8 @@ alpha is kept only if it is the least of its conjugates under Aut(P), which
 also yields Aut(P, alpha).  Each kept pair is one root per isomorphism
 orbit of (P, alpha), and the times phase runs from the roots alone.  Inside
 a root a leaf is kept only if its times table is the least of its
-relabellings under Aut(P, alpha).  The search visits leaves in this same
-order, so every model is kept exactly once, as the first copy a search over
-all labelled pairs would meet.
+relabellings under Aut(P, alpha), so every model is kept exactly once, as
+the least copy on the least root of its orbit.
 
 Each kept model also gets its canonical form (the minimum encoding over all
 permutations fixing zero and one), for the sort order and the file names of
@@ -37,11 +47,9 @@ and is the tests' oracle for these forms.
 Every leaf is admitted without the axiom checker, because the search
 guarantees every axiom of its class: the bounds, idempotence and
 commutativity of (i) and all of (ii), (iv) and (v) are built into the
-tables, (vi) by the involution builder, and associativity of +, (iii),
-(vii) and (assoc) by the forward checks.  For luk-rs the times phase fills
-only the cells i <= j and writes each value to T[i][j] and T[j][i], so
-(comm) holds by construction, and (rdist) follows from (iii) and (comm):
-z*(x+y) = (x+y)*z = x*z + y*z = z*x + z*y.
+tables, (vi) by the involution builder, associativity of + and, for inrs,
+(iii) by the forward checks, and every luk-* axiom by the correspondence
+above.
 
 Enumerated algebras place zero at index 0 and one at index n-1.
 """
@@ -57,7 +65,7 @@ from importlib import resources
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .axioms import CLASSES, LUK_NRS, LUK_RS
+from .axioms import CLASSES, INRS, LUK_NRS
 from .core import AlgebraError, FiniteAlgebra
 
 DEFAULT_MAX_NODES = 5_000_000
@@ -275,35 +283,28 @@ def _assoc_ok(T: list[list[Optional[int]]], where: list[list[tuple[int, int]]],
     return True
 
 
-def _antitone_involutions(P: list[list[int]], n: int) -> list[tuple[int, ...]]:
-    """Involutions with alpha(0) = n-1 that reverse the induced order."""
-    mid = list(range(1, n - 1))
+def _antitone_involutions(P: list[list[int]], bottom: int, top: int) -> list[tuple[int, ...]]:
+    """Involutions of the interval [bottom, top] of the order P induces that
+    reverse it, sorted; each is a vector of length n fixing every element
+    outside the interval."""
+    n = len(P)
+    inside = [x for x in range(n) if P[bottom][x] == x and P[x][top] == top]
+    below = [(a, b) for a in inside for b in inside if P[a][b] == b]
+    vec = list(range(n))
+    vec[bottom], vec[top] = top, bottom
     out: list[tuple[int, ...]] = []
 
-    def build(unpaired: list[int], alpha: dict[int, int]) -> None:
+    def pair(unpaired: list[int]) -> None:
         if not unpaired:
-            vec = [0] * n
-            vec[0], vec[n - 1] = n - 1, 0
-            for k, v in alpha.items():
-                vec[k] = v
-            for a in range(n):
-                for b in range(n):
-                    if P[a][b] == b and P[vec[b]][vec[a]] != vec[a]:
-                        return
-            out.append(tuple(vec))
+            if all(P[vec[b]][vec[a]] == vec[a] for a, b in below):
+                out.append(tuple(vec))
             return
         head, rest = unpaired[0], unpaired[1:]
-        for partner in [head] + rest:
-            alpha[head] = partner
-            alpha[partner] = head
-            build([v for v in rest if v != partner], alpha)
-            del alpha[head]
-            if partner != head:
-                del alpha[partner]
+        for partner in unpaired:
+            vec[head], vec[partner] = partner, head
+            pair([v for v in rest if v != partner])
 
-    if n == 1:
-        return [(0,)]
-    build(mid, {})
+    pair([x for x in inside if x not in (bottom, top)])
     return sorted(out)
 
 
@@ -319,9 +320,7 @@ class _Search:
         self.mid = list(range(1, n - 1))
         self.plus_cells = [(i, j) for k, i in enumerate(self.mid)
                            for j in self.mid[k + 1:]]
-        # luk-rs sets only the cells i <= j, each with its mirror (j, i)
-        self.times_cells = [(i, j) for i in self.mid for j in self.mid
-                            if self.cls != LUK_RS or i <= j]
+        self.times_cells = [(i, j) for i in self.mid for j in self.mid]
         # every relabelling fixing 0 and n-1 except the identity (the first order)
         self.relabellings = list(itertools.islice(_relabellings(0, self.mid, n - 1), 1, None))
 
@@ -382,7 +381,7 @@ class _Search:
     def _alpha_phase(self, P: list[list[int]], autos: list[_Relabelling]) -> None:
         # the roots: each involution least among its conjugates under Aut(P),
         # with Aut(P, alpha)
-        for alpha in _antitone_involutions(P, self.n):
+        for alpha in _antitone_involutions(P, 0, self.n - 1):
             vec = (bytes(alpha),)
             fixed = _least(vec, ((vec, r) for r in autos))
             if fixed is not None:
@@ -391,8 +390,11 @@ class _Search:
 
     def _times_phase(self, P: list[list[int]], alpha: tuple[int, ...],
                      autos: list[_Relabelling], plus_autos: list[_Relabelling]) -> None:
-        """Fill the times table under the root (P, alpha); autos is Aut(P, alpha)
+        """Every times table under the root (P, alpha); autos is Aut(P, alpha)
         and plus_autos is Aut(P), both without the identity."""
+        if self.cls != INRS:
+            self._section_times(P, alpha, autos, plus_autos)
+            return
         n = self.n
         R = range(n)
         T: list[list[Optional[int]]] = [[None] * n for _ in R]
@@ -400,42 +402,17 @@ class _Search:
             T[0][i] = T[i][0] = 0
             T[n - 1][i] = T[i][n - 1] = i
         T[n - 1][n - 1] = n - 1
-        interchange = self.cls in (LUK_NRS, LUK_RS)
-        assoc = self.cls == LUK_RS
         # left distributivity (x+y)*z = x*z + y*z at z = j reads rows x, y
         # and x+y of column j; dist[i] lists the pairs x < y that read row i
-        # (x = 0 and x = y give trivial instances)
+        # (x = 0 and x = y give trivial instances).  The preset cells decide
+        # no instance at a middle z, as x is then a middle row, and every
+        # instance at z = 0 or n-1, which holds
         dist: list[list[tuple[int, int, int]]] = [[] for _ in R]
         for a in range(1, n):
             for b in range(a + 1, n):
                 s = P[a][b]
                 for r in {a, b, s}:
                     dist[r].append((a, b, s))
-        where = _where(T)
-
-        def cell_ok(i: int, j: int) -> bool:
-            """Every determined distributivity and interchange instance that
-            reads T[i][j] holds (associativity is _assoc_ok's)."""
-            for a, b, s in dist[i]:
-                lhs, r1, r2 = T[s][j], T[a][j], T[b][j]
-                if (lhs is not None and r1 is not None and r2 is not None
-                        and lhs != P[r1][r2]):
-                    return False
-            if interchange:
-                # (x*y^a)^a*y^a = (y*x^a)^a*x^a reads T[i][j] only if y = j^a
-                # or x = j^a; swapping x and y swaps the sides, so the
-                # instances with y = j^a cover both
-                b = alpha[j]
-                Tb = T[b]
-                for a in R:
-                    u1, u2 = T[a][j], Tb[alpha[a]]
-                    if u1 is None or u2 is None:
-                        continue
-                    l, r = T[alpha[u1]][j], T[alpha[u2]][alpha[a]]
-                    if l is not None and r is not None and l != r:
-                        return False
-            return True
-
         cells = self.times_cells
 
         def fill(k: int) -> None:
@@ -443,32 +420,49 @@ class _Search:
                 self._emit(P, alpha, autos, T, plus_autos)
                 return
             i, j = cells[k]
-            Ti, Tj = T[i], T[j]
-            # luk-rs sets the mirror cell (j, i) too; an associativity
-            # instance that reads T[j][i] has the mirror (c, b, a), which
-            # reads T[i][j] with the same sides swapped (T is commutative),
-            # so _assoc_ok(i, j) covers both cells
-            twin = self.cls == LUK_RS and i != j
+            Ti = T[i]
             for v in R:
                 self._enter()
                 Ti[j] = v
-                where[v].append((i, j))
-                if twin:
-                    Tj[i] = v
-                    where[v].append((j, i))
-                if (cell_ok(i, j) and (not twin or cell_ok(j, i))
-                        and (not assoc or _assoc_ok(T, where, i, j))):
+                # every determined distributivity instance that reads T[i][j]
+                for a, b, s in dist[i]:
+                    lhs, r1, r2 = T[s][j], T[a][j], T[b][j]
+                    if (lhs is not None and r1 is not None and r2 is not None
+                            and lhs != P[r1][r2]):
+                        break
+                else:
                     fill(k + 1)
-                if twin:
-                    where[v].pop()
-                    Tj[i] = None
-                where[v].pop()
                 Ti[j] = None
 
-        # before the first cell: every determined instance reads a set cell
-        if all(cell_ok(a, b) and (not assoc or _assoc_ok(T, where, a, b))
-               for v in R for a, b in where[v]):
-            fill(0)
+        fill(0)
+
+    def _section_times(self, P: list[list[int]], alpha: tuple[int, ...],
+                       autos: list[_Relabelling], plus_autos: list[_Relabelling]) -> None:
+        """The luk-* times tables under the root (P, alpha): one per family of
+        antitone involutions sigma_y of the sections [y, n-1], with sigma_0 =
+        alpha and sigma_{n-1} the identity (module docstring)."""
+        n = self.n
+        # x*w = alpha(sigma_y(x + y)) with y = alpha(w), so sigma_y decides
+        # column w alone; columns[w - 1] holds it for each choice of sigma_y
+        columns = [[tuple(alpha[s[row[alpha[w]]]] for row in P)
+                    for s in _antitone_involutions(P, alpha[w], n - 1)] for w in self.mid]
+        if not all(columns):
+            return
+        cols = [(0,) * n, *(None for _ in self.mid), tuple(range(n))]
+
+        def choose(w: int) -> None:
+            if w == n - 1:
+                T = list(zip(*cols))
+                # luk-rs: a commutative basic algebra is an MV-algebra
+                if self.cls == LUK_NRS or T == cols:
+                    self._emit(P, alpha, autos, T, plus_autos)
+                return
+            for col in columns[w - 1]:
+                self._enter()
+                cols[w] = col
+                choose(w + 1)
+
+        choose(1)
 
     def _emit(self, P, alpha, autos, T, plus_autos) -> None:
         rows = tuple(map(bytes, T))
@@ -492,9 +486,10 @@ class _Search:
 def enumerate_algebras(task: EnumerationTask) -> tuple[FiniteAlgebra, ...]:
     """All models of the class at the given size, one per isomorphism type.
 
-    The multiplication table is searched once per orbit root (plus, alpha),
-    and leaves are deduplicated under Aut(plus, alpha); each model is the
-    first labelled copy in search order.  Output is sorted by canonical
+    The multiplication table is searched (inrs) or built from section
+    involutions (luk-*) once per orbit root (plus, alpha), and leaves are
+    deduplicated under Aut(plus, alpha); each model is the least copy on
+    the least root of its orbit.  Output is sorted by canonical
     form, so it is deterministic.  A node-cap overrun raises
     EnumerationCapExceeded with the nodes visited and the partial results.
     """

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from nearsemiring import axioms
 from nearsemiring.axioms import (INRS, LUK_RS, CheckOutcome, Witness, check_axioms,
                                  check_identity, check_laws, holds)
-from nearsemiring.catalog import boolean2, full_corpus, l3_x_b2
+from nearsemiring.catalog import boolean2, full_corpus, l3_x_b2, luk_chain
 from nearsemiring.center import BOOLEAN_LAWS, CENTRALITY_LAWS
 from nearsemiring.congruences import MALCEV_LAWS
 from nearsemiring.core import FiniteAlgebra, join_irreducibles
@@ -118,10 +118,43 @@ def test_generated_scan_names_only_its_own_identifiers():
         names.update(code.co_names + code.co_varnames + code.co_freevars + code.co_cellvars)
         codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
     names.discard(".0")  # the implicit iterator argument of a generator expression
-    assert all(re.fullmatch(r"[PTAZOR]|[vf]\d+", n) for n in names), names
+    # v: loop variables, f: fixed values and domains, h: hoisted subterms
+    assert all(re.fullmatch(r"[PTAZOR]|[vfh]\d+", n) for n in names), names
     alg = boolean2()
     assert (check_identity(alg, "odd", lhs, rhs, fixed={"e": 1})
             == reference_check(alg, "odd", lhs, rhs, fixed={"e": 1}))
+
+
+class CountingTable(list):
+    """A table that counts its row reads by row index."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = {}
+
+    def __getitem__(self, i):
+        self.reads[i] = self.reads.get(i, 0) + 1
+        return super().__getitem__(i)
+
+
+def test_generated_scan_reads_loop_invariant_rows_once():
+    # e*(x+y) = e*x + e*y with e fixed: the row T[e] is read once, before the
+    # loops, not three times per instance; the verdict and the witness are
+    # the interpreted scan's
+    x, y, e = Var("x"), Var("y"), Var("e")
+    lhs, rhs = e * (x + y), e * x + e * y
+    _, scan = axioms._compile(lhs, rhs, ("e",))
+    for alg in (luk_chain(5), l3_x_b2()):
+        n = alg.size
+        for f in range(n):
+            T = CountingTable(alg.times)
+            assert scan(alg.plus, T, alg.alpha, alg.zero, alg.one, range(n), f) is None
+            assert T.reads == {f: 1}
+    broken = FiniteAlgebra(3, ((0, 1, 2), (1, 1, 2), (2, 2, 2)), ((0, 0, 0), (0, 2, 1), (0, 1, 2)),
+                           (2, 1, 0), 0, 2)
+    verdicts = [check_identity(broken, "", lhs, rhs, fixed={"e": f}) for f in range(3)]
+    assert verdicts == [reference_check(broken, "", lhs, rhs, fixed={"e": f}) for f in range(3)]
+    assert not all(v.ok for v in verdicts)
 
 
 def reference_holds(alg, lhs, rhs, fixed, domains):
