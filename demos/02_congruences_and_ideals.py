@@ -42,7 +42,7 @@ print(f"  [{i.render(alg)}]_theta({j.render(alg)}) = {out.coset_route.render(alg
 print("\nprincipal congruences via unary polynomial orbits:")
 l3 = luk_chain(3)
 orbit = polynomial_pairs(l3, 1, 0)
-print("  orbit of (h, 0) on the 3-chain:", sorted(orbit.pairs))
+print("  orbit of (h, 0) on the 3-chain:", sorted(orbit))
 print("  congruence generated:", principal_congruence(l3, 1, 0).blocks)
 
 print("\npermutability / regularity report on B2 x L3:")

@@ -16,9 +16,9 @@ from .catalog import (b2_x_b2, b2_x_l3, boolean2, full_corpus, godel3,
 from .center import (CenterReport, Decomposition, Interval, central_elements,
                      central_ideal_check, central_laws_report, decompose,
                      interval_algebra, is_central, partition_decomposition, q)
-from .congruences import (MalcevReport, PairSet, Partition, all_congruences,
+from .congruences import (MalcevReport, Partition, all_congruences,
                           malcev_and_regularity_report, polynomial_pairs,
-                          principal_congruence, werner_comparison)
+                          principal_congruence)
 from .core import (AlgebraError, FiniteAlgebra, Homomorphism, SizeLimitError,
                    find_isomorphism, leq, product, projections)
 from .ideals import (ClaimsReport, ElementSet, IdealLattice, all_ideals,

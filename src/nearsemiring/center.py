@@ -9,6 +9,14 @@ through q(x,y,z) = x*y + x^a*z is checked independently, and the two verdicts
 are compared rather than trusted to coincide.  The Boolean algebra on Ce(A)
 is checked by the law table BOOLEAN_LAWS, read on index tables.
 
+No check is run whose verdict the inrs axioms already fix.  q(0,a,b) = b,
+so 0 is central, and 1 = 0^a is central because q(e^a,a,b) = q(e,b,a)
+makes e^a central iff e is; so Ce(A) holds 0 and 1 and is closed under
+alpha, and center() checks closure under + and * only.  Ce(A) is then a
+subalgebra of the inrs, where (i) and (ii) are four of the Boolean laws.
+(d) q(e,1,0) = e reads e*1 + e^a*0 = e, which (ii), (iv) and (i) give at
+every e.  The tests check each of these facts on every inrs of their pool.
+
 Centrality is defined on an inrs, and both tests require one.  The
 equational laws are CENTRALITY_LAWS.  Per element, the two 3-variable (b)
 laws cost n^3 and the two 4-variable (c) laws for + and * cost n^4 as full
@@ -67,14 +75,14 @@ def _centrality_laws() -> tuple[tuple[tuple[str, Term, Term], ...], dict[str, tu
         (times, edges(times) + (row(u1 * u2 + v1 * v2, (u1 + v1) * (u2 + v2), (),
                                     {"u1": "E", "u2": "E", "v1": "E'", "v2": "E'"}),)),
         (("(c) q commutes with alpha", church_q(e, a.a, b.a), church_q(e, a, b).a), ()),
-        (("(d) q(e,1,0)=e", church_q(e, ONE, ZERO), e), ()),
     )
     return tuple(law for law, _ in table), {law[0]: rows for law, rows in table if rows}
 
 
 #: the equational centrality conditions on q(x,y,z) = x*y + x^a*z, in the order
 #: they are checked, with e bound to the element under test (q(e,0,0)=0 and
-#: q(e,1,1)=1 are the a=0 and a=1 instances of (a)); and, per (b) law and (c)
+#: q(e,1,1)=1 are the a=0 and a=1 instances of (a), and (d) q(e,1,0)=e holds
+#: at every e of an inrs, see the module docstring); and, per (b) law and (c)
 #: law of + and *, the rows that decide it: (lhs, rhs, the fixed variables, e
 #: then those bound to 0, the ranged variables, the domain of each)
 CENTRALITY_LAWS, CENTRALITY_REDUCTIONS = _centrality_laws()
@@ -194,6 +202,9 @@ BOOLEAN_LAWS: Laws = (
     ("complements meet to bottom", (("", x * x.a, ZERO),)),
     ("complements join to top", (("", x + x.a, ONE),)),
 )
+#: the BOOLEAN_LAWS center() scans; the other four hold on Ce(A) by (i) and (ii)
+_CE_LAWS = tuple(law for law in BOOLEAN_LAWS if law[0] not in (
+    "join commutative", "join associative", "top is meet identity", "bottom is join identity"))
 
 
 def verify_boolean_laws(meet: Sequence[Sequence[int]], join: Sequence[Sequence[int]],
@@ -226,11 +237,10 @@ def _meet(s: Term, t: Term) -> Term:
     return (s.a + t.a).a
 
 
-_e, _a, _b = Var("e"), Var("a"), Var("b")
-#: the central-element laws that centrality does not already decide, with e
+_e, _b = Var("e"), Var("b")
+#: the central-element law that centrality does not already decide, with e
 #: bound to the element under test; (s^a+t^a)^a is the meet of s and t
 CENTRAL_ELEMENT_LAWS = (
-    ("a<=e implies a*e = a", _meet(_a, _e) * _e, _meet(_a, _e)),
     ("e*b is the meet of e and b", _e * _b, _meet(_e, _b)),
 )
 
@@ -245,13 +255,15 @@ def _central_laws(alg: FiniteAlgebra, elements: tuple[int, ...]) -> CentralLawsR
 def central_laws_report(alg: FiniteAlgebra) -> CentralLawsReport:
     """CENTRAL_ELEMENT_LAWS at every central element, checked exhaustively.
 
-    a <= e implies a*e = a reads m(a,e)*e = m(a,e) for the meet m, and e*b
-    is the meet of e and b.  Four more laws hold at every central element,
-    each an instance of a centrality law that e has passed, so they are not
-    re-checked: e*e = e is (c) for * at (a1,b1,a2,b2) = (1,0,1,0) with (d);
-    e*a = a*e is (c) for * at (a,a,1,0) with (a) and (d); (e*a)*b = a*(e*b)
-    holds as (c) for * gives e*(a*b) at both (a,0,b,b) and (a,a,b,0); and
-    e*(a+b) = e*a + e*b is (c) for + at b1 = b2 = 0.  Requires an inrs.
+    e*b is the meet of e and b.  Five more laws hold at every central
+    element, so they are not re-checked.  Four are instances of a
+    centrality law that e has passed, with (d), which holds at every e of an
+    inrs: e*e = e is (c) for * at (a1,b1,a2,b2) = (1,0,1,0); e*a = a*e is
+    (c) for * at (a,a,1,0) with (a); (e*a)*b = a*(e*b) holds as (c) for *
+    gives e*(a*b) at both (a,0,b,b) and (a,a,b,0); and e*(a+b) = e*a + e*b
+    is (c) for + at b1 = b2 = 0.  The fifth, a <= e implies a*e = a,
+    follows: for a <= e the meet of e and a is a, so a*e = e*a = a.
+    Requires an inrs.
     """
     require_class(alg, INRS, "central_laws_report")
     return _central_laws(alg, central_elements(alg))
@@ -278,7 +290,10 @@ class CenterReport:
 def center(alg: FiniteAlgebra) -> CenterReport:
     """All central elements with the Boolean algebra they carry, fully verified.
 
-    The Boolean order (e*f = e) is not checked apart: by commutativity and
+    Ce(A) holds 0 and 1 and is closed under alpha on every inrs, and four
+    Boolean laws are (i) and (ii) on it (see the module docstring), so
+    closure under + and * and the other seven laws are checked.  The
+    Boolean order (e*f = e) is not checked apart: by commutativity and
     absorption it is the induced order (e+f = f), as e*f = e gives
     e+f = f+(f*e) = f and e+f = f gives e*f = e*(e+f) = e.  Requires an
     inrs, as centrality does.
@@ -290,25 +305,21 @@ def center(alg: FiniteAlgebra) -> CenterReport:
     in_center = set(elements)
 
     closure: list[str] = []
-    if alg.zero not in in_center or alg.one not in in_center:
-        closure.append("0 or 1 is not central")
     for e, f in itertools.product(elements, repeat=2):
         if alg.times[e][f] not in in_center:
             closure.append(f"{alg.label(e)}*{alg.label(f)} leaves the center")
         if alg.plus[e][f] not in in_center:
             closure.append(f"{alg.label(e)}+{alg.label(f)} leaves the center")
-    for e in elements:
-        if alg.alpha[e] not in in_center:
-            closure.append(f"{alg.label(e)}^a leaves the center")
 
     boolean: list[str] = []
     if not closure:
         index = {e: i for i, e in enumerate(elements)}
-        boolean = verify_boolean_laws(
-            [[index[alg.times[e][f]] for f in elements] for e in elements],
-            [[index[alg.plus[e][f]] for f in elements] for e in elements],
-            [index[alg.alpha[e]] for e in elements],
-            index[alg.zero], index[alg.one])
+        ce = FiniteAlgebra(len(elements),
+                           plus=[[index[alg.plus[e][f]] for f in elements] for e in elements],
+                           times=[[index[alg.times[e][f]] for f in elements] for e in elements],
+                           alpha=[index[alg.alpha[e]] for e in elements],
+                           zero=index[alg.zero], one=index[alg.one])
+        boolean = [c.name for c in check_laws(ce, _CE_LAWS) if not c.ok]
 
     factor_members: set[Partition] = set()
     for p, r in itertools.combinations_with_replacement(all_congruences(alg), 2):

@@ -120,7 +120,7 @@ def cmd_congruences(args) -> tuple[str, int]:
     for i, p in enumerate(cons):
         report.info(f"congruence {i}: {_partition_label(alg, p)}")
     report.section("permutability and regularity")
-    for c in malcev_and_regularity_report(alg, cons).checks:
+    for c in malcev_and_regularity_report(alg).checks:
         witness = c.witness.render(alg) if c.witness else c.detail
         report.verdict(c.ok, c.name, witness)
     return report.render(), report.exit_status

@@ -4,9 +4,9 @@ Principal congruences are computed by a union-find fixpoint (merge a pair,
 then merge the images of every basic translation of the merged pair until
 stable); each element's images are one translation row, built once per
 algebra, and a merged pair's two rows are zipped.  The unary-polynomial pair
-closure is computed independently as the subalgebra of A x A generated by
-the pair together with the diagonal; the two routes are compared rather than
-assumed to agree.
+closure (polynomial_pairs) is computed independently as the subalgebra of
+A x A generated by the pair together with the diagonal; principal_ideal_report
+reads it, and the tests hold its equivalence closure to the fixpoint.
 
 Con(A) and the kernels K[x] = Cg(x, 0) both read one memo per algebra: the
 |J| prime quotients P[j] = Cg(j_*, j), where J is the set of join-irreducible
@@ -20,7 +20,9 @@ c < d it collapses.  For such a cover take j minimal with j <= d and
 j not <= c: then j is in J, j ^ c = j_* and j + c = d, so Cg(c, d) = P[j].
 Hence Con(A) is the join closure of the P[j] (all_congruences), and
 K[x] = V{P[j] : j in J, j <= x} (kernel), since K[j] = P[j] v K[j_*] and
-K[x + y] = K[x] v K[y].  Both require an inrs.
+K[x + y] = K[x] v K[y].  Both require an inrs, and Con(A) is built once per
+algebra.  For the same reason Con(A) permutes iff the distinct P[j] permute
+pairwise (malcev_and_regularity_report).
 
 A Partition is one label vector: labels[v] is the least element of v's
 block.  Meet, join, refinement and permutability all read the labels.  Two
@@ -220,31 +222,7 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
     return Partition.from_parent(parent)
 
 
-@dataclass(frozen=True)
-class PairSet:
-    """A set of ordered pairs: the unary-polynomial orbit of a generating pair."""
-
-    size: int
-    pairs: frozenset[tuple[int, int]]
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
-    def is_symmetric(self) -> bool:
-        return all((b, a) in self.pairs for a, b in self.pairs)
-
-    def is_transitive(self) -> bool:
-        by_first: dict[int, set[int]] = {}
-        for a, b in self.pairs:
-            by_first.setdefault(a, set()).add(b)
-        return all(c in by_first.get(a, ())
-                   for a, b in self.pairs for c in by_first.get(b, ()))
-
-    def equivalence_closure(self) -> Partition:
-        return Partition.from_pairs(self.size, self.pairs)
-
-
-def polynomial_pairs(alg: FiniteAlgebra, a: int, b: int) -> PairSet:
+def polynomial_pairs(alg: FiniteAlgebra, a: int, b: int) -> frozenset[tuple[int, int]]:
     """Closure of {(a,b)} plus the diagonal under componentwise +, ., alpha.
 
     This is the subalgebra of A x A generated by (a,b) and the diagonal,
@@ -268,7 +246,7 @@ def polynomial_pairs(alg: FiniteAlgebra, a: int, b: int) -> PairSet:
             add(alg.plus[e][c], alg.plus[f][d])
             add(alg.times[c][e], alg.times[d][f])
             add(alg.times[e][c], alg.times[f][d])
-    return PairSet(n, frozenset(pairs))
+    return frozenset(pairs)
 
 
 @per_algebra
@@ -301,6 +279,15 @@ def kernel(alg: FiniteAlgebra, x: int) -> Partition:
     return k
 
 
+@per_algebra
+def _congruences(alg: FiniteAlgebra) -> tuple[Partition, ...]:
+    n = alg.size
+    cons = {Partition.discrete(n)}
+    for g in dict.fromkeys(prime_quotients(alg).values()):
+        cons |= {c.join(g) for c in cons}
+    return tuple(sorted(cons, key=partition_sort_key))
+
+
 def all_congruences(alg: FiniteAlgebra,
                     max_size: int = DEFAULT_MAX_SIZE) -> tuple[Partition, ...]:
     """Complete Con(A): the join closure of the prime quotients P[j] = Cg(j_*, j).
@@ -310,44 +297,14 @@ def all_congruences(alg: FiniteAlgebra,
     inrs, and each such Cg(c, d) is the P[j] of the least j in J below d and
     not below c (see the module docstring).  The closure adds one distinct
     P[j] at a time, joining it with every congruence found so far:
-    |Con| * m joins for m distinct generators.  Includes the diagonal and
-    the full relation; output is canonically ordered (finest first).
-    Requires an inrs, after the size check.
+    |Con| * m joins for m distinct generators, once per algebra.  Includes
+    the diagonal and the full relation; output is canonically ordered
+    (finest first).  Requires an inrs, after the size check.
     """
     n = alg.size
     if n > max_size:
         raise SizeLimitError(f"universe size {n} exceeds the {max_size} limit")
-    cons = {Partition.discrete(n)}
-    for g in dict.fromkeys(prime_quotients(alg).values()):
-        cons |= {c.join(g) for c in cons}
-    return tuple(sorted(cons, key=partition_sort_key))
-
-
-@dataclass(frozen=True)
-class WernerComparison:
-    """Both routes to a principal congruence, side by side."""
-
-    pair_set: PairSet
-    principal: Partition
-    closure_matches: bool      # equivalence closure of the pair set = principal
-    pairs_symmetric: bool
-    pairs_transitive: bool
-
-    @property
-    def pairs_already_congruence(self) -> bool:
-        return self.pairs_symmetric and self.pairs_transitive
-
-
-def werner_comparison(alg: FiniteAlgebra, a: int, b: int) -> WernerComparison:
-    ps = polynomial_pairs(alg, a, b)
-    pc = principal_congruence(alg, a, b)
-    return WernerComparison(
-        pair_set=ps,
-        principal=pc,
-        closure_matches=ps.equivalence_closure() == pc,
-        pairs_symmetric=ps.is_symmetric(),
-        pairs_transitive=ps.is_transitive(),
-    )
+    return _congruences(alg)
 
 
 #: the Mal'cev term p and the difference term s, each a lone identity
@@ -363,20 +320,25 @@ MALCEV_LAWS: Laws = (
 MalcevReport = LawReport
 
 
-def malcev_and_regularity_report(alg: FiniteAlgebra,
-                                 congruences: Optional[tuple[Partition, ...]] = None
-                                 ) -> MalcevReport:
+def malcev_and_regularity_report(alg: FiniteAlgebra) -> MalcevReport:
     """Run all four structure checks, recording failures instead of rejecting.
 
     On a Lukasiewicz near semiring every check passes; on another inrs the
-    report documents what breaks and where.  Con(A), when not given,
-    requires an inrs.
+    report documents what breaks and where.  Con(A) requires an inrs.
+
+    Congruences permute pairwise iff the distinct prime quotients do: Con(A)
+    is their join closure, and if theta permutes with phi and psi, which
+    permute, then theta permutes with phi;psi = phi v psi.  The scan over
+    all pairs of Con(A) runs only to name the first pair when they do not.
     """
     checks = list(check_laws(alg, MALCEV_LAWS))
-    cons = congruences if congruences is not None else all_congruences(alg)
+    cons = _congruences(alg)
 
-    bad = next(((p, q) for p, q in itertools.combinations(cons, 2)
-                if not p.permutes_with(q)), None)
+    bad = None
+    if not all(p.permutes_with(q) for p, q in itertools.combinations(
+            dict.fromkeys(prime_quotients(alg).values()), 2)):
+        bad = next((p, q) for p, q in itertools.combinations(cons, 2)
+                   if not p.permutes_with(q))
     checks.append(CheckOutcome(
         "congruences permute", bad is None,
         detail="" if bad is None else

@@ -487,9 +487,8 @@ class PrincipalIdealReport:
 
 def principal_ideal_report(alg: FiniteAlgebra, a: int) -> PrincipalIdealReport:
     ideal = principal_ideal(alg, a)
-    pairs = polynomial_pairs(alg, a, alg.zero)
     pol_route = ElementSet.from_members(
-        alg.size, (c for c, d in pairs.pairs if d == alg.zero))
+        alg.size, (c for c, d in polynomial_pairs(alg, a, alg.zero) if d == alg.zero))
     return PrincipalIdealReport(a, ideal, pol_route)
 
 

@@ -11,13 +11,14 @@ from nearsemiring.axioms import (INRS, LUK_NRS, LUK_RS, CheckOutcome, check_axio
                                  classify, holds)
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
-from nearsemiring.center import (CENTRAL_ELEMENT_LAWS, CENTRALITY_LAWS, CENTRALITY_REDUCTIONS,
-                                 _reductions_hold,
+from nearsemiring.center import (BOOLEAN_LAWS, CENTRAL_ELEMENT_LAWS, CENTRALITY_LAWS,
+                                 CENTRALITY_REDUCTIONS, _CE_LAWS, _reductions_hold,
                                  center, central_elements, central_ideal_check,
                                  central_laws_report, decompose,
                                  interval_algebra, is_central, q, semantic_centrality,
                                  syntactic_centrality, verify_boolean_laws)
 from nearsemiring.core import FiniteAlgebra, find_isomorphism, join_irreducibles, leq, product
+from nearsemiring.terms import Var
 
 from enumerated import BUNDLED, models, oracle_pool, table_algebra
 
@@ -196,8 +197,8 @@ def reference_boolean_laws(meet, join, comp, bot, top):
 
 
 def center_index_tables(alg):
-    """The index tables center() hands to verify_boolean_laws, or None when
-    Ce(A) is not closed (center() then makes no Boolean check)."""
+    """The index tables of Ce(A) whose Boolean laws center() checks, or None
+    when Ce(A) is not closed (center() then makes no Boolean check)."""
     elements = central_elements(alg)
     index = {e: i for i, e in enumerate(elements)}
     images = [alg.zero, alg.one, *(alg.alpha[e] for e in elements)]
@@ -494,19 +495,56 @@ def is_meet(alg, m, e, b):
             and all(leq(alg, c, m) for c in range(alg.size) if leq(alg, c, e) and leq(alg, c, b)))
 
 
+A, E = Var("a"), Var("e")
+#: a <= e implies a*e = a, read m(a,e)*e = m(a,e) for the meet term m; it follows
+#: at a central e, so central_laws_report does not check it
+BELOW_LAW = ("a<=e implies a*e = a", (A.a + E.a).a * E, (A.a + E.a).a)
+
+
 def test_central_element_laws_are_the_order_scans():
-    # the two identities against the leq scans they replaced, at every element,
+    # the identities against the leq scans they replaced, at every element,
     # central or not
+    laws = (BELOW_LAW, *CENTRAL_ELEMENT_LAWS)
     verdicts = set()
     for alg in reduction_pool():
         n = alg.size
         for e in range(n):
             scans = (all(alg.times[a][e] == a for a in range(n) if leq(alg, a, e)),
                      all(is_meet(alg, alg.times[e][b], e, b) for b in range(n)))
-            for (name, lhs, rhs), scan in zip(CENTRAL_ELEMENT_LAWS, scans):
+            for (name, lhs, rhs), scan in zip(laws, scans, strict=True):
                 assert check_identity(alg, name, lhs, rhs, fixed={"e": e}).ok == scan, (alg, e)
                 verdicts.add((name, scan))
-    assert verdicts == {(law[0], ok) for law in CENTRAL_ELEMENT_LAWS for ok in (True, False)}
+    assert verdicts == {(law[0], ok) for law in laws for ok in (True, False)}
+
+
+def test_checks_center_skips_hold_on_every_inrs():
+    # center() and syntactic_centrality no longer check these facts: each
+    # follows from the inrs axioms, and here each is checked on every inrs
+    # of the oracle pool
+    dropped = {name for name, _ in BOOLEAN_LAWS} - {name for name, _ in _CE_LAWS}
+    assert dropped == {"join commutative", "join associative",
+                       "top is meet identity", "bottom is join identity"}
+    meet_law = CENTRAL_ELEMENT_LAWS[0]
+    centrals = 0
+    for alg in oracle_pool():
+        if classify(alg) is None:
+            continue
+        n, central = alg.size, set(central_elements(alg))
+        # 0 and 1 are central, and e is central iff e^a is
+        assert {alg.zero, alg.one} <= central, alg
+        assert {alg.alpha[e] for e in central} == central, alg
+        # (d) q(e,1,0) = e at every element
+        assert all(q(alg, e, alg.one, alg.zero) == e for e in range(n)), alg
+        # the four dropped laws on the index tables of Ce(A)
+        tables = center_index_tables(alg)
+        if tables is not None:
+            assert not dropped & set(verify_boolean_laws(*tables)), alg
+        # a <= e implies a*e = a wherever e is central and e*b is the meet of e and b
+        for e in central:
+            if check_identity(alg, *meet_law, fixed={"e": e}).ok:
+                assert check_identity(alg, *BELOW_LAW, fixed={"e": e}).ok, (alg, e)
+                centrals += 1
+    assert centrals == 2304
 
 
 def test_center_makes_one_principal_congruence_per_kernel(monkeypatch):

@@ -12,7 +12,7 @@ from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
 from nearsemiring.congruences import (Partition, all_congruences, join_irreducibles, kernel,
                                       malcev_and_regularity_report,
                                       partition_sort_key, polynomial_pairs, prime_quotients,
-                                      principal_congruence, werner_comparison)
+                                      principal_congruence)
 from nearsemiring.core import product
 from nearsemiring.terms import eval_term, x, y
 
@@ -266,7 +266,7 @@ def test_polynomial_pairs_identity_case():
     for alg in CORPUS:
         for a in range(alg.size):
             ps = polynomial_pairs(alg, a, a)
-            assert ps.pairs == frozenset((e, e) for e in range(alg.size))
+            assert ps == frozenset((e, e) for e in range(alg.size))
 
 
 def test_polynomial_pairs_l3_witness():
@@ -280,7 +280,7 @@ def test_polynomial_pairs_l3_witness():
 
 def test_polynomial_pairs_b2_full_relation():
     ps = polynomial_pairs(boolean2(), 1, 0)
-    assert ps.pairs == frozenset(itertools.product(range(2), repeat=2))
+    assert ps == frozenset(itertools.product(range(2), repeat=2))
 
 
 def test_all_congruences_against_partition_filter_oracle():
@@ -334,7 +334,8 @@ def test_congruence_lattice_distributive_on_every_enumerated_inrs():
 
 def test_all_congruences_deterministic():
     for alg in (L3, b2_x_l3()):
-        assert all_congruences(alg) == all_congruences(alg)
+        assert all_congruences(alg) is all_congruences(alg)
+        assert all_congruences(alg) == all_congruences(dataclasses.replace(alg))
 
 
 def test_malcev_report_passes_on_luk_corpus():
@@ -357,6 +358,23 @@ def test_malcev_report_names_a_non_permuting_pair_on_an_inrs_model():
     out = report.outcome("congruences permute")
     assert not out.ok
     assert out.detail == "blocks ((0,), (1, 2), (3,)) and ((0, 2), (1, 3)) do not permute"
+
+
+def test_congruences_permute_iff_the_prime_quotients_do():
+    # the report decides on pairs of distinct prime quotients; the scan over
+    # all pairs of Con(A) is the reference, and both verdicts are seen.  The
+    # refuting tables of the pool have two prime quotients; in the product
+    # with b2 the refuting pair is the second and third of three
+    verdicts = []
+    for alg in oracle_pool() + (product(models(4, INRS)[11], boolean2()),):
+        if classify(alg) is None:
+            continue
+        generators = dict.fromkeys(prime_quotients(alg).values())
+        full = all(p.permutes_with(q) for p, q in itertools.combinations(all_congruences(alg), 2))
+        assert all(p.permutes_with(q) for p, q in itertools.combinations(generators, 2)) == full
+        assert malcev_and_regularity_report(alg).outcome("congruences permute").ok == full
+        verdicts.append(full)
+    assert len(verdicts) == 1143 and verdicts.count(False) == 4
 
 
 def test_permutes_with_matches_the_composition_reference_on_all_partitions_of_five():
@@ -426,16 +444,19 @@ def test_partition_lattice_operations_against_the_relations():
 
 
 def test_werner_closure_matches_everywhere():
+    # Cg(a, b) is the equivalence closure of the unary-polynomial orbit of (a, b)
     for alg in CORPUS:
-        for a in range(alg.size):
-            for b in range(alg.size):
-                cmp = werner_comparison(alg, a, b)
-                assert cmp.closure_matches
-    # on permutable (Lukasiewicz) algebras the raw pair set is the congruence
+        for a, b in itertools.product(range(alg.size), repeat=2):
+            closure = Partition.from_pairs(alg.size, polynomial_pairs(alg, a, b))
+            assert closure == principal_congruence(alg, a, b), (alg, a, b)
+    # on permutable (Lukasiewicz) algebras the raw orbit is the congruence
     for alg in LUK_CORPUS:
-        for a in range(alg.size):
-            for b in range(alg.size):
-                assert werner_comparison(alg, a, b).pairs_already_congruence
+        n = alg.size
+        for a, b in itertools.product(range(n), repeat=2):
+            orbit = polynomial_pairs(alg, a, b)
+            closure = Partition.from_pairs(n, orbit)
+            assert orbit == {(u, v) for u, v in itertools.product(range(n), repeat=2)
+                             if closure.same(u, v)}, (alg, a, b)
 
 
 def test_all_congruences_size_guard():
