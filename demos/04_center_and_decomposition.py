@@ -22,8 +22,7 @@ for e in range(alg.size):
 report = center(alg)
 print("\nthe center as a Boolean algebra:")
 print("  elements:", "{" + ", ".join(alg.label(e) for e in report.elements) + "}")
-print("  boolean laws:", "all hold" if not report.boolean_failures
-      else report.boolean_failures)
+print("  closed under + and *, so a Boolean algebra:", not report.closure_failures)
 print("  e -> theta(e,0) bijects onto factor congruences:",
       report.factor_bijection_ok)
 

@@ -6,26 +6,22 @@ checked by one count: the pair is a factor pair iff a |-> (theta(e,0)[a],
 theta(e,1)[a]) is a bijection onto the product of the quotients
 (Partition.complements).  The equational characterization
 through q(x,y,z) = x*y + x^a*z is checked independently, and the two verdicts
-are compared rather than trusted to coincide.  The Boolean algebra on Ce(A)
-is checked by the law table BOOLEAN_LAWS, read on index tables.
+are compared rather than trusted to coincide.
 
-No check is run whose verdict the inrs axioms already fix.  q(0,a,b) = b,
-so 0 is central, and 1 = 0^a is central because q(e^a,a,b) = q(e,b,a)
-makes e^a central iff e is; so Ce(A) holds 0 and 1 and is closed under
-alpha, and center() checks closure under + and * only.  Ce(A) is then a
-subalgebra of the inrs, where (i) and (ii) are four of the Boolean laws.
-(d) q(e,1,0) = e reads e*1 + e^a*0 = e, which (ii), (iv) and (i) give at
-every e.  The tests check each of these facts on every inrs of their pool.
+No check is run whose verdict the inrs axioms and the checks before it
+already fix.  q(0,a,b) = b and q(e^a,a,b) = q(e,b,a), so Ce(A) holds 0 and
+1 = 0^a and is closed under alpha; (d) q(e,1,0) = e holds at every e by
+(ii), (iv) and (i); the (c) laws imply the (b) laws (syntactic_centrality);
+and a closed Ce(A) satisfies the Boolean laws and the meet law (center).
+The tests check each of these facts on every inrs of their pool.
 
 Centrality is defined on an inrs, and both tests require one.  The
-equational laws are CENTRALITY_LAWS.  Per element, the two 3-variable (b)
-laws cost n^3 and the two 4-variable (c) laws for + and * cost n^4 as full
-scans; syntactic_centrality decides each by its rows in
-CENTRALITY_REDUCTIONS, reduced identities of about n^2 instances that
-axioms.holds_at scans, and re-scans a law its rows refute in full for the
-witness.  The full scans remain the reference the tests compare the rows
-against.  The semantic route reads the kernels K[e] and K[e^a], joins of
-the |J| prime quotients Cg(j_*, j), the only fixpoints (kernel).
+equational laws are CENTRALITY_LAWS.  The 4-variable (c) laws for + and *
+cost n^4 per element as full scans; syntactic_centrality decides each by
+its rows in CENTRALITY_REDUCTIONS, reduced identities of about n^2
+instances (axioms.holds_at), and re-scans a law its rows refute in full
+for the witness.  The semantic route reads the kernels K[e] and K[e^a],
+joins of the |J| prime quotients Cg(j_*, j) (kernel).
 """
 
 from __future__ import annotations
@@ -49,8 +45,8 @@ def q(alg: FiniteAlgebra, e: int, a: int, b: int) -> int:
 
 
 def _centrality_laws() -> tuple[tuple[tuple[str, Term, Term], ...], dict[str, tuple]]:
-    e, a, b, c, a1, a2, b1, b2, u1, u2, v1, v2 = (
-        Var(v) for v in ("e", "a", "b", "c", "a1", "a2", "b1", "b2", "u1", "u2", "v1", "v2"))
+    e, a, b, a1, a2, b1, b2, u1, u2, v1, v2 = (
+        Var(v) for v in ("e", "a", "b", "a1", "a2", "b1", "b2", "u1", "u2", "v1", "v2"))
     plus = ("(c) q commutes with +", church_q(e, a1 + a2, b1 + b2),
             church_q(e, a1, b1) + church_q(e, a2, b2))
     times = ("(c) q commutes with *", church_q(e, a1 * a2, b1 * b2),
@@ -67,10 +63,6 @@ def _centrality_laws() -> tuple[tuple[tuple[str, Term, Term], ...], dict[str, tu
 
     table = (
         (("(a) q(e,a,a)=a", church_q(e, a, a), a), ()),
-        (("(b) q(e,q(e,a,b),c)=q(e,a,c)", church_q(e, church_q(e, a, b), c), church_q(e, a, c)),
-         (row(e * church_q(e, a, b), e * a),)),
-        (("(b) q(e,a,q(e,b,c))=q(e,a,c)", church_q(e, a, church_q(e, b, c)), church_q(e, a, c)),
-         (row(e.a * church_q(e, b, c), e.a * c),)),
         (plus, edges(plus)),
         (times, edges(times) + (row(u1 * u2 + v1 * v2, (u1 + v1) * (u2 + v2), (),
                                     {"u1": "E", "u2": "E", "v1": "E'", "v2": "E'"}),)),
@@ -81,10 +73,10 @@ def _centrality_laws() -> tuple[tuple[tuple[str, Term, Term], ...], dict[str, tu
 
 #: the equational centrality conditions on q(x,y,z) = x*y + x^a*z, in the order
 #: they are checked, with e bound to the element under test (q(e,0,0)=0 and
-#: q(e,1,1)=1 are the a=0 and a=1 instances of (a), and (d) q(e,1,0)=e holds
-#: at every e of an inrs, see the module docstring); and, per (b) law and (c)
-#: law of + and *, the rows that decide it: (lhs, rhs, the fixed variables, e
-#: then those bound to 0, the ranged variables, the domain of each)
+#: q(e,1,1)=1 are the a=0 and a=1 instances of (a); (d) and (b) are implied,
+#: see the module docstring); and, per (c) law of + and *, the rows that
+#: decide it: (lhs, rhs, the fixed variables, e then those bound to 0, the
+#: ranged variables, the domain of each)
 CENTRALITY_LAWS, CENTRALITY_REDUCTIONS = _centrality_laws()
 
 
@@ -113,18 +105,20 @@ def syntactic_centrality(alg: FiniteAlgebra, e: int) -> CheckOutcome:
     by them in about n^2 steps; a law its rows refute gets the full compiled
     scan, so the outcome and its witness are those of the full scans, the
     reference the tests hold the rows to.  The rows are exact given (i),
-    (iii), (iv) and the laws before them:
+    (iii), (iv) and the + law before the * law: the instances with
+    b1 = b2 = 0, and with a1 = a2 = 0, say that e and e^a distribute from
+    the left.  For + they say that x |-> e*x and x |-> e^a*x preserve joins,
+    so a1 (b1) ranges over G (axioms.holds); given that and (iii), so do
+    both sides of the * edges.  Given the edges, the + law follows, and both
+    sides of the * law depend only on u = e*a and v = e^a*b, leaving
+    u1*u2 + v1*v2 = (u1+v1)*(u2+v2) over E^2 x E'^2 (|E|*|E'| = n for a
+    central e).
 
-    - (b): with u = q(e,a,b), the first law's instances with c = 0 read
-      e*u = e*a and the second's with a = 0 read e^a*q(e,b,c) = e^a*c.
-      Given those, both sides of every instance are e*a + e^a*c.
-    - (c): the instances with b1 = b2 = 0, and with a1 = a2 = 0, say that e
-      and e^a distribute from the left.  For + they say that x |-> e*x and
-      x |-> e^a*x preserve joins, so a1 (b1) ranges over G (axioms.holds);
-      given that and (iii), so do both sides of the * edges.  Given the
-      edges, the + law follows, and both sides of the * law depend only on
-      u = e*a and v = e^a*b, leaving u1*u2 + v1*v2 = (u1+v1)*(u2+v2) over
-      E^2 x E'^2 (|E|*|E'| = n for a central e).
+    The (c) laws imply the paper's (b) laws q(e,q(e,a,b),c) = q(e,a,c) and
+    q(e,a,q(e,b,c)) = q(e,a,c), by (i), (ii) and (iv): e* and e^a* distribute
+    over + (the + edges), and the * law at (a1,b1,a2,b2) = (1,0,a,0),
+    (1,0,0,b), (0,1,0,c) and (0,1,b,0) gives e*(e*a) = e*a, e*(e^a*b) = 0,
+    e^a*(e^a*c) = e^a*c and e^a*(e*b) = 0.  So both sides are e*a + e^a*c.
     """
     require_class(alg, INRS, "centrality")
     for name, lhs, rhs in CENTRALITY_LAWS:
@@ -188,7 +182,8 @@ def central_elements(alg: FiniteAlgebra) -> tuple[int, ...]:
 
 
 #: the Boolean-algebra axioms (Burris and Sankappanavar, Ch. I) with + as join,
-#: * as meet, alpha as complement, 0 as bottom and 1 as top
+#: * as meet, alpha as complement, 0 as bottom and 1 as top; they hold on
+#: every closed Ce(A) of an inrs (center), and ideals.skeleton scans them
 BOOLEAN_LAWS: Laws = (
     ("meet commutative", (("", x * y, y * x),)),
     ("join commutative", (("", x + y, y + x),)),
@@ -202,9 +197,6 @@ BOOLEAN_LAWS: Laws = (
     ("complements meet to bottom", (("", x * x.a, ZERO),)),
     ("complements join to top", (("", x + x.a, ONE),)),
 )
-#: the BOOLEAN_LAWS center() scans; the other four hold on Ce(A) by (i) and (ii)
-_CE_LAWS = tuple(law for law in BOOLEAN_LAWS if law[0] not in (
-    "join commutative", "join associative", "top is meet identity", "bottom is join identity"))
 
 
 def verify_boolean_laws(meet: Sequence[Sequence[int]], join: Sequence[Sequence[int]],
@@ -238,65 +230,69 @@ def _meet(s: Term, t: Term) -> Term:
 
 
 _e, _b = Var("e"), Var("b")
-#: the central-element law that centrality does not already decide, with e
-#: bound to the element under test; (s^a+t^a)^a is the meet of s and t
+#: the central-element law central_laws_report scans, with e bound to the
+#: element under test; (s^a+t^a)^a is the meet of s and t
 CENTRAL_ELEMENT_LAWS = (
     ("e*b is the meet of e and b", _e * _b, _meet(_e, _b)),
 )
 
 
-def _central_laws(alg: FiniteAlgebra, elements: tuple[int, ...]) -> CentralLawsReport:
+def central_laws_report(alg: FiniteAlgebra) -> CentralLawsReport:
+    """CENTRAL_ELEMENT_LAWS at every central element, by the exhaustive scan.
+
+    e*b is the meet of e and b, a theorem at every central element of an
+    inrs (center gives the proof), so center() does not scan it; this is the
+    reference the tests hold the theorem to.  Five more laws are instances
+    of the centrality laws: e*e = e, e*a = a*e and e*(a*b) = (e*a)*b (see
+    center), (e*a)*b = a*(e*b) as (c) for * gives e*(a*b) at both (a,0,b,b)
+    and (a,a,b,0), and e*(a+b) = e*a + e*b; and for a <= e the meet law
+    gives a*e = e*a = a.  Requires an inrs.
+    """
+    require_class(alg, INRS, "central_laws_report")
+    elements = central_elements(alg)
     checks = ((e, check_identity(alg, name, lhs, rhs, fixed={"e": e}))
               for e in elements for name, lhs, rhs in CENTRAL_ELEMENT_LAWS)
     return CentralLawsReport(tuple(LawFailure(c.name, e, c.witness.render(alg))
                                    for e, c in checks if not c.ok), elements)
 
 
-def central_laws_report(alg: FiniteAlgebra) -> CentralLawsReport:
-    """CENTRAL_ELEMENT_LAWS at every central element, checked exhaustively.
-
-    e*b is the meet of e and b.  Five more laws hold at every central
-    element, so they are not re-checked.  Four are instances of a
-    centrality law that e has passed, with (d), which holds at every e of an
-    inrs: e*e = e is (c) for * at (a1,b1,a2,b2) = (1,0,1,0); e*a = a*e is
-    (c) for * at (a,a,1,0) with (a); (e*a)*b = a*(e*b) holds as (c) for *
-    gives e*(a*b) at both (a,0,b,b) and (a,a,b,0); and e*(a+b) = e*a + e*b
-    is (c) for + at b1 = b2 = 0.  The fifth, a <= e implies a*e = a,
-    follows: for a <= e the meet of e and a is a, so a*e = e*a = a.
-    Requires an inrs.
-    """
-    require_class(alg, INRS, "central_laws_report")
-    return _central_laws(alg, central_elements(alg))
-
-
 @dataclass(frozen=True)
 class CenterReport:
-    """Ce(A): elements, Boolean structure, the factor-congruence bijection, laws."""
+    """Ce(A): elements, the two routes' agreement, closure, the factor bijection."""
 
     algebra: FiniteAlgebra
     elements: tuple[int, ...]
     agreement_failures: tuple[int, ...]   # elements where the two methods disagree
     closure_failures: tuple[str, ...]
-    boolean_failures: tuple[str, ...]
     factor_bijection_ok: bool
-    laws: CentralLawsReport               # central_laws_report on these elements
 
     @property
     def ok(self) -> bool:
         return (not self.agreement_failures and not self.closure_failures
-                and not self.boolean_failures and self.factor_bijection_ok)
+                and self.factor_bijection_ok)
 
 
 def center(alg: FiniteAlgebra) -> CenterReport:
-    """All central elements with the Boolean algebra they carry, fully verified.
+    """All central elements with the Boolean algebra they carry.
 
-    Ce(A) holds 0 and 1 and is closed under alpha on every inrs, and four
-    Boolean laws are (i) and (ii) on it (see the module docstring), so
-    closure under + and * and the other seven laws are checked.  The
-    Boolean order (e*f = e) is not checked apart: by commutativity and
-    absorption it is the induced order (e+f = f), as e*f = e gives
-    e+f = f+(f*e) = f and e+f = f gives e*f = e*(e+f) = e.  Requires an
-    inrs, as centrality does.
+    Checked: the two centrality routes agree, Ce(A) is closed under + and
+    * (it holds 0 and 1 and is closed under alpha on every inrs), and
+    e |-> theta(e,0) is a bijection onto the factor congruences.  The rest
+    follows from the centrality laws by (i), (ii), (iv)-(vi), for central
+    e, f, g and any a, b.  The * law at (a1,b1,a2,b2) = (a,a,1,0) with (a),
+    (a,0,b,b), (1,0,1,0) and (1,0,0,1) gives e*a = a*e, e*(a*b) = (e*a)*b,
+    e*e = e and e*e^a = 0, and (a) at 1 gives e + e^a = 1.  By the + edge
+    e* preserves joins, so it is monotone and e*a <= e*1 = e.  So on a
+    closed Ce(A) the eleven BOOLEAN_LAWS hold: the join laws and the
+    identities are (i) and (ii); e*(e+f) = e*e + e*f = e and e + e*f = e;
+    meet distributes by the + edge; and (e+f)*(e+g) = (e+f)*e + (e+f)*g =
+    e + e*g + f*g = e + f*g, by the + edge at e+f, e*a = a*e and (iii).
+    e*b is the meet of e and b: e*b <= e, and b = q(e,b,b) = e*b + e^a*b
+    gives e*b <= b; if c <= e, b then e^a*c <= e^a*e = 0, so
+    c = q(e,c,c) = e*c <= e*b.  As alpha is an antitone involution,
+    (e^a+b^a)^a is that meet too.  The Boolean order e*f = e is e+f = f,
+    as e+f = f+(f*e) = f and e*f = e*(e+f) = e.  Requires an inrs, as
+    centrality does.
     """
     require_class(alg, INRS, "center")
     results = [is_central(alg, e) for e in range(alg.size)]
@@ -311,16 +307,6 @@ def center(alg: FiniteAlgebra) -> CenterReport:
         if alg.plus[e][f] not in in_center:
             closure.append(f"{alg.label(e)}+{alg.label(f)} leaves the center")
 
-    boolean: list[str] = []
-    if not closure:
-        index = {e: i for i, e in enumerate(elements)}
-        ce = FiniteAlgebra(len(elements),
-                           plus=[[index[alg.plus[e][f]] for f in elements] for e in elements],
-                           times=[[index[alg.times[e][f]] for f in elements] for e in elements],
-                           alpha=[index[alg.alpha[e]] for e in elements],
-                           zero=index[alg.zero], one=index[alg.one])
-        boolean = [c.name for c in check_laws(ce, _CE_LAWS) if not c.ok]
-
     factor_members: set[Partition] = set()
     for p, r in itertools.combinations_with_replacement(all_congruences(alg), 2):
         if p.complements(r):
@@ -330,9 +316,7 @@ def center(alg: FiniteAlgebra) -> CenterReport:
     bijection_ok = (len(set(images)) == len(images)
                     and set(images) == factor_members)
 
-    return CenterReport(alg, elements, disagreements, tuple(closure),
-                        tuple(boolean), bijection_ok,
-                        _central_laws(alg, elements))
+    return CenterReport(alg, elements, disagreements, tuple(closure), bijection_ok)
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,14 @@ from nearsemiring.axioms import (INRS, LUK_NRS, LUK_RS, CheckOutcome, check_axio
                                  classify, holds)
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3,
                                   luk_chain, trivial)
-from nearsemiring.center import (BOOLEAN_LAWS, CENTRAL_ELEMENT_LAWS, CENTRALITY_LAWS,
-                                 CENTRALITY_REDUCTIONS, _CE_LAWS, _reductions_hold,
+from nearsemiring.center import (CENTRAL_ELEMENT_LAWS, CENTRALITY_LAWS,
+                                 CENTRALITY_REDUCTIONS, _reductions_hold,
                                  center, central_elements, central_ideal_check,
                                  central_laws_report, decompose,
                                  interval_algebra, is_central, q, semantic_centrality,
                                  syntactic_centrality, verify_boolean_laws)
 from nearsemiring.core import FiniteAlgebra, find_isomorphism, join_irreducibles, leq, product
-from nearsemiring.terms import Var
+from nearsemiring.terms import Var, church_q
 
 from enumerated import BUNDLED, models, oracle_pool, table_algebra
 
@@ -71,7 +71,7 @@ def test_center_reports():
     assert center(b2_x_l3()).elements == (0, 2, 3, 5)
     for alg in CORPUS:
         report = center(alg)
-        assert report.ok, (report.closure_failures, report.boolean_failures,
+        assert report.ok, (report.agreement_failures, report.closure_failures,
                            report.factor_bijection_ok)
 
 
@@ -197,8 +197,8 @@ def reference_boolean_laws(meet, join, comp, bot, top):
 
 
 def center_index_tables(alg):
-    """The index tables of Ce(A) whose Boolean laws center() checks, or None
-    when Ce(A) is not closed (center() then makes no Boolean check)."""
+    """The index tables of Ce(A), on which the Boolean laws hold by center()'s
+    proof, or None when Ce(A) is not closed."""
     elements = central_elements(alg)
     index = {e: i for i, e in enumerate(elements)}
     images = [alg.zero, alg.one, *(alg.alpha[e] for e in elements)]
@@ -336,6 +336,31 @@ def power(alg, k):
     return out
 
 
+A, B, C, E, A1, A2, B1, B2 = (Var(v) for v in ("a", "b", "c", "e", "a1", "a2", "b1", "b2"))
+#: the paper's six centrality laws, the test reference; syntactic_centrality
+#: checks all but the two (b) laws, which the (c) laws imply
+PAPER_LAWS = (
+    ("(a) q(e,a,a)=a", church_q(E, A, A), A),
+    ("(b) q(e,q(e,a,b),c)=q(e,a,c)", church_q(E, church_q(E, A, B), C), church_q(E, A, C)),
+    ("(b) q(e,a,q(e,b,c))=q(e,a,c)", church_q(E, A, church_q(E, B, C)), church_q(E, A, C)),
+    ("(c) q commutes with +", church_q(E, A1 + A2, B1 + B2),
+     church_q(E, A1, B1) + church_q(E, A2, B2)),
+    ("(c) q commutes with *", church_q(E, A1 * A2, B1 * B2),
+     church_q(E, A1, B1) * church_q(E, A2, B2)),
+    ("(c) q commutes with alpha", church_q(E, A.a, B.a), church_q(E, A, B).a),
+)
+B_LAWS = PAPER_LAWS[1:3]
+PLUS_LAW, TIMES_LAW = PAPER_LAWS[3:5]
+
+
+def test_centrality_laws_are_the_paper_laws_but_b():
+    # the proofs that syntactic_centrality and center() state lean on (a) and
+    # the (c) laws.  No element of inrs_pool() passes (a) and the + law and
+    # then fails a later law (test_reduced_centrality_equals_the_full_scans),
+    # so no verdict would show the * or alpha law missing
+    assert CENTRALITY_LAWS == PAPER_LAWS[:1] + PAPER_LAWS[3:]
+
+
 def reference_syntactic_centrality(alg, e):
     """syntactic_centrality by the full n^4 scans of every law, no reduction."""
     for name, lhs, rhs in CENTRALITY_LAWS:
@@ -355,16 +380,47 @@ def reduction_pool():
             + tuple(product(a, b) for a, b in itertools.product(chains, repeat=2)))
 
 
+@functools.lru_cache(maxsize=None)
+def inrs_pool():
+    """reduction_pool() and every other inrs of oracle_pool()."""
+    return tuple(dict.fromkeys(reduction_pool() + tuple(
+        alg for alg in oracle_pool() if classify(alg) is not None)))
+
+
 def test_reduced_centrality_equals_the_full_scans():
     # centrality is defined on inrs tables only; the outcome, witness
-    # included, must be the one the full scans give
-    for alg in reduction_pool():
-        assert classify(alg) is not None
+    # included, must be the one the full scans give.  The verdict is also
+    # the one of the paper's six laws: only the first failing law of a
+    # non-central element, and so its witness, may differ
+    verdicts, first_failures = set(), set()
+    for alg in inrs_pool():
         for e in range(alg.size):
-            assert syntactic_centrality(alg, e) == reference_syntactic_centrality(alg, e)
+            out = syntactic_centrality(alg, e)
+            assert out == reference_syntactic_centrality(alg, e), (alg, e)
+            # the six-law scan, with the laws CENTRALITY_LAWS holds already known
+            paper = out.ok and all(check_identity(alg, *law, fixed={"e": e}).ok
+                                   for law in B_LAWS)
+            assert out.ok == paper, (alg, e)
+            verdicts.add(out.ok)
+            if not out.ok:
+                first_failures.add(out.name)
+    assert verdicts == {True, False}
+    # no element passes (a) and the + law and then fails a later law
+    assert first_failures == {PAPER_LAWS[0][0], PLUS_LAW[0]}
 
 
-B1_LAW, B2_LAW, PLUS_LAW, TIMES_LAW = CENTRALITY_LAWS[1:5]
+def test_the_c_laws_imply_both_b_laws():
+    # at every element of every inrs of the pool, central or not: where a (b)
+    # law fails, so does the full (c) scan for + or for *
+    b_failures = 0
+    for alg in inrs_pool():
+        for e in range(alg.size):
+            if all(check_identity(alg, *law, fixed={"e": e}).ok for law in B_LAWS):
+                continue
+            b_failures += 1
+            assert not all(check_identity(alg, *law, fixed={"e": e}).ok
+                           for law in (PLUS_LAW, TIMES_LAW)), (alg, e)
+    assert b_failures == 3187
 
 
 def test_reduced_check_alone_decides_each_c_law():
@@ -413,19 +469,6 @@ def test_plus_law_edges_over_generators_are_the_full_scans():
     assert seen == {(law[0], ok) for law in (PLUS_LAW, TIMES_LAW) for ok in (True, False)}
 
 
-def test_reduced_check_alone_decides_each_b_law():
-    # the short forms of the c = 0 and a = 0 instances, for every element
-    seen = set()
-    for alg in reduction_pool():
-        for e in range(alg.size):
-            for law in (B1_LAW, B2_LAW):
-                name, lhs, rhs = law
-                full = check_identity(alg, name, lhs, rhs, fixed={"e": e}).ok
-                assert _reductions_hold(alg, e, CENTRALITY_REDUCTIONS[name]) == full, (alg, e, name)
-                seen.add((name, full))
-    assert seen == {(law[0], full) for law in (B1_LAW, B2_LAW) for full in (True, False)}
-
-
 @st.composite
 def small_tables(draw):
     n = draw(st.integers(2, 4))
@@ -466,7 +509,7 @@ def test_luk_rs_center_is_the_boolean_elements():
 def test_center_on_the_largest_products(alg, size):
     report = center(alg)
     assert len(report.elements) == size
-    assert report.ok and report.laws.ok
+    assert report.ok and central_laws_report(alg).ok
 
 
 def test_theta_e_1_is_the_kernel_of_e_alpha_on_every_inrs():
@@ -495,7 +538,6 @@ def is_meet(alg, m, e, b):
             and all(leq(alg, c, m) for c in range(alg.size) if leq(alg, c, e) and leq(alg, c, b)))
 
 
-A, E = Var("a"), Var("e")
 #: a <= e implies a*e = a, read m(a,e)*e = m(a,e) for the meet term m; it follows
 #: at a central e, so central_laws_report does not check it
 BELOW_LAW = ("a<=e implies a*e = a", (A.a + E.a).a * E, (A.a + E.a).a)
@@ -519,13 +561,9 @@ def test_central_element_laws_are_the_order_scans():
 
 def test_checks_center_skips_hold_on_every_inrs():
     # center() and syntactic_centrality no longer check these facts: each
-    # follows from the inrs axioms, and here each is checked on every inrs
-    # of the oracle pool
-    dropped = {name for name, _ in BOOLEAN_LAWS} - {name for name, _ in _CE_LAWS}
-    assert dropped == {"join commutative", "join associative",
-                       "top is meet identity", "bottom is join identity"}
-    meet_law = CENTRAL_ELEMENT_LAWS[0]
-    centrals = 0
+    # follows from the inrs axioms and the centrality laws, and here each is
+    # checked on every inrs of the oracle pool
+    centrals = closed = 0
     for alg in oracle_pool():
         if classify(alg) is None:
             continue
@@ -535,16 +573,17 @@ def test_checks_center_skips_hold_on_every_inrs():
         assert {alg.alpha[e] for e in central} == central, alg
         # (d) q(e,1,0) = e at every element
         assert all(q(alg, e, alg.one, alg.zero) == e for e in range(n)), alg
-        # the four dropped laws on the index tables of Ce(A)
+        # all eleven Boolean laws on the index tables of a closed Ce(A)
         tables = center_index_tables(alg)
         if tables is not None:
-            assert not dropped & set(verify_boolean_laws(*tables)), alg
-        # a <= e implies a*e = a wherever e is central and e*b is the meet of e and b
+            assert verify_boolean_laws(*tables) == [], alg
+            closed += 1
+        # e*b is the meet of e and b, and a <= e implies a*e = a, at every central e
         for e in central:
-            if check_identity(alg, *meet_law, fixed={"e": e}).ok:
-                assert check_identity(alg, *BELOW_LAW, fixed={"e": e}).ok, (alg, e)
-                centrals += 1
-    assert centrals == 2304
+            for law in (*CENTRAL_ELEMENT_LAWS, BELOW_LAW):
+                assert check_identity(alg, *law, fixed={"e": e}).ok, (alg, e, law[0])
+            centrals += 1
+    assert centrals == 2304 and closed > 1000
 
 
 def test_center_makes_one_principal_congruence_per_kernel(monkeypatch):
