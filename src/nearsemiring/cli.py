@@ -318,6 +318,8 @@ def cmd_enumerate(args) -> tuple[str, int]:
 
 
 def cmd_dot(args) -> tuple[str, int]:
+    if args.threshold is not None and args.lattice != "id":
+        raise UsageError(f"--threshold applies to --lattice id, not --lattice {args.lattice}")
     alg = _load_table_algebra(args.file)
     if args.lattice == "con":
         cons = all_congruences(alg)
@@ -325,7 +327,7 @@ def cmd_dot(args) -> tuple[str, int]:
         return hasse_dot("congruence_lattice", labels,
                          lambda i, j: cons[i].refines(cons[j])), 0
     if args.lattice == "id":
-        lattice = all_ideals(alg, threshold=args.threshold)
+        lattice = all_ideals(alg, threshold=args.threshold or DEFAULT_SUBSET_THRESHOLD)
         labels = [s.render(alg) for s in lattice.ideals]
         return hasse_dot("ideal_lattice", labels, lattice.leq), 0
     require_class(alg, INRS, "dot --lattice ce")
@@ -421,9 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for the enumerated .alg files")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("dot", parents=[threshold], help="Hasse diagram as DOT text")
+    p = sub.add_parser("dot", help="Hasse diagram as DOT text")
     p.add_argument("file")
     p.add_argument("--lattice", choices=("con", "id", "ce"), required=True)
+    # read with --lattice id only; None lets cmd_dot refuse it with con and ce
+    p.add_argument("--threshold", type=_positive, default=None,
+                   help="with --lattice id: universe-size bound for listing every "
+                        f"closed subset (default {DEFAULT_SUBSET_THRESHOLD})")
     p.set_defaults(func=cmd_dot)
 
     return parser

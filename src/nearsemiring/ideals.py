@@ -14,6 +14,11 @@ lists the closed subsets by NextClosure (Ganter 1984), at most n closures per
 closed set, so no loop visits all 2^n subsets; the claims report and the MV
 correspondence compare two of its lists and look closer only at the subsets
 where they differ.
+
+Id(A) itself is the family of congruence kernels (all_ideals), so its joins
+and meets are read off that family: the meet is the intersection and the
+join the least kernel above both, which within the NextClosure threshold is
+also the (I1)/(I2) closure of the union.
 """
 
 from __future__ import annotations
@@ -273,7 +278,11 @@ def theta_partition(alg: FiniteAlgebra, s: ElementSet) -> Partition:
 
 @dataclass(frozen=True)
 class IdealLattice:
-    """All ideals with containment order, join/meet tables and pseudocomplements."""
+    """All ideals with containment order, join/meet tables and pseudocomplements.
+
+    The ideals are the congruence kernels; meets are intersections and a
+    join is the least ideal above both (see all_ideals).
+    """
 
     algebra: FiniteAlgebra
     ideals: tuple[ElementSet, ...]         # by size, so ideals[0] is {0}
@@ -324,6 +333,14 @@ def all_ideals(alg: FiniteAlgebra,
     the ideals are asserted equal to the 0-cosets (the kernel correspondence);
     beyond it the result is flagged oracle-partial: the kernels are ideals,
     but that no other ideal exists was not checked.
+
+    The lattice is read off the kernel family, with no closure run to build
+    it.  The meet of two members is their intersection, checked to be a
+    member.  A family closed under intersection that holds A (the kernel of
+    the full congruence) has a least member above I u J, the intersection of
+    all members above it; every other member above is larger, so in size
+    order it comes first.  Within the threshold the family is every closed
+    set, so that member is also the (I1)/(I2) closure of I u J.
     """
     require_class(alg, LUK_NRS, "all_ideals")
     n = alg.size
@@ -348,19 +365,27 @@ def all_ideals(alg: FiniteAlgebra,
     ideals = tuple(sorted((ElementSet(n, m) for m in kernels), key=set_sort_key))
     k = len(ideals)
     lookup = {s.mask: i for i, s in enumerate(ideals)}
+    # up[i]: the members that contain ideals[i], as a k-bit int
+    up = [sum(1 << j for j, t in enumerate(ideals) if s.issubset(t)) for s in ideals]
 
-    # every member is an ideal, so the generated ideal is the least upper bound
-    # and the intersection the greatest lower bound; only membership can fail
+    # each join is the least member above both (see the docstring), which
+    # holds only if every meet is a member: the loop raises before returning
+    # if one is not
     join_table = [[0] * k for _ in range(k)]
     meet_table = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            joined = generate_ideal(alg, ideals[i] | ideals[j])
-            met = ideals[i] & ideals[j]
-            if joined.mask not in lookup or met.mask not in lookup:
-                raise AssertionError("ideals are not closed under join/meet")
-            join_table[i][j] = join_table[j][i] = lookup[joined.mask]
-            meet_table[i][j] = meet_table[j][i] = lookup[met.mask]
+            met = (ideals[i] & ideals[j]).mask
+            if met not in lookup:
+                raise AssertionError(
+                    f"ideals are not closed under meet: {ideals[i].members()} meet "
+                    f"{ideals[j].members()} is {ElementSet(n, met).members()}")
+            above = up[i] & up[j]
+            if not above:
+                raise AssertionError(f"no ideal holds both {ideals[i].members()} "
+                                     f"and {ideals[j].members()}")
+            join_table[i][j] = join_table[j][i] = (above & -above).bit_length() - 1
+            meet_table[i][j] = meet_table[j][i] = lookup[met]
 
     # the star of i joins every ideal meeting i in {0}, so it holds them all;
     # that it meets i in {0} itself is the part to check

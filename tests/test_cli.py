@@ -393,6 +393,7 @@ def test_size_guard_is_a_usage_error(capsys):
 FLAG_READERS = {("congruences",): "--max-size", ("cb", "--search"): None,
                 ("ideals",): "--threshold", ("claims",): "--threshold",
                 ("dot", "--lattice", "id"): "--threshold",
+                ("dot", "--lattice", "con"): None, ("dot", "--lattice", "ce"): None,
                 ("check",): None, ("center",): None, ("roundtrip",): None}
 
 
@@ -404,6 +405,10 @@ def test_max_size_and_threshold_go_only_to_the_commands_that_read_them(capsys):
             status, out, err = run(capsys, command, *files, *extra, flag, "3")
             if flag == reader:
                 assert status == 0 and out, (command, flag)
+            elif command == "dot" and flag == "--threshold":
+                # dot parses --threshold for --lattice id and refuses it otherwise
+                assert (status, out) == (2, ""), (extra, flag)
+                assert err == f"error: --threshold applies to --lattice id, not {' '.join(extra)}\n"
             else:
                 assert (status, out) == (2, ""), (command, flag)
                 assert f"unrecognized arguments: {flag} 3" in err

@@ -22,7 +22,7 @@ from nearsemiring.core import FiniteAlgebra, leq, product
 from nearsemiring.mv import _mv_ideal_rules, from_mv, to_mv
 from nearsemiring.search import EnumerationTask, enumerate_algebras
 
-from enumerated import models
+from enumerated import models, oracle_pool
 
 L3 = luk_chain(3)
 LUK_CORPUS = (boolean2(), L3, luk_chain(4), b2_x_b2(), b2_x_l3(), trivial())
@@ -318,13 +318,24 @@ def test_join_via_coset_agrees_everywhere():
         lat = all_ideals(alg)
         for p in lat.ideals:
             for r in lat.ideals:
-                cmp = ideal_join_via_coset(alg, p, r)
-                assert cmp.agree
-                assert cmp.generated == lat.join(lat.index(p), lat.index(r))
+                assert ideal_join_via_coset(alg, p, r).agree
     # spot values
     alg = b2_x_l3()
     out = ideal_join_via_coset(alg, es(alg, 0, 3), es(alg, 0, 1, 2))
     assert out.agree and out.generated.members() == tuple(range(6))
+
+
+def test_join_is_the_closure_of_the_union_and_meet_the_intersection():
+    # the tables are read off the kernel family; the (I1)/(I2) closure is the
+    # reference, here also above the threshold (b2^4, n = 16)
+    b2 = boolean2()
+    pool = [alg for alg in oracle_pool() if classify(alg) in (LUK_NRS, LUK_RS)]
+    for alg in pool + [product(product(b2_x_b2(), b2), b2)]:
+        lat = all_ideals(alg)
+        for i, p in enumerate(lat.ideals):
+            for j, r in enumerate(lat.ideals):
+                assert lat.join(i, j) == generate_ideal(alg, p | r)
+                assert lat.meet(i, j) == p & r
 
 
 def test_ideals_are_convex():
@@ -443,6 +454,20 @@ def test_all_ideals_rejects_a_kernel_that_is_not_an_ideal(monkeypatch):
                         lambda alg: all_congruences(alg) + (bad,))
     with pytest.raises(AssertionError, match="kernels fail the ideal predicate"):
         all_ideals(L3, threshold=2)
+
+
+def test_all_ideals_rejects_a_family_without_meets_or_joins(monkeypatch):
+    # b2 x b2 without one of its four congruences: each kernel is still an
+    # ideal, but the family lacks {0}, the meet of {0, a} and {0, b}, or A,
+    # their join, and no subset scan runs to notice
+    ideals_module = importlib.import_module("nearsemiring.ideals")
+    alg = b2_x_b2()
+    for drop, message in ((Partition.is_discrete, "not closed under meet"),
+                          (Partition.is_full, "no ideal holds both")):
+        monkeypatch.setattr(ideals_module, "all_congruences",
+                            lambda alg: tuple(p for p in all_congruences(alg) if not drop(p)))
+        with pytest.raises(AssertionError, match=message):
+            all_ideals(alg, threshold=2)
 
 
 def test_element_set_validation():
