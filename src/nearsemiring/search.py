@@ -41,8 +41,9 @@ its relabellings: sigma(P) >= P for every sigma, with equality exactly for
 sigma in Aut(P).  So the form is P followed by the least encoding of
 (times, alpha) over Aut(P), one encoding per automorphism.  The full Aut(P)
 is needed here, not Aut(P, alpha): a sigma that moves alpha can still make
-the times table smaller.  The brute-force `canonical_form` stays public
-and is the tests' oracle for these forms.
+the times table smaller.  The public `canonical_form` reaches the same
+forms by another route, a branch and bound over the new labels that needs
+no property of the tables, and the tests require the two to agree.
 
 Every leaf is admitted without the axiom checker, because the search
 guarantees every axiom of its class: the bounds, idempotence and
@@ -149,13 +150,22 @@ def canonical_form(alg: FiniteAlgebra) -> CanonicalForm:
     The encoding of a relabelled copy is its size, zero, one, then the plus
     and times tables row by row and the alpha vector.  Zero goes to 0 and
     one to n-1; the minimum ranges over all orders of the remaining
-    elements, so equal forms characterize isomorphism.  Each order is
-    encoded straight from the tables: gather rows and columns in the new
-    order, then translate the old labels to the new ones.  The 2n+1 rows of
-    an encoding all have length n, so the first row in which two encodings
-    differ decides their byte order: each order's image is compared with
-    the least so far one row at a time, and built in full only when it is
-    smaller.
+    elements, so equal forms characterize isomorphism.  The 2n+1 rows of an
+    encoding all have length n, so the first row in which two encodings
+    differ decides their byte order.
+
+    The orders are searched depth first, one new label at a time: at a
+    node, labels 0..k-1 and n-1 are placed, and each child gives label k
+    to one of the old elements left (individualise and prune, as in McKay
+    and Piperno, "Practical graph isomorphism, II", 2014).  Every placed
+    plus row gets a lower bound on its image (_row_bound).  A node whose
+    bounds exceed the least encoding found so far, at the first row where
+    they differ, holds no smaller order and is pruned; a node whose bounds
+    tie is kept, as an order below it may still win on a later row.
+    Children are tried in the order of their bounds, so the first leaf is
+    usually close to the least.  Each leaf, a complete order, is encoded
+    straight from the tables and compared with the least so far one row at
+    a time (_compare); it is built in full only when it is smaller.
     """
     n = alg.size
     if n == 1:
@@ -166,20 +176,116 @@ def canonical_form(alg: FiniteAlgebra) -> CanonicalForm:
                            "universe; such tables admit no bounded order")
     plus, times = tuple(map(bytes, alg.plus)), tuple(map(bytes, alg.times))
     alpha = (bytes(alg.alpha),)
-    rest = [i for i in range(n) if i not in (alg.zero, alg.one)]
-    # where 0 + x = x the image's plus row of zero is 0, 1, ..., n-1, and
-    # where 1 + x = 1 its plus row of one is n-1 throughout, under every
-    # order: such a row always ties, so the plus pass skips it
-    deciding = slice(int(plus[alg.zero] == bytes(range(n))),
-                     n - int(plus[alg.one] == bytes([alg.one]) * n))
+    one = alg.one
+    new_labels = bytes(range(n))
     best: list[bytes] = []
-    for gather, trans in _relabellings(alg.zero, rest, alg.one):
-        # the plus rows decide almost every order: gather the rest on a tie only
-        if best and (_compare(gather(plus)[deciding], best[deciding], gather, trans)
+    old = [alg.zero]        # old[k]: the old element given new label k
+    # where 0 + x = x the image's plus row of zero is 0, 1, ..., n-1 under
+    # every order: it always ties, so the bounds start at the next row
+    first = int(plus[alg.zero] == new_labels)
+
+    def leaf(order: list[int]) -> None:
+        nonlocal best
+        gather, trans = itemgetter(*order), bytes.maketrans(bytes(order), new_labels)
+        # the plus rows decide almost every leaf: gather the rest on a tie only
+        if best and (_compare(gather(plus)[first:], best[first:n], gather, trans)
                      or _compare(gather(times) + alpha, best[n:], gather, trans)) >= 0:
-            continue
+            return
         best = _image(gather(plus) + gather(times) + alpha, gather, trans)
+
+    def descend(left: list[int]) -> None:
+        if len(left) <= 3:
+            # at most six leaves: cheaper to compare than their bounds to build
+            for tail in itertools.permutations(left):
+                leaf(old + list(tail) + [one])
+            return
+        k = len(old)
+        incumbent = best[first:k + 1]
+        children: list[tuple[list[bytes], int]] = []
+        least: list[bytes] = []     # the least full bounds of a sibling so far
+        for c in left:
+            rest = [u for u in left if u != c]
+            order = old + [c] + rest + [one]
+            gather = itemgetter(*order)
+            # placed values keep their labels; the unplaced ones, exactly
+            # rest, are bounded below by the next free label k+1
+            trans = bytes.maketrans(bytes(order), new_labels[:k + 1]
+                                    + bytes([k + 1]) * len(rest) + bytes([n - 1]))
+            placed, unplaced = bytes(order[:k + 1] + [one]), bytes(rest)
+            rows: list[bytes] = []
+            # how the bounds compare with best and with the least sibling:
+            # 0 while they tie, then -1 or 1 as they fall below or rise above
+            to_best, to_least = (0 if incumbent else -1), (0 if least else -1)
+            for o in order[first:k + 1]:
+                row = _row_bound(bytes(gather(plus[o])), k + 1, trans, placed, unplaced)
+                r = len(rows)
+                rows.append(row)
+                if to_best == 0:
+                    to_best = (row > incumbent[r]) - (row < incumbent[r])
+                if to_least == 0:
+                    to_least = (row > least[r]) - (row < least[r])
+                # above best, the child is pruned; below best but above the
+                # least sibling, it is tried after that sibling, whatever
+                # its later rows
+                if to_best > 0 or to_best < 0 < to_least:
+                    break
+            if to_best <= 0:
+                if to_least < 0:
+                    least = rows
+                children.append((rows, c))
+        children.sort()
+        for rows, c in children:
+            # best may have improved since the child's bounds were compared
+            if not best or rows <= best[first:first + len(rows)]:
+                old.append(c)
+                descend([u for u in left if u != c])
+                old.pop()
+
+    descend([i for i in range(n) if i not in (alg.zero, one)])
     return CanonicalForm(bytes([n, 0, n - 1]) + b"".join(best))
+
+
+def _row_bound(row: bytes, k: int, trans: bytes, placed: bytes, unplaced: bytes) -> bytes:
+    """A lower bound on the image of a row whose element has a label.
+
+    Labels 0..k-1 and n-1 are placed, and row is gathered in the node's
+    order: the placed columns, the columns of the unplaced elements in the
+    order `unplaced`, then column n-1.  trans maps each placed value to its
+    label and each unplaced one to k, the least label it can get; that
+    bounds the placed columns and column n-1.
+
+    The unplaced columns may still come in any order, so their entries are
+    bounded as a whole, least first.  Placed values keep their labels: those
+    below k come first and n-1 comes last.  Between them, an unplaced value
+    v reads its label f(v) >= k on every entry that holds it.  Where v also
+    stands in v's own column, f(v) is the position of that entry, so v is
+    opened at the first position p that no lesser value fills, and its other
+    entries read p; the most frequent such value is opened first.  The other
+    unplaced values take k, k+1, ... in order of decreasing multiplicity,
+    which puts the most entries on the least labels.
+    """
+    n = len(row)
+    middle = row[k:n - 1]
+    known = bytes(sorted(middle.translate(trans, unplaced)))
+    low = len(known) - known.count(n - 1)
+    values = middle.translate(None, placed)
+    own = {v for v, u in zip(middle, unplaced) if v == u}
+    counts = {v: values.count(v) for v in set(values)}
+    opened = sorted(m for v, m in counts.items() if v in own)
+    # the labels of the other values, greatest first, so the least is
+    # popped; a value is opened at p only when no label left is below p,
+    # so its other entries, reading p, join at the end
+    pending = [k + i for i, m in enumerate(sorted(
+        (m for v, m in counts.items() if v not in own), reverse=True)) for _ in range(m)][::-1]
+    out = bytearray()
+    for p in range(k + low, k + low + len(values)):
+        if opened and (not pending or pending[-1] >= p):
+            out.append(p)
+            pending += [p] * (opened.pop() - 1)
+        else:
+            out.append(pending.pop())
+    return (row[:k].translate(trans) + known[:low] + out + known[low:]
+            + row[n - 1:].translate(trans))
 
 
 _Relabelling = tuple[itemgetter, bytes]

@@ -11,7 +11,8 @@ from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3, l3_x_b2,
                                   luk_chain)
 from nearsemiring.core import FiniteAlgebra, find_isomorphism, product
 from nearsemiring.search import (CanonicalForm, EnumerationCapExceeded, EnumerationTask,
-                                 _antitone_involutions, _Search, canonical_form, count, enumerate_algebras,
+                                 _antitone_involutions, _row_bound, _Search, canonical_form, count,
+                                 enumerate_algebras,
                                  enumerate_with_forms, frozen_counts, relabel)
 
 from enumerated import searched
@@ -129,10 +130,11 @@ class FullRescanSearch(_Search):
 class LabelledSearch(_Search):
     """Reference search: every labelled (plus, alpha) pair is a root.
 
-    Isomorphic leaves are dropped by the brute-force canonical form, keeping
-    the first copy met, and `admitted` counts the labelled leaves.  The
-    search's own form needs its plus table to be least under relabelling,
-    which these roots are not.
+    Isomorphic leaves are dropped by canonical_form, whose branch and bound
+    over the new labels needs no property of the tables, keeping the first
+    copy met, and `admitted` counts the labelled leaves.  The search's own
+    form needs its plus table to be least under relabelling, which these
+    roots are not.
     """
 
     admitted = 0
@@ -353,6 +355,8 @@ def test_canonical_form_matches_the_relabel_reference():
                                   product(b2_x_b2(), boolean2()))]
     # one copy at n = 9, where the reference relabels 5,040 times
     pool.append((product(luk_chain(3), luk_chain(3)), 1))
+    # and one of every 5,inrs model
+    pool += [(alg, 1) for alg in searched(5, INRS)[0]]
     for alg, copies in pool:
         for _ in range(copies):
             perm = list(range(alg.size))
@@ -367,13 +371,72 @@ def test_canonical_form_matches_the_relabel_reference_on_tables_of_few_rows():
     # the row-by-row comparison must look further; the tables need not be
     # models of any class
     rng = random.Random(21)
-    for _ in range(300):
-        n = rng.randint(2, 6)
+
+    def table(n, constant_plus=False):
         zero, one = rng.sample(range(n), 2)
         rows = [(zero,) * n, (one,) * n, tuple(rng.randrange(n) for _ in range(n))]
         plus, times = ([rng.choice(rows) for _ in range(n)] for _ in range(2))
-        alg = FiniteAlgebra(n, plus, times, rng.choice(rows), zero, one)
+        if constant_plus:
+            plus = [rng.choice(rows[:2]) for _ in range(n)]
+        return FiniteAlgebra(n, plus, times, rng.choice(rows), zero, one)
+
+    algs = [table(rng.randint(2, 6)) for _ in range(300)]
+    # and at n = 7; where every plus row is constant, each order ties on
+    # the plus table and the bounds of canonical_form prune nothing
+    algs += [table(7) for _ in range(8)] + [table(n, True) for n in range(2, 8) for _ in range(2)]
+    for alg in algs:
         assert canonical_form(alg).data == relabel_canonical_form(alg), alg
+
+
+def test_row_bound_never_exceeds_the_image_of_an_order():
+    # the bound on a placed row must be at most its image under each order
+    # that completes the node's labels.  Seeded rows hold few distinct
+    # values, many of them in their own column.  In the first row only zero
+    # is placed, and 3 fills two unplaced columns and 1 one, neither its
+    # own: the order 0 3 1 4 2 5 reads 0 1 2 1 there, so the bound must give
+    # the more frequent 3 the lesser label
+    rng = random.Random(8)
+    cases = [([5, 3, 3, 0, 1, 1], 0, 5, [], [4, 1, 3, 2])]
+    for _ in range(600):
+        n = rng.randint(3, 7)
+        zero, one = rng.sample(range(n), 2)
+        values = rng.sample(range(n), rng.randint(1, 3))
+        row = [x if rng.random() < 0.4 else rng.choice(values) for x in range(n)]
+        middle = [x for x in range(n) if x not in (zero, one)]
+        rng.shuffle(middle)
+        k = rng.randint(1, n - 2)
+        cases.append((row, zero, one, middle[:k - 1], middle[k - 1:]))
+    for row, zero, one, placed, rest in cases:
+        n, k = len(row), len(placed) + 1
+        old = [zero, *placed]
+        order = old + rest + [one]
+        trans = bytes.maketrans(bytes(order), bytes([*range(k), *[k] * len(rest), n - 1]))
+        bound = _row_bound(bytes(row[x] for x in order), k, trans, bytes(old + [one]), bytes(rest))
+        for tail in itertools.permutations(rest):
+            full = old + list(tail) + [one]
+            image = bytes(full.index(row[x]) for x in full)
+            assert bound <= image, (row, old, rest)
+
+
+def test_canonical_form_reaches_sixteen_elements():
+    # (n-2)! orders are out of reach here: 14! at n = 16.  A relabelled
+    # copy gets its original's form, and on algebras of one size equal
+    # forms agree with find_isomorphism
+    rng = random.Random(34)
+    b2, l3, l4 = boolean2(), luk_chain(3), luk_chain(4)
+    square = b2_x_b2()
+    algs = {"l12": luk_chain(12), "l3xl4": product(l3, l4), "b2^2xl3": product(square, l3),
+            "b2^4": product(square, square), "l4^2": product(l4, l4),
+            "b2^2xl4": product(square, l4)}
+    forms = {name: canonical_form(alg).data for name, alg in algs.items()}
+    for name in ("l3xl4", "b2^2xl3", "b2^4", "l4^2"):
+        perm = list(range(algs[name].size))
+        rng.shuffle(perm)
+        assert canonical_form(relabel(algs[name], perm)).data == forms[name], name
+    for group in (("l12", "l3xl4", "b2^2xl3"), ("b2^4", "l4^2", "b2^2xl4")):
+        for a, b in itertools.combinations(group, 2):
+            isomorphic = find_isomorphism(algs[a], algs[b]) is not None
+            assert (forms[a] == forms[b]) == isomorphic, (a, b)
 
 
 def unordered_factorizations(n, smallest=2):
@@ -397,8 +460,8 @@ def test_luk_rs_counts_are_the_factorizations_of_n():
 
 
 def test_enumerate_with_forms_pairs_each_model_with_its_canonical_form():
-    # the search builds each form from Aut(plus); the brute-force
-    # canonical_form over all (n-2)! relabellings is the oracle
+    # two routes to one form: the search reads it off Aut(plus), and
+    # canonical_form finds it by branch and bound over the new labels
     for n, cls in CHECKED_CASES + [(7, LUK_RS), (7, LUK_NRS)]:
         pairs = enumerate_with_forms(EnumerationTask(n, cls))
         assert tuple(alg for _, alg in pairs) == searched(n, cls)[0], (n, cls)
