@@ -1,11 +1,11 @@
 """Exhaustive model search with isomorph rejection.
 
 Tables are filled backtracking-style: join first, then the involution, then
-the multiplication, cell by cell with forward checking for inrs and built
-from one antitone involution per section [y, 1] of the lattice for the
-Lukasiewicz classes.  Isomorphic completions collapse to one representative
-through a canonical form.  The counts double
-as regression oracles for the rest of the workbench.
+the multiplication one column x -> x*w at a time.  For inrs each column is
+a join-preserving map; for the Lukasiewicz classes it is built from one
+antitone involution per section [y, 1] of the lattice.  Isomorphic
+completions collapse to one representative through a canonical form.  The
+counts double as regression oracles for the rest of the workbench.
 """
 
 import tempfile

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 Table = tuple[tuple[int, ...], ...]
@@ -30,20 +30,25 @@ class SizeLimitError(AlgebraError):
 def _ints(values: Sequence[int]) -> tuple[int, ...]:
     """The values as a tuple of ints; a tuple of ints is kept, not copied, so
     algebras can share their rows."""
-    if type(values) is tuple and all(type(v) is int for v in values):
+    if type(values) is tuple and set(map(type, values)) <= {int}:
         return values
     return tuple(int(v) for v in values)
+
+
+@lru_cache(maxsize=16)
+def _universe(n: int) -> frozenset[int]:
+    """[0, n) as a set: for ints, membership is the same as 0 <= v < n."""
+    return frozenset(range(n))
 
 
 def _as_table(rows: Sequence[Sequence[int]], n: int, what: str) -> Table:
     """The rows as n tuples of n ints in [0, n); a tuple of ints is kept, not copied."""
     rows = tuple(map(tuple, rows))      # tuple(row) is row for a tuple
     # the common case in a few whole-table passes (a call to min or max per
-    # row costs more than the loop below at small n): n rows of n ints in
-    # range, where ints alone make set membership the same as 0 <= v < n
+    # row costs more than the loop below at small n): n rows of n ints in range
+    flat = itertools.chain.from_iterable
     if (len(rows) == n and set(map(len, rows)) <= {n}
-            and set(map(type, itertools.chain(*rows))) <= {int}
-            and set(itertools.chain(*rows)) <= set(range(n))):
+            and set(map(type, flat(rows))) <= {int} and _universe(n).issuperset(flat(rows))):
         return rows
     # otherwise convert row by row and name the first fault
     rows = tuple(map(_ints, rows))
@@ -65,9 +70,10 @@ def _as_vector(vals: Sequence[int], n: int, what: str,
     if len(vals) != n:
         raise AlgebraError(f"{what} must have {n} entries, got {len(vals)}")
     universe = n if universe is None else universe
-    for i, v in enumerate(vals):
-        if not 0 <= v < universe:
-            raise AlgebraError(f"{what}[{i}] = {v} is outside the universe [0, {universe})")
+    if not _universe(universe).issuperset(vals):
+        for i, v in enumerate(vals):
+            if not 0 <= v < universe:
+                raise AlgebraError(f"{what}[{i}] = {v} is outside the universe [0, {universe})")
     return vals
 
 

@@ -8,18 +8,25 @@ instances that read the new cell are re-tested, found through an index of
 the cells by value.  An instance can only newly fail when it reads the new
 cell, so this prunes exactly the nodes a full rescan would.
 
-The multiplication table of an inrs is filled the same way, checked for
-left distributivity.  A luk-* table is not searched cell by cell: it is
-built.  Finite basic algebras, term equivalent to the luk-nrs models,
-correspond one to one with bounded lattices that carry an antitone
-involution sigma_y on every section [y, 1] (Chajda, Halas and Kuhr,
-Semilattice Structures, 2007), with sigma_0 = alpha and sigma_1 the
-identity.  With x (+) y = sigma_y(alpha(x) + y) and x*y =
-alpha(alpha(x) (+) alpha(y)), as in mv.from_mv, column w of the times table
-is x*w = alpha(sigma_y(x + y)) for y = alpha(w).  So each root (P, alpha)
-has one luk-nrs table per choice of the sigma_y, y a middle element, and
-each choice tried is one node.  luk-rs keeps the commutative ones: a
-finite commutative basic algebra is an MV-algebra (Botur and Halas, 2008).
+The multiplication table is chosen one column at a time.  Column w is the
+map x -> x*w.  Axioms (ii) and (iv) fix columns 0 and n-1 and the entries
+0*w = 0 and 1*w = w, and the other axioms of each class constrain one
+column at a time, so a table is one independent choice per middle w from a
+list of columns built for w; each choice tried is one node.  For an inrs,
+left distributivity (x+y)*w = x*w + y*w says that column w preserves joins:
+its list is every map f with f(0) = 0, f(n-1) = w and f(a+b) = f(a) + f(b),
+found by a small backtrack over the middle cells that checks each instance
+once its cells are set.  These lists never read alpha, so they are found
+once per plus table.  A luk-* column is built, not searched.  Finite basic
+algebras, term equivalent to the luk-nrs models, correspond one to one
+with bounded lattices that carry an antitone involution sigma_y on every
+section [y, 1] (Chajda, Halas and Kuhr, Semilattice Structures, 2007), with
+sigma_0 = alpha and sigma_1 the identity.  With x (+) y = sigma_y(alpha(x)
++ y) and x*y = alpha(alpha(x) (+) alpha(y)), as in mv.from_mv, column w of
+the times table is x*w = alpha(sigma_y(x + y)) for y = alpha(w).  So each
+root (P, alpha) has one luk-nrs table per choice of the sigma_y, y a middle
+element.  luk-rs keeps the commutative ones: a finite commutative basic
+algebra is an MV-algebra (Botur and Halas, 2008).
 
 Isomorphic copies are never searched twice.  The relabellings are the
 permutations fixing 0 and n-1, and tables are compared in the search's own
@@ -48,9 +55,9 @@ no property of the tables, and the tests require the two to agree.
 Every leaf is admitted without the axiom checker, because the search
 guarantees every axiom of its class: the bounds, idempotence and
 commutativity of (i) and all of (ii), (iv) and (v) are built into the
-tables, (vi) by the involution builder, associativity of + and, for inrs,
-(iii) by the forward checks, and every luk-* axiom by the correspondence
-above.
+tables, (vi) by the involution builder, associativity of + by the forward
+checks, (iii) of an inrs by its column lists, and every luk-* axiom by the
+correspondence above.
 
 Enumerated algebras place zero at index 0 and one at index n-1.
 """
@@ -64,9 +71,9 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .axioms import CLASSES, INRS, LUK_NRS
+from .axioms import CLASSES, INRS, LUK_NRS, LUK_RS
 from .core import AlgebraError, FiniteAlgebra
 
 DEFAULT_MAX_NODES = 5_000_000
@@ -426,7 +433,8 @@ class _Search:
         self.mid = list(range(1, n - 1))
         self.plus_cells = [(i, j) for k, i in enumerate(self.mid)
                            for j in self.mid[k + 1:]]
-        self.times_cells = [(i, j) for i in self.mid for j in self.mid]
+        # the last plus table whose inrs columns _times_phase found, and their lists
+        self.inrs_columns: tuple[object, list[list[tuple[int, ...]]]] = (None, [])
         # every relabelling fixing 0 and n-1 except the identity (the first order)
         self.relabellings = list(itertools.islice(_relabellings(0, self.mid, n - 1), 1, None))
 
@@ -497,71 +505,33 @@ class _Search:
     def _times_phase(self, P: list[list[int]], alpha: tuple[int, ...],
                      autos: list[_Relabelling], plus_autos: list[_Relabelling]) -> None:
         """Every times table under the root (P, alpha); autos is Aut(P, alpha)
-        and plus_autos is Aut(P), both without the identity."""
-        if self.cls != INRS:
-            self._section_times(P, alpha, autos, plus_autos)
-            return
+        and plus_autos is Aut(P), both without the identity.
+
+        Column w of a table is the map x -> x*w, and the axioms of each class
+        constrain one column at a time, so a table is one choice per middle w
+        from columns[w - 1] (module docstring)."""
         n = self.n
-        R = range(n)
-        T: list[list[Optional[int]]] = [[None] * n for _ in R]
-        for i in R:
-            T[0][i] = T[i][0] = 0
-            T[n - 1][i] = T[i][n - 1] = i
-        T[n - 1][n - 1] = n - 1
-        # left distributivity (x+y)*z = x*z + y*z at z = j reads rows x, y
-        # and x+y of column j; dist[i] lists the pairs x < y that read row i
-        # (x = 0 and x = y give trivial instances).  The preset cells decide
-        # no instance at a middle z, as x is then a middle row, and every
-        # instance at z = 0 or n-1, which holds
-        dist: list[list[tuple[int, int, int]]] = [[] for _ in R]
-        for a in range(1, n):
-            for b in range(a + 1, n):
-                s = P[a][b]
-                for r in {a, b, s}:
-                    dist[r].append((a, b, s))
-        cells = self.times_cells
-
-        def fill(k: int) -> None:
-            if k == len(cells):
-                self._emit(P, alpha, autos, T, plus_autos)
-                return
-            i, j = cells[k]
-            Ti = T[i]
-            for v in R:
-                self._enter()
-                Ti[j] = v
-                # every determined distributivity instance that reads T[i][j]
-                for a, b, s in dist[i]:
-                    lhs, r1, r2 = T[s][j], T[a][j], T[b][j]
-                    if (lhs is not None and r1 is not None and r2 is not None
-                            and lhs != P[r1][r2]):
-                        break
-                else:
-                    fill(k + 1)
-                Ti[j] = None
-
-        fill(0)
-
-    def _section_times(self, P: list[list[int]], alpha: tuple[int, ...],
-                       autos: list[_Relabelling], plus_autos: list[_Relabelling]) -> None:
-        """The luk-* times tables under the root (P, alpha): one per family of
-        antitone involutions sigma_y of the sections [y, n-1], with sigma_0 =
-        alpha and sigma_{n-1} the identity (module docstring)."""
-        n = self.n
-        # x*w = alpha(sigma_y(x + y)) with y = alpha(w), so sigma_y decides
-        # column w alone; columns[w - 1] holds it for each choice of sigma_y
-        columns = [[tuple(alpha[s[row[alpha[w]]]] for row in P)
-                    for s in _antitone_involutions(P, alpha[w], n - 1)] for w in self.mid]
+        if self.cls == INRS:
+            # an inrs column never reads alpha: its list is found once per P
+            if self.inrs_columns[0] is not P:
+                self.inrs_columns = P, [self._join_maps(P, w) for w in self.mid]
+            columns = self.inrs_columns[1]
+        else:
+            # x*w = alpha(sigma_y(x + y)) with y = alpha(w), so sigma_y
+            # decides column w alone: one column per choice of sigma_y
+            columns = [[tuple(alpha[s[row[alpha[w]]]] for row in P)
+                        for s in _antitone_involutions(P, alpha[w], n - 1)] for w in self.mid]
         if not all(columns):
             return
         cols = [(0,) * n, *(None for _ in self.mid), tuple(range(n))]
+        emit = self._emitter(P, alpha, autos, plus_autos)
 
         def choose(w: int) -> None:
             if w == n - 1:
                 T = list(zip(*cols))
                 # luk-rs: a commutative basic algebra is an MV-algebra
-                if self.cls == LUK_NRS or T == cols:
-                    self._emit(P, alpha, autos, T, plus_autos)
+                if self.cls != LUK_RS or T == cols:
+                    emit(T)
                 return
             for col in columns[w - 1]:
                 self._enter()
@@ -570,30 +540,69 @@ class _Search:
 
         choose(1)
 
-    def _emit(self, P, alpha, autos, T, plus_autos) -> None:
-        rows = tuple(map(bytes, T))
-        if autos and _least(rows, ((g(rows), (g, t)) for g, t in autos)) is None:
-            return      # its least relabelling is another leaf of this root
-        # P is least of its relabellings, so the canonical form is P followed
-        # by the least (times, alpha) over Aut(P) (module docstring)
-        vec = (bytes(alpha),)
-        rest = [*rows, *vec]
-        for g, t in plus_autos:
-            if _compare(g(rows) + vec, rest, g, t) < 0:
-                rest = _image(g(rows) + vec, g, t)
+    def _join_maps(self, P: list[list[int]], z: int) -> list[tuple[int, ...]]:
+        """Every column x -> x*z of an inrs on the plus table P, in
+        lexicographic order: the maps f with f(0) = 0 and f(n-1) = z, by (iv)
+        and (ii), that preserve joins, f(a + b) = f(a) + f(b), which is left
+        distributivity at z.  Each value tried for a middle cell is a node."""
         n = self.n
+        # the instances a < b (a = 0 and a = b are trivial), each checked at
+        # the last middle cell of a, b and a + b that the backtrack sets
+        last: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for a in self.mid:
+            for b in range(a + 1, n):
+                s = P[a][b]
+                last[max(x for x in (a, b, s) if x != n - 1)].append((a, b, s))
+        f = [0, *(None for _ in self.mid), z]
+        out: list[tuple[int, ...]] = []
+
+        def fill(x: int) -> None:
+            if x == n - 1:
+                out.append(tuple(f))
+                return
+            for v in range(n):
+                self._enter()
+                f[x] = v
+                if all(f[s] == P[f[a]][f[b]] for a, b, s in last[x]):
+                    fill(x + 1)
+
+        fill(1)
+        return out
+
+    def _emitter(self, P: list[list[int]], alpha: tuple[int, ...], autos: list[_Relabelling],
+                 plus_autos: list[_Relabelling]) -> Callable[[Sequence[tuple[int, ...]]], None]:
+        """emit(T), which keeps the times table T, given as row tuples, under
+        the root (P, alpha) if no relabelling in autos = Aut(P, alpha) makes
+        it smaller."""
+        n = self.n
+        vec = (bytes(alpha),)
         # a search meets few distinct rows, so the models it keeps share them
         row = self.rows.setdefault
-        alg = FiniteAlgebra(n, tuple(row(r, r) for r in map(tuple, P)),
-                            tuple(row(r, r) for r in map(tuple, T)), alpha, 0, n - 1)
-        self.found[bytes([n, 0, n - 1]) + b"".join(map(bytes, P)) + b"".join(rest)] = alg
+        plus = tuple(row(r, r) for r in map(tuple, P))
+        # P is least of its relabellings, so the canonical form is P followed
+        # by the least (times, alpha) over Aut(P) (module docstring)
+        prefix = bytes([n, 0, n - 1]) + b"".join(map(bytes, P))
+
+        def emit(T: Sequence[tuple[int, ...]]) -> None:
+            rows = tuple(map(bytes, T))
+            if autos and _least(rows, ((g(rows), (g, t)) for g, t in autos)) is None:
+                return      # its least relabelling is another leaf of this root
+            rest = [*rows, *vec]
+            for g, t in plus_autos:
+                if _compare(g(rows) + vec, rest, g, t) < 0:
+                    rest = _image(g(rows) + vec, g, t)
+            alg = FiniteAlgebra(n, plus, tuple(map(row, T, T)), alpha, 0, n - 1)
+            self.found[prefix + b"".join(rest)] = alg
+
+        return emit
 
 
 def enumerate_algebras(task: EnumerationTask) -> tuple[FiniteAlgebra, ...]:
     """All models of the class at the given size, one per isomorphism type.
 
-    The multiplication table is searched (inrs) or built from section
-    involutions (luk-*) once per orbit root (plus, alpha), and leaves are
+    The multiplication table is chosen column by column, from the
+    join-preserving maps (inrs) or from section involutions (luk-*), once
+    per orbit root (plus, alpha), and leaves are
     deduplicated under Aut(plus, alpha); each model is the least copy on
     the least root of its orbit.  Output is sorted by canonical
     form, so it is deterministic.  A node-cap overrun raises

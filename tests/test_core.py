@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from nearsemiring import core
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3, l3_x_b2,
                                   luk_chain, trivial)
 from nearsemiring.core import (AlgebraError, FiniteAlgebra, Homomorphism,
@@ -205,6 +206,93 @@ def test_tables_become_tuples_of_ints_and_int_tuple_rows_are_kept():
     assert all(a is b for a, b in zip(alg.plus, GOOD_3))
     assert alg.times == ((0, 0, 0), (0, 1, 1), (0, 1, 2))
     assert {type(v) for row in alg.times for v in row} == {int}
+
+
+def reference_ints(values):
+    if type(values) is tuple and all(type(v) is int for v in values):
+        return values
+    return tuple(int(v) for v in values)
+
+
+def reference_table(rows, n, what):
+    """Tables converted and checked row by row, with no whole-table pass."""
+    rows = tuple(map(reference_ints, map(tuple, rows)))
+    if len(rows) != n:
+        raise AlgebraError(f"{what} must have {n} rows, got {len(rows)}")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise AlgebraError(f"{what} row {i} must have {n} entries, got {len(row)}")
+        for j, v in enumerate(row):
+            if not 0 <= v < n:
+                raise AlgebraError(f"{what}[{i}][{j}] = {v} is outside the universe [0, {n})")
+    return rows
+
+
+def reference_vector(vals, n, what, universe=None):
+    vals = reference_ints(vals)
+    if len(vals) != n:
+        raise AlgebraError(f"{what} must have {n} entries, got {len(vals)}")
+    universe = n if universe is None else universe
+    for i, v in enumerate(vals):
+        if not 0 <= v < universe:
+            raise AlgebraError(f"{what}[{i}] = {v} is outside the universe [0, {universe})")
+    return vals
+
+
+def outcome(build):
+    """build(), or the type and message of the exception it raises."""
+    try:
+        return build()
+    except (AlgebraError, TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+def test_construction_matches_the_row_by_row_reference():
+    # seeded tables and vectors, most of them models' shapes, some with a
+    # bool, float, string, None, negative or out-of-range entry, a short or
+    # long row, a missing or extra row, or a list in place of a tuple: the
+    # constructor must build what the reference builds, keeping the same
+    # rows, or raise the same exception with the same message
+    rng = random.Random(35)
+    odd = [True, False, 1.0, 2.5, "1", "x", None, -1, -3]
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+
+        def table():
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.5:
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i][j] = rng.choice(odd + [n, n + 2])
+            if rng.random() < 0.15:
+                rng.choice(rows).pop()
+            if rng.random() < 0.15:
+                rows.append(list(range(n)))
+            if rng.random() < 0.1:
+                rows.pop()
+            return tuple(row if rng.random() < 0.2 else tuple(row) for row in rows)
+
+        plus, times = table(), table()
+        alpha = [rng.randrange(n) for _ in range(n + rng.choice((0, 0, 0, -1, 1)))]
+        if alpha and rng.random() < 0.3:
+            alpha[rng.randrange(len(alpha))] = rng.choice(odd + [n])
+        alpha = tuple(alpha) if rng.random() < 0.8 else alpha
+
+        def kept(tables, vector):
+            # what was built, and which given rows and vector it keeps as they are
+            rows = [[a is b for a, b in zip(*pair)] for pair in zip(tables, (plus, times))]
+            return tables, vector, rows, vector is alpha
+
+        def construct():
+            alg = FiniteAlgebra(n, plus, times, alpha)
+            return kept((alg.plus, alg.times), alg.alpha)
+
+        assert outcome(construct) == outcome(lambda: kept(
+            (reference_table(plus, n, "plus"), reference_table(times, n, "times")),
+            reference_vector(alpha, n, "alpha"))), (plus, times, alpha)
+        # a map into a universe of another size, as Homomorphism checks it
+        universe = rng.randint(1, 8)
+        assert (outcome(lambda: kept((), core._as_vector(alpha, n, "map", universe)))
+                == outcome(lambda: kept((), reference_vector(alpha, n, "map", universe))))
 
 
 def test_designated_constants_need_not_sit_at_the_ends():

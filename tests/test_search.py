@@ -41,11 +41,12 @@ class FullRescanSearch(_Search):
     """Reference search: after every plus or times cell, rescan every constraint.
 
     The search re-tests only the instances that read the new cell; both must
-    visit the same nodes on inrs and find the same models on every class.
-    On luk-* the search builds each times table from one antitone
-    involution per section, while this reference still fills it cell by
-    cell under distributivity, interchange and, for luk-rs, associativity,
-    setting the cells i <= j and their mirrors.
+    visit the same nodes outside the times phase and find the same models on
+    every class.  The search chooses each times table one column at a time,
+    from the join-preserving maps (inrs) or from one antitone involution per
+    section (luk-*), while this reference still fills it cell by cell, row
+    by row, under distributivity, interchange and, for luk-rs,
+    associativity, setting the cells i <= j and their mirrors.
     """
 
     def _plus_phase(self, P, where, k):
@@ -104,11 +105,13 @@ class FullRescanSearch(_Search):
                                 return False
             return True
 
-        times_cells = [(i, j) for i, j in self.times_cells if self.cls != LUK_RS or i <= j]
+        times_cells = [(i, j) for i in self.mid for j in self.mid
+                       if self.cls != LUK_RS or i <= j]
+        emit = self._emitter(P, alpha, autos, plus_autos)
 
         def fill(k):
             if k == len(times_cells):
-                self._emit(P, alpha, autos, T, plus_autos)
+                emit(tuple(map(tuple, T)))
                 return
             i, j = times_cells[k]
             # luk-rs sets the cells i <= j and their mirrors
@@ -130,9 +133,10 @@ class FullRescanSearch(_Search):
 class LabelledSearch(_Search):
     """Reference search: every labelled (plus, alpha) pair is a root.
 
-    Isomorphic leaves are dropped by canonical_form, whose branch and bound
-    over the new labels needs no property of the tables, keeping the first
-    copy met, and `admitted` counts the labelled leaves.  The search's own
+    Isomorphic leaves are told apart by canonical_form, whose branch and
+    bound over the new labels needs no property of the tables.  Each form
+    keeps its least copy by (plus, alpha, times), whatever order the leaves
+    come in, and `admitted` counts the labelled leaves.  The search's own
     form needs its plus table to be least under relabelling, which these
     roots are not.
     """
@@ -142,11 +146,19 @@ class LabelledSearch(_Search):
     def _plus_automorphisms(self, P):
         return []
 
-    def _emit(self, P, alpha, autos, T, plus_autos):
-        alg = FiniteAlgebra(self.n, tuple(map(tuple, P)), tuple(map(tuple, T)),
-                            alpha, 0, self.n - 1)
-        self.admitted += 1
-        self.found.setdefault(canonical_form(alg).data, alg)
+    def _emitter(self, P, alpha, autos, plus_autos):
+        plus = tuple(map(tuple, P))
+
+        def emit(T):
+            alg = FiniteAlgebra(self.n, plus, T, alpha, 0, self.n - 1)
+            self.admitted += 1
+            form = canonical_form(alg).data
+            kept = self.found.get(form)
+            least = (alg.plus, alg.alpha, alg.times)
+            if kept is None or least < (kept.plus, kept.alpha, kept.times):
+                self.found[form] = alg
+
+        return emit
 
 
 class LabelledFullRescan(FullRescanSearch):
@@ -154,7 +166,7 @@ class LabelledFullRescan(FullRescanSearch):
 
     admitted = 0
     _plus_automorphisms = LabelledSearch._plus_automorphisms
-    _emit = LabelledSearch._emit
+    _emitter = LabelledSearch._emitter
 
 
 def fix_first_plus_cell(search, value):
@@ -277,24 +289,39 @@ CHECKED_CASES = ([(n, cls) for n in range(1, 6) for cls in (INRS, LUK_NRS, LUK_R
                  + [(6, LUK_RS), (6, LUK_NRS)])
 
 
+def count_times_nodes(search):
+    """Tally in search.times_nodes the nodes entered inside its times phase."""
+    times_phase = search._times_phase
+    search.times_nodes = 0
+
+    def counted(*root):
+        before = search.nodes
+        times_phase(*root)
+        search.times_nodes += search.nodes - before
+
+    search._times_phase = counted
+    return search
+
+
 def test_incremental_checks_visit_the_same_nodes_as_a_full_rescan():
     # at n = 6 the first plus cell 1+2 = 3 gives a join whose row is filled
     # after the rows it joins; up to n = 5 no plus table with such a join
     # admits an antitone involution.  No plus table with 1+2 = 3 is an orbit
-    # root, so those cases search every labelled pair.  The luk-* times
-    # tables come from section involutions, not from a cell search, so only
-    # inrs visits the reference's nodes; on every case the two routes give
-    # the same forms, and on the orbit roots the same tables in the same order
+    # root, so those cases search every labelled pair.  Both routes must
+    # visit the same plus and alpha nodes on every class.  The times tables
+    # are chosen column by column, not cell by cell as in the reference, so
+    # the times phase is compared by its results: the same forms on every
+    # case, and on the orbit roots the same tables in the same order
     cases = [(n, cls, None) for n, cls in CHECKED_CASES]
     for n, cls, first in cases + [(6, LUK_NRS, 3), (6, LUK_RS, 3)]:
         fast_search, full_search = ((LabelledSearch, LabelledFullRescan) if first
                                     else (_Search, FullRescanSearch))
-        fast, full = (S(EnumerationTask(n, cls)) for S in (fast_search, full_search))
+        fast, full = (count_times_nodes(S(EnumerationTask(n, cls)))
+                      for S in (fast_search, full_search))
         if first:
             fast, full = (fix_first_plus_cell(s, first) for s in (fast, full))
         models = [s.run() for s in (fast, full)]
-        if cls == INRS:
-            assert fast.nodes == full.nodes, (n, cls, first)
+        assert fast.nodes - fast.times_nodes == full.nodes - full.times_nodes, (n, cls, first)
         assert sorted(fast.found) == sorted(full.found), (n, cls, first)
         if not first:
             assert tables(models[0]) == tables(models[1]), (n, cls)
@@ -327,6 +354,31 @@ def test_antitone_involutions_of_an_interval():
     assert _antitone_involutions(P, top, top) == [tuple(range(8))]
 
 
+def test_inrs_columns_are_the_join_preserving_maps():
+    # column z of an inrs times table is x -> x*z: (iv) and (ii) fix 0 -> 0
+    # and n-1 -> z, and left distributivity says it preserves joins.  The
+    # search's lists must be every such map among all n^(n-2) candidates,
+    # in lexicographic order, for every plus table it keeps up to n = 6
+    class PlusTables(_Search):
+        def _alpha_phase(self, P, autos):
+            kept.append(P)
+
+    for n in range(3, 7):
+        kept = []
+        search = PlusTables(EnumerationTask(n, INRS))
+        search.run()
+        assert len(kept) == [1, 2, 5, 15][n - 3]      # the lattices of n elements
+        # a = b and the mirror (b, a) of a pair give no other instance
+        pairs = list(itertools.combinations(range(n), 2))
+        for P in kept:
+            for z in range(1, n - 1):
+                candidates = ((0, *middle, z)
+                              for middle in itertools.product(range(n), repeat=n - 2))
+                assert search._join_maps(P, z) == [
+                    f for f in candidates if all(f[P[a][b]] == P[f[a]][f[b]] for a, b in pairs)
+                ], (n, P, z)
+
+
 def test_orbit_roots_match_the_labelled_search():
     # the reference searches every labelled (plus, alpha) pair; the search
     # must emit the same tables in the same order, and by orbit-stabilizer a
@@ -344,7 +396,7 @@ def test_orbit_roots_match_the_labelled_search():
     assert [orbit_sums[case] for case in ((4, INRS), (5, INRS), (5, LUK_NRS),
                                           (6, LUK_RS), (6, LUK_NRS))] == [54, 5824, 16, 48, 154]
     assert [nodes[case] for case in ((4, INRS), (5, INRS), (6, LUK_RS), (6, LUK_NRS))] == [
-        (198, 271), (9953, 46030), (1636, 2314), (1636, 2314)]
+        (106, 156), (1779, 8544), (1636, 2314), (1636, 2314)]
 
 
 def test_canonical_form_matches_the_relabel_reference():
@@ -599,7 +651,7 @@ def test_oversized_task_is_refused_without_computing_its_factorial():
 def test_node_cap_raises_with_the_partial_models_and_admits_a_full_run():
     # a capped run stops at exactly the cap with distinct models of the full
     # run; a cap of the full run's node count finishes, one less raises
-    for n, cls, caps in ((4, INRS, (37, 40, 113)), (6, LUK_RS, (97, 401))):
+    for n, cls, caps in ((4, INRS, (20, 40, 90)), (6, LUK_RS, (97, 401))):
         search = _Search(EnumerationTask(n, cls))
         models = search.run()
         full = {canonical_form(a).data for a in models}
