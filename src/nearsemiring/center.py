@@ -11,17 +11,19 @@ are compared rather than trusted to coincide.
 No check is run whose verdict the inrs axioms and the checks before it
 already fix.  q(0,a,b) = b and q(e^a,a,b) = q(e,b,a), so Ce(A) holds 0 and
 1 = 0^a and is closed under alpha; (d) q(e,1,0) = e holds at every e by
-(ii), (iv) and (i); the (c) laws imply the (b) laws (syntactic_centrality);
-and a closed Ce(A) satisfies the Boolean laws and the meet law (center).
-The tests check each of these facts on every inrs of their pool.
+(ii), (iv) and (i); (a) and the (c) laws for + and * imply the (b) laws
+and the (c) law for alpha, and past (a) and the + law the edges of the *
+law decide it (syntactic_centrality); and a closed Ce(A) satisfies the
+Boolean laws and the meet law (center).  The tests check each of these
+facts on every inrs of their pool.
 
 Centrality is defined on an inrs, and both tests require one.  The
 equational laws are CENTRALITY_LAWS.  The 4-variable (c) laws for + and *
 cost n^4 per element as full scans; syntactic_centrality decides each by
-its rows in CENTRALITY_REDUCTIONS, reduced identities of about n^2
-instances (axioms.holds_at), and re-scans a law its rows refute in full
-for the witness.  The semantic route reads the kernels K[e] and K[e^a],
-joins of the |J| prime quotients Cg(j_*, j) (kernel).
+its two edge rows in CENTRALITY_REDUCTIONS, reduced identities of |G|*n
+instances, G = J u {0} (axioms.holds_at), and re-scans a law its rows
+refute in full for the witness.  The semantic route reads the kernels
+K[e] and K[e^a], joins of the |J| prime quotients Cg(j_*, j) (kernel).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Optional, Sequence
+from typing import Sequence
 
 from .axioms import (INRS, LUK_NRS, CheckOutcome, Laws, check_identity, check_laws, holds_at,
                      require_class)
@@ -44,75 +46,67 @@ def q(alg: FiniteAlgebra, e: int, a: int, b: int) -> int:
     return alg.plus[alg.times[e][a]][alg.times[alg.alpha[e]][b]]
 
 
-def _centrality_laws() -> tuple[tuple[tuple[str, Term, Term], ...], dict[str, tuple]]:
-    e, a, b, a1, a2, b1, b2, u1, u2, v1, v2 = (
-        Var(v) for v in ("e", "a", "b", "a1", "a2", "b1", "b2", "u1", "u2", "v1", "v2"))
-    plus = ("(c) q commutes with +", church_q(e, a1 + a2, b1 + b2),
-            church_q(e, a1, b1) + church_q(e, a2, b2))
-    times = ("(c) q commutes with *", church_q(e, a1 * a2, b1 * b2),
-             church_q(e, a1, b1) * church_q(e, a2, b2))
-
-    def row(lhs: Term, rhs: Term, zeros: tuple[str, ...] = (),
-            domains: Optional[dict[str, str]] = None) -> tuple:
-        domains = domains or {}
-        return lhs, rhs, ("e", *zeros), tuple(domains), tuple(domains.values())
-
-    def edges(law: tuple[str, Term, Term]) -> tuple:
-        return (row(law[1], law[2], ("b1", "b2"), {"a1": "G"}),
-                row(law[1], law[2], ("a1", "a2"), {"b1": "G"}))
-
-    table = (
-        (("(a) q(e,a,a)=a", church_q(e, a, a), a), ()),
-        (plus, edges(plus)),
-        (times, edges(times) + (row(u1 * u2 + v1 * v2, (u1 + v1) * (u2 + v2), (),
-                                    {"u1": "E", "u2": "E", "v1": "E'", "v2": "E'"}),)),
-        (("(c) q commutes with alpha", church_q(e, a.a, b.a), church_q(e, a, b).a), ()),
-    )
-    return tuple(law for law, _ in table), {law[0]: rows for law, rows in table if rows}
-
-
+_e, _a, _b, _a1, _a2, _b1, _b2 = (Var(v) for v in ("e", "a", "b", "a1", "a2", "b1", "b2"))
 #: the equational centrality conditions on q(x,y,z) = x*y + x^a*z, in the order
 #: they are checked, with e bound to the element under test (q(e,0,0)=0 and
-#: q(e,1,1)=1 are the a=0 and a=1 instances of (a); (d) and (b) are implied,
-#: see the module docstring); and, per (c) law of + and *, the rows that
-#: decide it: (lhs, rhs, the fixed variables, e then those bound to 0, the
-#: ranged variables, the domain of each)
-CENTRALITY_LAWS, CENTRALITY_REDUCTIONS = _centrality_laws()
-
-
-def _domain(alg: FiniteAlgebra, e: int, name: str) -> Collection[int]:
-    """G = J u {0}, E = e*A or E' = e^a*A."""
-    if name == "G":
-        return (alg.zero, *join_irreducibles(alg))
-    return set(alg.times[e if name == "E" else alg.alpha[e]])
+#: q(e,1,1)=1 are the a=0 and a=1 instances of (a); (d), (b) and (c) for alpha
+#: are implied, see the module docstring)
+CENTRALITY_LAWS = (
+    ("(a) q(e,a,a)=a", church_q(_e, _a, _a), _a),
+    ("(c) q commutes with +", church_q(_e, _a1 + _a2, _b1 + _b2),
+     church_q(_e, _a1, _b1) + church_q(_e, _a2, _b2)),
+    ("(c) q commutes with *", church_q(_e, _a1 * _a2, _b1 * _b2),
+     church_q(_e, _a1, _b1) * church_q(_e, _a2, _b2)),
+)
+#: per (c) law, the two edge rows that decide it (syntactic_centrality):
+#: (lhs, rhs, the fixed variables, e then the two bound to 0, the one
+#: variable ranged over G = J u {0})
+CENTRALITY_REDUCTIONS = {
+    name: ((lhs, rhs, ("e", "b1", "b2"), ("a1",)), (lhs, rhs, ("e", "a1", "a2"), ("b1",)))
+    for name, lhs, rhs in CENTRALITY_LAWS[1:]}
 
 
 def _reductions_hold(alg: FiniteAlgebra, e: int, rows: tuple) -> bool:
     """Every row at e: lhs = rhs with e bound, the other fixed variables bound
-    to 0 and each ranged variable over its domain, built when a row reads it."""
+    to 0 and the ranged one over G = J u {0}."""
     zero = alg.zero
-    for lhs, rhs, fixed, ranged, domains in rows:
-        if not holds_at(alg, lhs, rhs, fixed, ranged, e, *(zero,) * (len(fixed) - 1),
-                        *(_domain(alg, e, name) for name in domains)):
-            return False
-    return True
+    generators = (zero, *join_irreducibles(alg))
+    return all(holds_at(alg, lhs, rhs, fixed, ranged, e, zero, zero, generators)
+               for lhs, rhs, fixed, ranged in rows)
 
 
 def syntactic_centrality(alg: FiniteAlgebra, e: int) -> CheckOutcome:
     """The equational centrality conditions, in the order of CENTRALITY_LAWS.
 
-    Requires an inrs.  A law with rows in CENTRALITY_REDUCTIONS is decided
-    by them in about n^2 steps; a law its rows refute gets the full compiled
-    scan, so the outcome and its witness are those of the full scans, the
-    reference the tests hold the rows to.  The rows are exact given (i),
-    (iii), (iv) and the + law before the * law: the instances with
-    b1 = b2 = 0, and with a1 = a2 = 0, say that e and e^a distribute from
-    the left.  For + they say that x |-> e*x and x |-> e^a*x preserve joins,
-    so a1 (b1) ranges over G (axioms.holds); given that and (iii), so do
-    both sides of the * edges.  Given the edges, the + law follows, and both
-    sides of the * law depend only on u = e*a and v = e^a*b, leaving
-    u1*u2 + v1*v2 = (u1+v1)*(u2+v2) over E^2 x E'^2 (|E|*|E'| = n for a
-    central e).
+    Requires an inrs.  A (c) law is decided by its two edge rows in
+    CENTRALITY_REDUCTIONS, the instances with b1 = b2 = 0 and with
+    a1 = a2 = 0; a law its rows refute gets the full compiled scan, so the
+    outcome and its witness are those of the full scans, the reference the
+    tests hold the rows to.  By (i), (iii) and (iv) the + edges say that
+    x |-> e*x and x |-> e^a*x preserve joins, so a1 (b1) ranges over G
+    (axioms.holds); given that and (iii), so do both sides of the * edges,
+    e*(x*y) = (e*x)*(e*y) and e^a*(x*y) = (e^a*x)*(e^a*y).  Given the + edges
+    the + law follows.
+
+    Past (a) and the + law, the * edges imply the * law and the alpha law,
+    by (i)-(vi).  x |-> e*x and x |-> e^a*x preserve joins, so they are
+    monotone.  (a) at 1 gives e + e^a = 1, so the meet of e and e^a is
+    (e + e^a)^a = 0 by (v) and (vi).  (a) at e gives e^a*e <= e, and
+    e^a*e <= e^a*1 = e^a, so e^a*e = 0; likewise e*e^a = 0.  By the edges
+    e*(e^a*b) = (e*e^a)*(e*b) = 0 and e^a*(e*b) = 0, and then (a) at b gives
+    e*(e*b) = e*b and e^a*(e^a*b) = e^a*b.  So h(x) = (e*x, e^a*x) maps
+    q(e,a,b) = e*a + e^a*b to (e*a, e^a*b): it is onto E x E', with E = e*A
+    and E' = e^a*A, one to one by (a), and by the edges it multiplies
+    coordinatewise.  Both sides of the * law have h-image
+    ((e*a1)*(e*a2), (e^a*b1)*(e^a*b2)).  h and its inverse (u, v) |-> u + v
+    preserve joins, so h is a lattice isomorphism with h(e) = (e, 0) and
+    h(e^a) = (0, e^a).  alpha is an antitone involution, so it carries
+    [0, e] onto [e^a, 1], which h carries onto E x {0} and E x {e^a}.  Read
+    through h, alpha is then (u, 0) |-> (beta(u), e^a), likewise
+    (0, v) |-> (e, beta'(v)), and as it turns the join of (u, 0) and (0, v)
+    into their meet, (u, v) |-> (beta(u), beta'(v)).  Both sides of
+    the alpha law, q(e,a^a,b^a) = q(e,a,b)^a, have h-image
+    (beta(e*a), beta'(e^a*b)).
 
     The (c) laws imply the paper's (b) laws q(e,q(e,a,b),c) = q(e,a,c) and
     q(e,a,q(e,b,c)) = q(e,a,c), by (i), (ii) and (iv): e* and e^a* distribute
@@ -229,7 +223,6 @@ def _meet(s: Term, t: Term) -> Term:
     return (s.a + t.a).a
 
 
-_e, _b = Var("e"), Var("b")
 #: the central-element law central_laws_report scans, with e bound to the
 #: element under test; (s^a+t^a)^a is the meet of s and t
 CENTRAL_ELEMENT_LAWS = (

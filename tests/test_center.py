@@ -350,15 +350,16 @@ PAPER_LAWS = (
     ("(c) q commutes with alpha", church_q(E, A.a, B.a), church_q(E, A, B).a),
 )
 B_LAWS = PAPER_LAWS[1:3]
-PLUS_LAW, TIMES_LAW = PAPER_LAWS[3:5]
+PLUS_LAW, TIMES_LAW, ALPHA_LAW = PAPER_LAWS[3:]
 
 
-def test_centrality_laws_are_the_paper_laws_but_b():
+def test_centrality_laws_are_a_and_the_c_laws_for_plus_and_times():
     # the proofs that syntactic_centrality and center() state lean on (a) and
-    # the (c) laws.  No element of inrs_pool() passes (a) and the + law and
-    # then fails a later law (test_reduced_centrality_equals_the_full_scans),
-    # so no verdict would show the * or alpha law missing
-    assert CENTRALITY_LAWS == PAPER_LAWS[:1] + PAPER_LAWS[3:]
+    # the (c) laws for + and *, which imply the (b) laws and the alpha law.
+    # Elements 3 and 4 of SIX_INRS pass (a) and the + law and fail the * law
+    # (test_reduced_centrality_equals_the_full_scans), so a verdict would show
+    # the * law missing
+    assert CENTRALITY_LAWS == PAPER_LAWS[:1] + (PLUS_LAW, TIMES_LAW)
 
 
 def reference_syntactic_centrality(alg, e):
@@ -380,11 +381,22 @@ def reduction_pool():
             + tuple(product(a, b) for a, b in itertools.product(chains, repeat=2)))
 
 
+#: a 6-element inrs whose elements 3 and 4 pass (a) and the + law and fail
+#: the * law: at e = 3, e^a*(1*1) = 2 but (e^a*1)*(e^a*1) = 0
+SIX_INRS = FiniteAlgebra(
+    size=6,
+    plus=((0, 1, 2, 3, 4, 5), (1, 1, 1, 1, 5, 5), (2, 1, 2, 1, 4, 5), (3, 1, 1, 3, 5, 5),
+          (4, 5, 4, 5, 4, 5), (5, 5, 5, 5, 5, 5)),
+    times=((0, 0, 0, 0, 0, 0), (0, 1, 0, 3, 0, 1), (0, 2, 0, 0, 0, 2), (0, 3, 0, 3, 0, 3),
+           (0, 2, 2, 0, 4, 4), (0, 1, 2, 3, 4, 5)),
+    alpha=(5, 2, 1, 4, 3, 0), zero=0, one=5)
+
+
 @functools.lru_cache(maxsize=None)
 def inrs_pool():
-    """reduction_pool() and every other inrs of oracle_pool()."""
+    """reduction_pool(), every other inrs of oracle_pool() and SIX_INRS."""
     return tuple(dict.fromkeys(reduction_pool() + tuple(
-        alg for alg in oracle_pool() if classify(alg) is not None)))
+        alg for alg in oracle_pool() if classify(alg) is not None) + (SIX_INRS,)))
 
 
 def test_reduced_centrality_equals_the_full_scans():
@@ -399,14 +411,14 @@ def test_reduced_centrality_equals_the_full_scans():
             assert out == reference_syntactic_centrality(alg, e), (alg, e)
             # the six-law scan, with the laws CENTRALITY_LAWS holds already known
             paper = out.ok and all(check_identity(alg, *law, fixed={"e": e}).ok
-                                   for law in B_LAWS)
+                                   for law in (*B_LAWS, ALPHA_LAW))
             assert out.ok == paper, (alg, e)
             verdicts.add(out.ok)
             if not out.ok:
                 first_failures.add(out.name)
     assert verdicts == {True, False}
-    # no element passes (a) and the + law and then fails a later law
-    assert first_failures == {PAPER_LAWS[0][0], PLUS_LAW[0]}
+    assert first_failures == {PAPER_LAWS[0][0], PLUS_LAW[0], TIMES_LAW[0]}
+    assert [syntactic_centrality(SIX_INRS, e).name for e in (3, 4)] == [TIMES_LAW[0]] * 2
 
 
 def test_the_c_laws_imply_both_b_laws():
@@ -420,30 +432,41 @@ def test_the_c_laws_imply_both_b_laws():
             b_failures += 1
             assert not all(check_identity(alg, *law, fixed={"e": e}).ok
                            for law in (PLUS_LAW, TIMES_LAW)), (alg, e)
-    assert b_failures == 3187
+    assert b_failures == 3189
+
+
+def test_the_edges_imply_the_full_times_and_alpha_scans():
+    # at every element of every inrs of the pool that passes (a), the rows of
+    # the + law and the edge rows of the * law, the full scans of the * law
+    # and of the alpha law, which syntactic_centrality does not run, pass
+    passed = 0
+    for alg in inrs_pool():
+        for e in range(alg.size):
+            if not (check_identity(alg, *PAPER_LAWS[0], fixed={"e": e}).ok
+                    and all(_reductions_hold(alg, e, CENTRALITY_REDUCTIONS[law[0]])
+                            for law in (PLUS_LAW, TIMES_LAW))):
+                continue
+            passed += 1
+            for law in (TIMES_LAW, ALPHA_LAW):
+                assert check_identity(alg, *law, fixed={"e": e}).ok, (alg, e, law[0])
+    assert passed == 2148
 
 
 def test_reduced_check_alone_decides_each_c_law():
-    # the + law taken alone, for every element and not only past (a) and (b);
-    # the * law wherever the + law holds, as its edges over G lean on it
+    # the + law taken alone, for every element and not only past (a); the *
+    # law past (a) and the + law, as its edge rows lean on both
     seen = set()
-    for alg in reduction_pool():
-        z = alg.zero
+    for alg in inrs_pool():
         for e in range(alg.size):
-            for law in (PLUS_LAW, TIMES_LAW):
-                name, lhs, rhs = law
+            past_a = check_identity(alg, *PAPER_LAWS[0], fixed={"e": e}).ok
+            for name, lhs, rhs in (PLUS_LAW, TIMES_LAW) if past_a else (PLUS_LAW,):
                 full = check_identity(alg, name, lhs, rhs, fixed={"e": e}).ok
                 assert _reductions_hold(alg, e, CENTRALITY_REDUCTIONS[name]) == full, (alg, e, name)
-                edges = all(check_identity(alg, name, lhs, rhs, fixed=edge).ok
-                            for edge in ({"e": e, "b1": z, "b2": z}, {"e": e, "a1": z, "a2": z}))
-                seen.add((name, edges, full))
+                seen.add((name, full))
                 if not full:
                     break
-    # both laws pass and fail, and some * failures pass the edge instances:
-    # only the E^2 x E'^2 row refutes those
-    assert {(law[0], full) for law in (PLUS_LAW, TIMES_LAW) for full in (True, False)} == {
-        (name, full) for name, _, full in seen}
-    assert (TIMES_LAW[0], True, False) in seen
+    # both laws pass and fail; the * failures are those of SIX_INRS
+    assert seen == {(law[0], full) for law in (PLUS_LAW, TIMES_LAW) for full in (True, False)}
 
 
 def test_plus_law_edges_over_generators_are_the_full_scans():
