@@ -133,27 +133,26 @@ def _compile(lhs: Term, rhs: Term, fixed: tuple[str, ...], ranged: tuple[str, ..
 
 
 @lru_cache(maxsize=1024)
-def _passed(name: str, detail: str) -> CheckOutcome:
-    return CheckOutcome(name, True, detail=detail)
+def _passed(name: str) -> CheckOutcome:
+    return CheckOutcome(name, True)
 
 
 def check_identity(alg: FiniteAlgebra, name: str, lhs: Term, rhs: Term,
-                   detail: str = "", fixed: Optional[Mapping[str, int]] = None
-                   ) -> CheckOutcome:
+                   fixed: Optional[Mapping[str, int]] = None) -> CheckOutcome:
     """Scan every assignment of the variables of lhs = rhs for a failure.
 
     Variables in ``fixed`` are bound to the given elements: they are not
     scanned and do not appear in the witness.  A pass is one shared outcome
-    per (name, detail).
+    per name.
     """
     fixed = fixed or {}
     variables, scan = _compile(lhs, rhs, tuple(fixed))
     R = range(alg.size)
     hit = scan(alg.plus, alg.times, alg.alpha, alg.zero, alg.one, R, *fixed.values())
     if hit is None:
-        return _passed(name, detail)
+        return _passed(name)
     *values, l, r = hit
-    return CheckOutcome(name, False, Witness(tuple(zip(variables, values)), l, r), detail)
+    return CheckOutcome(name, False, Witness(tuple(zip(variables, values)), l, r))
 
 
 def holds(alg: FiniteAlgebra, lhs: Term, rhs: Term,

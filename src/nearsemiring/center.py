@@ -29,7 +29,7 @@ K[e] and K[e^a], joins of the |J| prime quotients Cg(j_*, j) (kernel).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -376,10 +376,11 @@ def _interval(alg: FiniteAlgebra, e: int) -> Interval:
 
 
 def _product_map(alg: FiniteAlgebra, intervals: Sequence[Interval]) -> Homomorphism:
-    """a |-> (p*a)_p onto the left fold of the products of the intervals [0, p]."""
-    target = intervals[0].algebra
-    for iv in intervals[1:]:
-        target = product(target, iv.algebra)
+    """a |-> (p*a)_p onto the left fold of the products of the intervals [0, p],
+    taken without names: nothing here reads them, and two may coincide (see product)."""
+    target, *rest = (replace(iv.algebra, names=None) for iv in intervals)
+    for factor in rest:
+        target = product(target, factor)
 
     def index(a: int) -> int:
         idx = 0

@@ -19,7 +19,7 @@ from .axioms import CLASSES, INRS, LUK_NRS, check_axioms, require_class
 from .cantor_bernstein import cb_search, cb_sequences, make_cb_instance
 from .center import center, central_elements, decompose
 from .congruences import all_congruences, malcev_and_regularity_report
-from .core import DEFAULT_MAX_SIZE, FiniteAlgebra, SizeLimitError
+from .core import AlgebraError, FiniteAlgebra
 from .hasse import covering_pairs, hasse_dot
 from .ideals import (DEFAULT_SUBSET_THRESHOLD, all_ideals, principal_ideal_report,
                      semiring_claims_report)
@@ -113,7 +113,7 @@ def cmd_check(args) -> tuple[str, int]:
 
 def cmd_congruences(args) -> tuple[str, int]:
     alg = _load_table_algebra(args.file)
-    cons = all_congruences(alg, max_size=args.max_size)
+    cons = all_congruences(alg)
     report = Report(_echo(args))
     report.universe(alg)
     report.section(f"congruences ({len(cons)})")
@@ -318,8 +318,6 @@ def cmd_enumerate(args) -> tuple[str, int]:
 
 
 def cmd_dot(args) -> tuple[str, int]:
-    if args.threshold is not None and args.lattice != "id":
-        raise UsageError(f"--threshold applies to --lattice id, not --lattice {args.lattice}")
     alg = _load_table_algebra(args.file)
     if args.lattice == "con":
         cons = all_congruences(alg)
@@ -327,7 +325,7 @@ def cmd_dot(args) -> tuple[str, int]:
         return hasse_dot("congruence_lattice", labels,
                          lambda i, j: cons[i].refines(cons[j])), 0
     if args.lattice == "id":
-        lattice = all_ideals(alg, threshold=args.threshold or DEFAULT_SUBSET_THRESHOLD)
+        lattice = all_ideals(alg)
         labels = [s.render(alg) for s in lattice.ideals]
         return hasse_dot("ideal_lattice", labels, lattice.leq), 0
     require_class(alg, INRS, "dot --lattice ce")
@@ -351,7 +349,7 @@ def _positive(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # each flag goes only to the commands that read it
+    # --threshold goes only to ideals and claims, the commands that read it
     threshold = argparse.ArgumentParser(add_help=False)
     threshold.add_argument("--threshold", type=_positive, default=DEFAULT_SUBSET_THRESHOLD,
                            help="universe-size bound for listing every closed subset")
@@ -367,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("congruences", help="Con(A) and structure checks")
     p.add_argument("file")
-    p.add_argument("--max-size", type=_positive, default=DEFAULT_MAX_SIZE,
-                   help="universe-size guard for Con(A)")
     p.set_defaults(func=cmd_congruences)
 
     p = sub.add_parser("ideals", parents=[threshold], help="Id(A) with pseudocomplements")
@@ -426,10 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dot", help="Hasse diagram as DOT text")
     p.add_argument("file")
     p.add_argument("--lattice", choices=("con", "id", "ce"), required=True)
-    # read with --lattice id only; None lets cmd_dot refuse it with con and ce
-    p.add_argument("--threshold", type=_positive, default=None,
-                   help="with --lattice id: universe-size bound for listing every "
-                        f"closed subset (default {DEFAULT_SUBSET_THRESHOLD})")
     p.set_defaults(func=cmd_dot)
 
     return parser
@@ -457,7 +449,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AdjudicationError as err:
         print(f"adjudication: {err}", file=sys.stderr)
         return 1
-    except (ValueError, SizeLimitError, EnumerationCapExceeded) as err:
+    except (ValueError, AlgebraError, EnumerationCapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(text)

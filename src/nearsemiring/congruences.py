@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .axioms import INRS, CheckOutcome, LawReport, Laws, check_laws, require_class
-from .core import DEFAULT_MAX_SIZE, FiniteAlgebra, SizeLimitError, join_irreducibles, per_algebra
+from .core import FiniteAlgebra, check_size, join_irreducibles, per_algebra
 from .terms import ZERO, difference_s, malcev_p, x, y
 
 
@@ -288,8 +288,7 @@ def _congruences(alg: FiniteAlgebra) -> tuple[Partition, ...]:
     return tuple(sorted(cons, key=partition_sort_key))
 
 
-def all_congruences(alg: FiniteAlgebra,
-                    max_size: int = DEFAULT_MAX_SIZE) -> tuple[Partition, ...]:
+def all_congruences(alg: FiniteAlgebra) -> tuple[Partition, ...]:
     """Complete Con(A): the join closure of the prime quotients P[j] = Cg(j_*, j).
 
     Every congruence is the join of the Cg(c, d) over the covers c < d it
@@ -299,11 +298,9 @@ def all_congruences(alg: FiniteAlgebra,
     P[j] at a time, joining it with every congruence found so far:
     |Con| * m joins for m distinct generators, once per algebra.  Includes
     the diagonal and the full relation; output is canonically ordered
-    (finest first).  Requires an inrs, after the size check.
+    (finest first).  Requires an inrs, after the size check (core.check_size).
     """
-    n = alg.size
-    if n > max_size:
-        raise SizeLimitError(f"universe size {n} exceeds the {max_size} limit")
+    check_size("universe size", alg.size)
     return _congruences(alg)
 
 

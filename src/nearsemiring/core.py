@@ -24,7 +24,13 @@ class AlgebraError(Exception):
 
 
 class SizeLimitError(AlgebraError):
-    """A construction would exceed the configured maximum universe size."""
+    """A construction would exceed the maximum universe size DEFAULT_MAX_SIZE."""
+
+
+def check_size(what: str, n: int) -> None:
+    """The size guard of all_congruences and product, read when they are called."""
+    if n > DEFAULT_MAX_SIZE:
+        raise SizeLimitError(f"{what} {n} exceeds the {DEFAULT_MAX_SIZE} limit")
 
 
 def _ints(values: Sequence[int]) -> tuple[int, ...]:
@@ -77,6 +83,18 @@ def _as_vector(vals: Sequence[int], n: int, what: str,
     return vals
 
 
+def _as_names(names: Sequence[str], n: int) -> tuple[str, ...]:
+    """n distinct names, none with a "\\n" or "\\r" (a file read with universal
+    newlines ends a line at either), so that load reads back what serialize writes."""
+    names = tuple(str(s) for s in names)
+    if len(names) != n:
+        raise AlgebraError(f"names must have {n} entries, got {len(names)}")
+    if len(set(names)) < n or any("\n" in s or "\r" in s for s in names):
+        bad = next(s for i, s in enumerate(names) if s in names[:i] or "\n" in s or "\r" in s)
+        raise AlgebraError(f"name {bad!r} repeats or holds a line break")
+    return names
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """Immutable operation-table algebra over the universe {0..size-1}.
@@ -107,10 +125,7 @@ class FiniteAlgebra:
             if not 0 <= v < n:
                 raise AlgebraError(f"{which} = {v} is outside the universe [0, {n})")
         if self.names is not None:
-            names = tuple(str(s) for s in self.names)
-            if len(names) != n:
-                raise AlgebraError(f"names must have {n} entries, got {len(names)}")
-            object.__setattr__(self, "names", names)
+            object.__setattr__(self, "names", _as_names(self.names, n))
 
     def __getstate__(self) -> dict:
         # fields only: a pickle or a copy computes its own memos
@@ -193,16 +208,16 @@ def join_irreducibles(alg: FiniteAlgebra) -> dict[int, int]:
     return out
 
 
-def product(a: FiniteAlgebra, b: FiniteAlgebra,
-            max_size: int = DEFAULT_MAX_SIZE) -> FiniteAlgebra:
+def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Direct product with componentwise tables.
 
     Pair (i, j) gets the row-major index i*|b| + j; this indexing is part of
-    the interface and is relied on by decomposition checks.
+    the interface and is relied on by decomposition checks.  If either factor
+    has names, pair (i, j) is named "(a_i,b_j)"; names that hold a comma can
+    make two such labels equal, and then the product raises AlgebraError.
     """
     n, m = a.size, b.size
-    if n * m > max_size:
-        raise SizeLimitError(f"product size {n * m} exceeds the {max_size} limit")
+    check_size("product size", n * m)
 
     def idx(i: int, j: int) -> int:
         return i * m + j

@@ -424,12 +424,9 @@ def ideal_join_via_coset(alg: FiniteAlgebra, i: ElementSet, j: ElementSet) -> Jo
     return JoinViaCoset(coset, generate_ideal(alg, i | j))
 
 
-def pseudocomplement(alg: FiniteAlgebra, i: ElementSet,
-                     lattice: Optional[IdealLattice] = None) -> ElementSet:
+def pseudocomplement(alg: FiniteAlgebra, i: ElementSet) -> ElementSet:
     """Largest ideal meeting i trivially (join over all such ideals)."""
-    if lattice is None:
-        lattice = all_ideals(alg)
-    return lattice.pseudocomplement_of(i)
+    return all_ideals(alg).pseudocomplement_of(i)
 
 
 @dataclass(frozen=True)

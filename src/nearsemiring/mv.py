@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .axioms import (LUK_RS, LawReport, Laws, check_axioms, check_laws, classify,
                      require_class)
-from .core import AlgebraError, FiniteAlgebra, Table, _as_table, _as_vector, per_algebra
+from .core import FiniteAlgebra, Table, _as_names, _as_table, _as_vector, per_algebra
 from .ideals import ElementSet, _ideal_rules, _Rules
 from .terms import ONE, ZERO, x, y, z
 
@@ -45,10 +45,7 @@ class MVAlgebra:
         if not 0 <= self.zero < n:
             raise ValueError(f"zero = {self.zero} is outside the universe")
         if self.names is not None:
-            names = tuple(str(s) for s in self.names)
-            if len(names) != n:
-                raise AlgebraError(f"names must have {n} entries, got {len(names)}")
-            object.__setattr__(self, "names", names)
+            object.__setattr__(self, "names", _as_names(self.names, n))
 
     # as on FiniteAlgebra: labels, and pickles and copies that compute their own memos
     __getstate__ = FiniteAlgebra.__getstate__

@@ -2,7 +2,6 @@ import argparse
 import dataclasses
 import functools
 import importlib
-import inspect
 import io
 import json
 import os
@@ -368,14 +367,6 @@ def test_the_center_submodule_is_not_hidden_by_the_function():
     assert callable(m.center)
 
 
-def test_library_and_command_line_share_the_size_guard_default():
-    from nearsemiring.congruences import all_congruences
-    from nearsemiring.core import DEFAULT_MAX_SIZE
-    library = inspect.signature(all_congruences).parameters["max_size"].default
-    parsed = build_parser().parse_args(["congruences", "f.alg"])
-    assert parsed.max_size == library == DEFAULT_MAX_SIZE
-
-
 def test_threads_is_not_a_flag(capsys):
     # the search is single-threaded; enumerate has no --threads
     for argv in (("ideals", path("l3.alg")), ("enumerate", "--size", "4", "--class", "luk-nrs")):
@@ -383,45 +374,40 @@ def test_threads_is_not_a_flag(capsys):
         assert status == 2 and out == ""
 
 
-def test_size_guard_is_a_usage_error(capsys):
-    status, out, err = run(capsys, "congruences", path("b2xl3.alg"), "--max-size", "4")
+def test_size_guard_is_a_usage_error(capsys, monkeypatch):
+    from nearsemiring import core
+    monkeypatch.setattr(core, "DEFAULT_MAX_SIZE", 4)
+    status, out, err = run(capsys, "congruences", path("b2xl3.alg"))
     assert (status, out) == (2, "")
     assert err == "error: universe size 6 exceeds the 4 limit\n"
 
 
-#: each command with the arguments it needs, and the flag it reads, if any
-FLAG_READERS = {("congruences",): "--max-size", ("cb", "--search"): None,
-                ("ideals",): "--threshold", ("claims",): "--threshold",
-                ("dot", "--lattice", "id"): "--threshold",
-                ("dot", "--lattice", "con"): None, ("dot", "--lattice", "ce"): None,
-                ("check",): None, ("center",): None, ("roundtrip",): None}
+#: each command with the arguments it needs, and whether it reads --threshold
+THRESHOLD_READERS = {("cb", "--search"): False, ("congruences",): False,
+                     ("ideals",): True, ("claims",): True,
+                     ("dot", "--lattice", "id"): False, ("dot", "--lattice", "con"): False,
+                     ("dot", "--lattice", "ce"): False,
+                     ("check",): False, ("center",): False, ("roundtrip",): False}
 
 
-def test_max_size_and_threshold_go_only_to_the_commands_that_read_them(capsys):
+def test_threshold_goes_only_to_ideals_and_claims_and_no_command_reads_max_size(capsys):
     b2 = path("b2.alg")
-    for (command, *extra), reader in FLAG_READERS.items():
+    for (command, *extra), reads in THRESHOLD_READERS.items():
         files = [b2, b2] if command == "cb" else [b2]
         for flag in ("--max-size", "--threshold"):
             status, out, err = run(capsys, command, *files, *extra, flag, "3")
-            if flag == reader:
+            if reads and flag == "--threshold":
                 assert status == 0 and out, (command, flag)
-            elif command == "dot" and flag == "--threshold":
-                # dot parses --threshold for --lattice id and refuses it otherwise
-                assert (status, out) == (2, ""), (extra, flag)
-                assert err == f"error: --threshold applies to --lattice id, not {' '.join(extra)}\n"
             else:
-                assert (status, out) == (2, ""), (command, flag)
+                assert (status, out) == (2, ""), (command, extra, flag)
                 assert f"unrecognized arguments: {flag} 3" in err
-    # the search takes neither flag
     status, out, _ = run(capsys, "enumerate", "--size", "3", "--max-size", "3")
     assert (status, out) == (2, "")
 
 
-def test_max_size_and_threshold_below_one_are_usage_errors(capsys):
+def test_threshold_below_one_is_a_usage_error(capsys):
     b2 = path("b2.alg")
-    for argv in (("congruences", b2, "--max-size"), ("ideals", b2, "--threshold"),
-                 ("claims", b2, "--threshold"),
-                 ("dot", b2, "--lattice", "id", "--threshold")):
+    for argv in (("ideals", b2, "--threshold"), ("claims", b2, "--threshold")):
         for value in ("0", "-1"):
             status, out, err = run(capsys, *argv, value)
             assert (status, out) == (2, ""), (argv, value)
@@ -468,14 +454,14 @@ def table_documents(draw):
             f"alpha = {draw(st.lists(cell, min_size=n, max_size=n))}\n")
 
 
-@given(table_documents(), st.integers(1, 5))
+@given(table_documents())
 @settings(max_examples=50, deadline=None)
-def test_every_table_command_exits_with_a_status_on_random_tables(text, max_size):
+def test_every_table_command_exits_with_a_status_on_random_tables(text):
     with tempfile.TemporaryDirectory() as tmp:
         table = os.path.join(tmp, "t.alg")
         with open(table, "w", encoding="utf-8") as fh:
             fh.write(text)
-        for command, *extra in TABLE_COMMANDS + (("congruences", "--max-size", str(max_size)),):
+        for command, *extra in TABLE_COMMANDS:
             argv = [command, table, table, *extra] if command == "cb" else [command, table, *extra]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 assert main(argv) in (0, 1, 2)

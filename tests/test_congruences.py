@@ -459,8 +459,9 @@ def test_werner_closure_matches_everywhere():
                              if closure.same(u, v)}, (alg, a, b)
 
 
-def test_all_congruences_size_guard():
+def test_all_congruences_size_guard(monkeypatch):
     import pytest
-    from nearsemiring.core import SizeLimitError
-    with pytest.raises(SizeLimitError):
-        all_congruences(b2_x_l3(), max_size=4)
+    from nearsemiring import core
+    monkeypatch.setattr(core, "DEFAULT_MAX_SIZE", 4)
+    with pytest.raises(core.SizeLimitError, match="universe size 6 exceeds the 4 limit"):
+        all_congruences(b2_x_l3())

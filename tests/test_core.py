@@ -80,9 +80,10 @@ def test_product_with_trivial_is_isomorphic():
     assert iso.mapping == (0, 1, 2)
 
 
-def test_product_size_guard():
-    with pytest.raises(SizeLimitError):
-        product(L3, L3, max_size=8)
+def test_product_size_guard(monkeypatch):
+    monkeypatch.setattr(core, "DEFAULT_MAX_SIZE", 8)
+    with pytest.raises(SizeLimitError, match="product size 9 exceeds the 8 limit"):
+        product(L3, L3)
 
 
 def test_homomorphism_rejects_non_preserving_map():

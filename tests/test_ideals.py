@@ -306,11 +306,10 @@ def test_pseudocomplement_laws():
 
 
 def test_pseudocomplement_examples():
-    lat = all_ideals(b2_x_l3())
     alg = b2_x_l3()
-    assert pseudocomplement(alg, es(alg, 0), lat).members() == tuple(range(6))
-    assert pseudocomplement(alg, ElementSet.full(6), lat).members() == (0,)
-    assert pseudocomplement(alg, es(alg, 0, 3), lat).members() == (0, 1, 2)
+    assert pseudocomplement(alg, es(alg, 0)).members() == tuple(range(6))
+    assert pseudocomplement(alg, ElementSet.full(6)).members() == (0,)
+    assert pseudocomplement(alg, es(alg, 0, 3)).members() == (0, 1, 2)
 
 
 def test_join_via_coset_agrees_everywhere():

@@ -39,16 +39,16 @@ def reference_check(alg, name, lhs, rhs, detail="", fixed=None):
 
 
 def axiom_identities():
-    """Every (name, lhs, rhs, detail) check_axioms hands to check_identity,
+    """Every (name, lhs, rhs) check_axioms hands to check_identity,
     the derived identities (evaluated when read) included.
 
     The 2-element Boolean algebra passes every axiom, so no bundle stops early.
     """
     seen = []
 
-    def record(alg, name, lhs, rhs, detail=""):
-        seen.append((name, lhs, rhs, detail))
-        return reference_check(alg, name, lhs, rhs, detail)
+    def record(alg, name, lhs, rhs):
+        seen.append((name, lhs, rhs))
+        return reference_check(alg, name, lhs, rhs)
 
     original = axioms.check_identity
     axioms.check_identity = record
@@ -68,9 +68,8 @@ def test_axiom_identities_match_the_reference():
     identities = axiom_identities()
     assert len(identities) == 19
     for alg in ALGEBRAS:
-        for name, lhs, rhs, detail in identities:
-            assert (check_identity(alg, name, lhs, rhs, detail)
-                    == reference_check(alg, name, lhs, rhs, detail))
+        for name, lhs, rhs in identities:
+            assert check_identity(alg, name, lhs, rhs) == reference_check(alg, name, lhs, rhs)
 
 
 def test_centrality_laws_match_the_reference_for_every_element():
