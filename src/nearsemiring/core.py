@@ -128,8 +128,22 @@ class FiniteAlgebra:
             object.__setattr__(self, "names", _as_names(self.names, n))
 
     def __getstate__(self) -> dict:
-        # fields only: a pickle or a copy computes its own memos
+        # fields only: a pickle or a copy computes its own memos; fields(self),
+        # not _FIELDS, as mv.MVAlgebra borrows this method for its own fields
         return {f.name: self.__dict__[f.name] for f in fields(self)}
+
+    def with_times(self, times: Sequence[Sequence[int]]) -> "FiniteAlgebra":
+        """This algebra with another times table, checked as the constructor
+        checks it.  The other fields, which the constructor has checked, are
+        shared; memos are not carried over."""
+        times = _as_table(times, self.size, "times")
+        alg = object.__new__(type(self))
+        state, put = self.__dict__, object.__setattr__
+        # set in field order, as __init__ does, so the two share one key layout
+        for name in _FIELDS:
+            put(alg, name, state[name])
+        put(alg, "times", times)
+        return alg
 
     # -- display ------------------------------------------------------
 
@@ -157,6 +171,8 @@ class FiniteAlgebra:
                 and self.times == other.times and self.alpha == other.alpha
                 and self.zero == other.zero and self.one == other.one)
 
+
+_FIELDS = tuple(f.name for f in fields(FiniteAlgebra))
 
 _T = TypeVar("_T")
 

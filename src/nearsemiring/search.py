@@ -582,8 +582,13 @@ class _Search:
         # P is least of its relabellings, so the canonical form is P followed
         # by the least (times, alpha) over Aut(P) (module docstring)
         prefix = bytes([n, 0, n - 1]) + b"".join(map(bytes, P))
+        # the root's first model is checked in full; the others share its
+        # checked plus table, alpha and constants, and only their times
+        # tables are checked again
+        first: Optional[FiniteAlgebra] = None
 
         def emit(T: Sequence[tuple[int, ...]]) -> None:
+            nonlocal first
             rows = tuple(map(bytes, T))
             if autos and _least(rows, ((g(rows), (g, t)) for g, t in autos)) is None:
                 return      # its least relabelling is another leaf of this root
@@ -591,7 +596,11 @@ class _Search:
             for g, t in plus_autos:
                 if _compare(g(rows) + vec, rest, g, t) < 0:
                     rest = _image(g(rows) + vec, g, t)
-            alg = FiniteAlgebra(n, plus, tuple(map(row, T, T)), alpha, 0, n - 1)
+            times = tuple(map(row, T, T))
+            if first is None:
+                alg = first = FiniteAlgebra(n, plus, times, alpha, 0, n - 1)
+            else:
+                alg = first.with_times(times)
             self.found[prefix + b"".join(rest)] = alg
 
         return emit

@@ -256,6 +256,9 @@ def test_construction_matches_the_row_by_row_reference():
     # rows, or raise the same exception with the same message
     rng = random.Random(35)
     odd = [True, False, 1.0, 2.5, "1", "x", None, -1, -3]
+    # a checked algebra of each size, from which with_times derives models
+    bases = {n: FiniteAlgebra(n, c.plus, c.plus, c.alpha)
+             for n, c in ((n, luk_chain(n)) for n in range(1, 7))}
     for _ in range(1500):
         n = rng.randint(1, 6)
 
@@ -290,6 +293,21 @@ def test_construction_matches_the_row_by_row_reference():
         assert outcome(construct) == outcome(lambda: kept(
             (reference_table(plus, n, "plus"), reference_table(times, n, "times")),
             reference_vector(alpha, n, "alpha"))), (plus, times, alpha)
+
+        # with_times checks the times table as the constructor does, and
+        # shares every other field with the algebra it derives from
+        def kept_times(table):
+            return table, [a is b for a, b in zip(table, times)]
+
+        def derive():
+            base = bases[n]
+            alg = base.with_times(times)
+            shared = all(getattr(alg, name) is getattr(base, name)
+                         for name in ("size", "plus", "alpha", "zero", "one", "names"))
+            return kept_times(alg.times), shared
+
+        assert outcome(derive) == outcome(
+            lambda: (kept_times(reference_table(times, n, "times")), True)), times
         # a map into a universe of another size, as Homomorphism checks it
         universe = rng.randint(1, 8)
         assert (outcome(lambda: kept((), core._as_vector(alpha, n, "map", universe)))
@@ -332,7 +350,18 @@ def test_equality_is_by_tables_and_names_and_pickles_carry_fields_only():
     field_names = {f.name for f in dataclasses.fields(FiniteAlgebra)}
     assert classify(renamed) == LUK_RS and kernel(renamed, 1).is_full()
     assert renamed.name_to_index["b"] == 1 and set(renamed.__dict__) > field_names
-    for original in (a, renamed):
+    # a model derived from a checked one is the algebra the constructor
+    # builds from the same fields, and computes its own memos
+    times = [[min(x, y) for y in range(5)] for x in range(5)]
+    derived = renamed.with_times(times)
+    built = FiniteAlgebra(5, renamed.plus, times, renamed.alpha, renamed.zero,
+                          renamed.one, renamed.names)
+    assert derived == built and hash(derived) == hash(built)
+    assert pickle.dumps(derived) == pickle.dumps(built)
+    assert derived.names is renamed.names and set(derived.__dict__) == field_names
+    assert classify(derived) == classify(built) != LUK_RS
+    assert not kernel(derived, 1).is_full() and derived.name_to_index == renamed.name_to_index
+    for original in (a, renamed, derived):
         copy = pickle.loads(pickle.dumps(original))
         assert copy == original and hash(copy) == hash(original)
         assert set(copy.__dict__) == field_names
