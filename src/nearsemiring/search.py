@@ -2,11 +2,21 @@
 
 Search order: bounded join-semilattice tables first (few at small sizes),
 then antitone involutions alpha of the induced order, then the
-multiplication table.  The plus table is filled cell by cell with an
-incremental forward check: after each assignment only the associativity
-instances that read the new cell are re-tested, found through an index of
-the cells by value.  An instance can only newly fail when it reads the new
-cell, so this prunes exactly the nodes a full rescan would.
+multiplication table.  A finite bounded join-semilattice is a lattice, so
+the plus tables are the bounded lattices, and they are generated up to
+isomorphism, one size at a time, by adding an atom (as in Heitzig and
+Reinhold, "Counting finite lattices", Algebra Universalis 48, 2002):
+
+  - every lattice L of at least 3 elements has an atom a, and L - {a} is a
+    lattice with the same 0 and 1: the join of two elements other than a
+    is never a, since only 0 lies below a;
+  - conversely, let K be a lattice and U an up-set of K - {0} that holds 1.
+    Adding a new element a with 0 < a < u for every u in U gives a lattice
+    iff, for every y not in U with y != 0, U meets the up-set of y in a
+    least element; that element is a + y;
+  - so the children of one table per isomorphism class of size m-1 reach
+    every lattice of size m, and keeping one per class again (the least
+    relabelling of each child, below) gives one table per lattice.
 
 The multiplication table is chosen one column at a time.  Column w is the
 map x -> x*w.  Axioms (ii) and (iv) fix columns 0 and n-1 and the entries
@@ -31,11 +41,13 @@ algebra is an MV-algebra (Botur and Halas, 2008).
 Isomorphic copies are never searched twice.  The relabellings are the
 permutations fixing 0 and n-1, and tables are compared in the search's own
 order (row by row, which for a plus table is the order of its free cells).
-A complete plus table P is kept only if it is the least of its relabellings;
-the same scan collects its automorphisms Aut(P).  An antitone involution
-alpha is kept only if it is the least of its conjugates under Aut(P), which
-also yields Aut(P, alpha).  Each kept pair is one root per isomorphism
-orbit of (P, alpha), and the times phase runs from the roots alone.  Inside
+Each child lattice is reduced to the least of its relabellings, and the
+children of one size are deduplicated on that least form.  Each least plus
+table P of size n gets its automorphisms Aut(P) from one scan.  An
+antitone involution alpha is kept only if it is the least of its
+conjugates under Aut(P), which also yields Aut(P, alpha).  Each kept pair
+is one root per isomorphism orbit of (P, alpha), and the times phase runs
+from the roots alone.  Inside
 a root a leaf is kept only if its times table is the least of its
 relabellings under Aut(P, alpha), so every model is kept exactly once, as
 the least copy on the least root of its orbit.
@@ -55,9 +67,9 @@ no property of the tables, and the tests require the two to agree.
 Every leaf is admitted without the axiom checker, because the search
 guarantees every axiom of its class: the bounds, idempotence and
 commutativity of (i) and all of (ii), (iv) and (v) are built into the
-tables, (vi) by the involution builder, associativity of + by the forward
-checks, (iii) of an inrs by its column lists, and every luk-* axiom by the
-correspondence above.
+tables, (vi) by the involution builder, associativity of + by the lattice
+generator, (iii) of an inrs by its column lists, and every luk-* axiom by
+the correspondence above.
 
 Enumerated algebras place zero at index 0 and one at index n-1.
 """
@@ -97,10 +109,11 @@ class EnumerationTask:
             raise ValueError("caps must be positive")
         if self.threads != 1:
             raise ValueError("the search is single-threaded")
-        # every complete plus table is compared with its (n-2)! relabellings,
-        # which the search holds in memory: refuse a task for which that one
-        # test costs more steps than its whole node budget; k! stops growing
-        # once it passes the cap, and only a finished (n-2)! is printed
+        # every lattice child of size n is compared with its (n-2)!
+        # relabellings, which the search holds in memory: refuse a task for
+        # which that one test costs more steps than its whole node budget;
+        # k! stops growing once it passes the cap, and only a finished
+        # (n-2)! is printed
         orders, k = 1, 1
         while orders <= self.max_nodes and k < self.size - 2:
             k += 1
@@ -349,54 +362,69 @@ def _least(base: Sequence[bytes],
     return fixed
 
 
+def _least_image(rows: tuple[bytes, ...], relabellings: Iterable[_Relabelling]
+                 ) -> tuple[bytes, ...]:
+    """The least image of the join table rows under the relabellings, the
+    identity among them."""
+    # row 0 of every image is 0, 1, ..., m-1, as 0 + x = x: start at row 1
+    best = rows[1:]
+    for g, t in relabellings:
+        if _compare(g(rows)[1:], best, g, t) < 0:
+            best = _image(g(rows)[1:], g, t)
+    return (rows[0], *best)
+
+
 # -- the backtracking search ------------------------------------------------
 
 
-def _where(T: list[list[Optional[int]]]) -> list[list[tuple[int, int]]]:
-    """where[v]: the set cells of T holding v (read by _assoc_ok)."""
-    R = range(len(T))
-    where: list[list[tuple[int, int]]] = [[] for _ in R]
-    for a in R:
-        for b in R:
-            if T[a][b] is not None:
-                where[T[a][b]].append((a, b))
-    return where
+def _children(K: tuple[bytes, ...], enter: Callable[[], None]) -> Iterable[tuple[bytes, ...]]:
+    """The join tables of K with one new atom a, one per admissible up-set U
+    of K - {0} holding 1 (module docstring); each child built is a node.
+
+    A child keeps 0 at index 0, puts a at 1 and moves every other x of K
+    to x + 1, so K's top k-1 becomes k."""
+    k = len(K)
+    up = [sum(1 << y for y in range(k) if K[x][y] == y) for x in range(k)]
+    shift = bytes.maketrans(bytes(range(k)), bytes([0, *range(2, k + 1)]))
+    first = bytes(range(k + 1))
+    rows = [K[x].translate(shift) for x in range(1, k)]
+    top = 1 << (k - 1)
+    for U in range(top, 2 * top, 2):        # the sets holding k-1 and not 0
+        if any(U >> u & 1 and up[u] & ~U for u in range(1, k)):
+            continue                        # not an up-set
+        # a + y, the least element of U and the up-set of y, for y = 1..k-1
+        joins = []
+        for y in range(1, k):
+            above = U & up[y]
+            least = next((c for c in range(1, k) if above >> c & 1 and not above & ~up[c]), None)
+            if least is None:
+                break
+            joins.append(shift[least])
+        else:
+            enter()
+            yield (first, bytes([1, 1, *joins]),
+                   *(row[:1] + bytes([j]) + row[1:] for row, j in zip(rows, joins)))
 
 
-def _assoc_ok(T: list[list[Optional[int]]], where: list[list[tuple[int, int]]],
-              i: int, j: int) -> bool:
-    """Every determined instance of (x.y).z = x.(y.z) that reads T[i][j] holds
-    (the four loops take (i, j) as T[x][y], T[y][z], T[xy][z] and T[x][yz])."""
-    v = T[i][j]
-    Ti, Tj, Tv = T[i], T[j], T[v]
-    for c in range(len(T)):             # (x, y) = (i, j)
-        bc = Tj[c]
-        if bc is not None:
-            l, r = Tv[c], Ti[bc]
-            if l is not None and r is not None and l != r:
-                return False
-    for Ta in T:                        # (y, z) = (i, j)
-        ab = Ta[i]
-        if ab is not None:
-            l, r = T[ab][j], Ta[v]
-            if l is not None and r is not None and l != r:
-                return False
-    for a, b in where[i]:               # (xy, z) = (i, j)
-        bc = T[b][j]
-        if bc is not None:
-            r = T[a][bc]
-            if r is not None and r != v:
-                return False
-    for b, c in where[j]:               # (x, yz) = (i, j)
-        ab = Ti[b]
-        if ab is not None:
-            l = T[ab][c]
-            if l is not None and l != v:
-                return False
-    return True
+def _lattices(n: int, enter: Callable[[], None]
+              ) -> Iterable[tuple[list[tuple[bytes, ...]], list[_Relabelling]]]:
+    """The bounded lattices of 2, 3, ..., n elements up to isomorphism, one
+    size at a time: the join table of each, least of its relabellings, in
+    increasing order, and the relabellings of that size, the identity
+    first.  The tables of size m are the least forms of the children of
+    those of size m-1 (module docstring)."""
+    relabellings = list(_relabellings(0, [], 1))
+    level = [(b"\x00\x01", b"\x01\x01")]
+    yield level, relabellings
+    for m in range(3, n + 1):
+        relabellings = list(_relabellings(0, range(1, m - 1), m - 1))
+        level = sorted({_least_image(child, relabellings)
+                        for K in level for child in _children(K, enter)})
+        yield level, relabellings
 
 
-def _antitone_involutions(P: list[list[int]], bottom: int, top: int) -> list[tuple[int, ...]]:
+def _antitone_involutions(P: Sequence[Sequence[int]], bottom: int, top: int
+                          ) -> list[tuple[int, ...]]:
     """Involutions of the interval [bottom, top] of the order P induces that
     reverse it, sorted; each is a vector of length n fixing every element
     outside the interval."""
@@ -429,14 +457,9 @@ class _Search:
         self.nodes = 0
         self.found: dict[bytes, FiniteAlgebra] = {}
         self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-        n = self.n
-        self.mid = list(range(1, n - 1))
-        self.plus_cells = [(i, j) for k, i in enumerate(self.mid)
-                           for j in self.mid[k + 1:]]
+        self.mid = list(range(1, self.n - 1))
         # the last plus table whose inrs columns _times_phase found, and their lists
         self.inrs_columns: tuple[object, list[list[tuple[int, ...]]]] = (None, [])
-        # every relabelling fixing 0 and n-1 except the identity (the first order)
-        self.relabellings = list(itertools.islice(_relabellings(0, self.mid, n - 1), 1, None))
 
     def _enter(self) -> None:
         """Count one node; raise at the cap."""
@@ -453,46 +476,15 @@ class _Search:
             alg = FiniteAlgebra(1, ((0,),), ((0,),), (0,), 0, 0)
             self.found[canonical_form(alg).data] = alg
             return self._results()
-        P: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-        for i in range(n):
-            P[i][i] = i
-            P[0][i] = P[i][0] = i
-            P[n - 1][i] = P[i][n - 1] = n - 1
-        # the preset cells hold every determined associativity instance: 0 is
-        # neutral, n-1 absorbs, and the only set middle cells are a+a = a
-        self._plus_phase(P, _where(P), 0)
+        for roots, relabellings in _lattices(n, self._enter):
+            pass        # the last size is n; each size is dropped once the next is built
+        for P in roots:
+            # P is least: the relabellings but the identity with image P
+            autos = _least(P, ((g(P), (g, t)) for g, t in itertools.islice(relabellings, 1, None)))
+            self._alpha_phase(P, autos)
         return self._results()
 
-    def _plus_phase(self, P: list[list[Optional[int]]],
-                    where: list[list[tuple[int, int]]], k: int) -> None:
-        n = self.n
-        if k == len(self.plus_cells):
-            # every cell is set and was forward-checked when set, so P is
-            # associative; commutativity and idempotence hold by construction
-            full: list[list[int]] = [[v for v in row] for row in P]  # type: ignore[misc]
-            autos = self._plus_automorphisms(full)
-            if autos is not None:
-                self._alpha_phase(full, autos)
-            return
-        # an instance (a, b, c) that reads P[j][i] has the mirror (c, b, a),
-        # which reads the transposed cells, P[i][j] among them, and has the
-        # same two sides swapped: checking (i, j) covers both new cells
-        i, j = self.plus_cells[k]
-        for v in range(1, n):
-            self._enter()
-            P[i][j] = P[j][i] = v
-            where[v] += (i, j), (j, i)
-            if _assoc_ok(P, where, i, j):
-                self._plus_phase(P, where, k + 1)
-            del where[v][-2:]
-            P[i][j] = P[j][i] = None
-
-    def _plus_automorphisms(self, P: list[list[int]]) -> Optional[list[_Relabelling]]:
-        """Aut(P) but the identity, or None if a relabelling of P is smaller."""
-        rows = tuple(map(bytes, P))
-        return _least(rows, ((g(rows), (g, t)) for g, t in self.relabellings))
-
-    def _alpha_phase(self, P: list[list[int]], autos: list[_Relabelling]) -> None:
+    def _alpha_phase(self, P: Sequence[Sequence[int]], autos: list[_Relabelling]) -> None:
         # the roots: each involution least among its conjugates under Aut(P),
         # with Aut(P, alpha)
         for alpha in _antitone_involutions(P, 0, self.n - 1):
@@ -502,7 +494,7 @@ class _Search:
                 self._enter()
                 self._times_phase(P, alpha, fixed, autos)
 
-    def _times_phase(self, P: list[list[int]], alpha: tuple[int, ...],
+    def _times_phase(self, P: Sequence[Sequence[int]], alpha: tuple[int, ...],
                      autos: list[_Relabelling], plus_autos: list[_Relabelling]) -> None:
         """Every times table under the root (P, alpha); autos is Aut(P, alpha)
         and plus_autos is Aut(P), both without the identity.
@@ -540,7 +532,7 @@ class _Search:
 
         choose(1)
 
-    def _join_maps(self, P: list[list[int]], z: int) -> list[tuple[int, ...]]:
+    def _join_maps(self, P: Sequence[Sequence[int]], z: int) -> list[tuple[int, ...]]:
         """Every column x -> x*z of an inrs on the plus table P, in
         lexicographic order: the maps f with f(0) = 0 and f(n-1) = z, by (iv)
         and (ii), that preserve joins, f(a + b) = f(a) + f(b), which is left
@@ -569,8 +561,9 @@ class _Search:
         fill(1)
         return out
 
-    def _emitter(self, P: list[list[int]], alpha: tuple[int, ...], autos: list[_Relabelling],
-                 plus_autos: list[_Relabelling]) -> Callable[[Sequence[tuple[int, ...]]], None]:
+    def _emitter(self, P: Sequence[Sequence[int]], alpha: tuple[int, ...],
+                 autos: list[_Relabelling], plus_autos: list[_Relabelling]
+                 ) -> Callable[[Sequence[tuple[int, ...]]], None]:
         """emit(T), which keeps the times table T, given as row tuples, under
         the root (P, alpha) if no relabelling in autos = Aut(P, alpha) makes
         it smaller."""

@@ -11,7 +11,8 @@ from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3, l3_x_b2,
                                   luk_chain)
 from nearsemiring.core import FiniteAlgebra, find_isomorphism, product
 from nearsemiring.search import (CanonicalForm, EnumerationCapExceeded, EnumerationTask,
-                                 _antitone_involutions, _row_bound, _Search, canonical_form, count,
+                                 _antitone_involutions, _lattices, _least, _relabellings,
+                                 _row_bound, _Search, canonical_form, count,
                                  enumerate_algebras,
                                  enumerate_with_forms, frozen_counts, relabel)
 
@@ -37,28 +38,64 @@ def semilattice_ok_partial(P, n):
     return True
 
 
-class FullRescanSearch(_Search):
-    """Reference search: after every plus or times cell, rescan every constraint.
+class PlusWalk(_Search):
+    """Reference search: the plus tables by a labelled walk.
 
-    The search re-tests only the instances that read the new cell; both must
-    visit the same nodes outside the times phase and find the same models on
-    every class.  The search chooses each times table one column at a time,
-    from the join-preserving maps (inrs) or from one antitone involution per
-    section (luk-*), while this reference still fills it cell by cell, row
-    by row, under distributivity, interchange and, for luk-rs,
-    associativity, setting the cells i <= j and their mirrors.
+    The free cells i < j of the plus table are filled in order, each value
+    a node, and every determined associativity instance is rescanned after
+    each one.  A complete table is kept if it is the least of its
+    relabellings, and the same scan gives its automorphisms Aut(P).  So the
+    walk's complete tables are every labelled bounded lattice, and it keeps
+    the least one of each isomorphism class, in increasing order.
     """
 
-    def _plus_phase(self, P, where, k):
+    def __init__(self, task):
+        super().__init__(task)
+        self.plus_cells = list(itertools.combinations(self.mid, 2))
+        self.relabellings = list(itertools.islice(_relabellings(0, self.mid, self.n - 1), 1, None))
+
+    def run(self):
+        n = self.n
+        if n == 1:
+            return super().run()
+        P = [[None] * n for _ in range(n)]
+        for i in range(n):
+            P[i][i] = i
+            P[0][i] = P[i][0] = i
+            P[n - 1][i] = P[i][n - 1] = n - 1
+        self._plus_phase(P, 0)
+        return self._results()
+
+    def _plus_phase(self, P, k):
+        n = self.n
         if k == len(self.plus_cells):
-            return super()._plus_phase(P, where, k)
+            full = tuple(map(bytes, P))
+            autos = self._plus_automorphisms(full)
+            if autos is not None:
+                self._alpha_phase(full, autos)
+            return
         i, j = self.plus_cells[k]
-        for v in range(1, self.n):
+        for v in range(1, n):
             self._enter()
             P[i][j] = P[j][i] = v
-            if semilattice_ok_partial(P, self.n):
-                self._plus_phase(P, where, k + 1)
-            P[i][j] = P[j][i] = None
+            if semilattice_ok_partial(P, n):
+                self._plus_phase(P, k + 1)
+        P[i][j] = P[j][i] = None
+
+    def _plus_automorphisms(self, P):
+        """Aut(P) but the identity, or None if a relabelling of P is smaller."""
+        return _least(P, ((g(P), (g, t)) for g, t in self.relabellings))
+
+
+class FullRescanSearch(_Search):
+    """Reference search: every times cell, then a rescan of every constraint.
+
+    The search chooses each times table one column at a time, from the
+    join-preserving maps (inrs) or from one antitone involution per section
+    (luk-*), while this reference fills it cell by cell, row by row, under
+    distributivity, interchange and, for luk-rs, associativity, setting the
+    cells i <= j and their mirrors.
+    """
 
     def _times_phase(self, P, alpha, autos, plus_autos):
         n = self.n
@@ -130,7 +167,7 @@ class FullRescanSearch(_Search):
         fill(0)
 
 
-class LabelledSearch(_Search):
+class LabelledSearch(PlusWalk):
     """Reference search: every labelled (plus, alpha) pair is a root.
 
     Isomorphic leaves are told apart by canonical_form, whose branch and
@@ -161,12 +198,10 @@ class LabelledSearch(_Search):
         return emit
 
 
-class LabelledFullRescan(FullRescanSearch):
-    """The full rescan over every labelled (plus, alpha) pair."""
+class LabelledFullRescan(LabelledSearch):
+    """The cell-by-cell times tables over every labelled (plus, alpha) pair."""
 
-    admitted = 0
-    _plus_automorphisms = LabelledSearch._plus_automorphisms
-    _emitter = LabelledSearch._emitter
+    _times_phase = FullRescanSearch._times_phase
 
 
 def fix_first_plus_cell(search, value):
@@ -179,9 +214,9 @@ def fix_first_plus_cell(search, value):
     plus_phase = search._plus_phase
     i, j = search.plus_cells[0]
 
-    def fixed(P, where, k):
+    def fixed(P, k):
         if k != 1 or P[i][j] == value:
-            plus_phase(P, where, k)
+            plus_phase(P, k)
 
     search._plus_phase = fixed
     return search
@@ -271,7 +306,7 @@ def test_counts_match_frozen_table():
         models, nodes[key] = searched(int(n), cls)
         assert len(models) == expected, key
     # luk-rs builds the luk-nrs tables and keeps the commutative ones: one tree
-    assert (nodes["7,luk-rs"], nodes["7,luk-nrs"]) == (51659, 51659)
+    assert (nodes["7,luk-rs"], nodes["7,luk-nrs"]) == (248, 248)
 
 
 def test_luk_rs_models_are_the_luk_nrs_models_that_pass_luk_rs():
@@ -289,42 +324,53 @@ CHECKED_CASES = ([(n, cls) for n in range(1, 6) for cls in (INRS, LUK_NRS, LUK_R
                  + [(6, LUK_RS), (6, LUK_NRS)])
 
 
-def count_times_nodes(search):
-    """Tally in search.times_nodes the nodes entered inside its times phase."""
-    times_phase = search._times_phase
-    search.times_nodes = 0
-
-    def counted(*root):
-        before = search.nodes
-        times_phase(*root)
-        search.times_nodes += search.nodes - before
-
-    search._times_phase = counted
-    return search
-
-
-def test_incremental_checks_visit_the_same_nodes_as_a_full_rescan():
-    # at n = 6 the first plus cell 1+2 = 3 gives a join whose row is filled
-    # after the rows it joins; up to n = 5 no plus table with such a join
-    # admits an antitone involution.  No plus table with 1+2 = 3 is an orbit
-    # root, so those cases search every labelled pair.  Both routes must
-    # visit the same plus and alpha nodes on every class.  The times tables
-    # are chosen column by column, not cell by cell as in the reference, so
-    # the times phase is compared by its results: the same forms on every
-    # case, and on the orbit roots the same tables in the same order
+def test_times_columns_match_a_cell_by_cell_rescan():
+    # the times tables are chosen column by column, not cell by cell as in
+    # the reference: the searches must find the same forms on every case,
+    # and on the orbit roots the same tables in the same order.  No plus
+    # table with 1+2 = 3 is an orbit root, so the two cases at n = 6 that fix
+    # that first cell compare the times phases on labelled pairs
     cases = [(n, cls, None) for n, cls in CHECKED_CASES]
     for n, cls, first in cases + [(6, LUK_NRS, 3), (6, LUK_RS, 3)]:
-        fast_search, full_search = ((LabelledSearch, LabelledFullRescan) if first
-                                    else (_Search, FullRescanSearch))
-        fast, full = (count_times_nodes(S(EnumerationTask(n, cls)))
-                      for S in (fast_search, full_search))
         if first:
-            fast, full = (fix_first_plus_cell(s, first) for s in (fast, full))
+            fast, full = (fix_first_plus_cell(S(EnumerationTask(n, cls)), first)
+                          for S in (LabelledSearch, LabelledFullRescan))
+        else:
+            fast, full = (S(EnumerationTask(n, cls)) for S in (_Search, FullRescanSearch))
         models = [s.run() for s in (fast, full)]
-        assert fast.nodes - fast.times_nodes == full.nodes - full.times_nodes, (n, cls, first)
         assert sorted(fast.found) == sorted(full.found), (n, cls, first)
         if not first:
             assert tables(models[0]) == tables(models[1]), (n, cls)
+
+
+def plus_roots(search_class, n):
+    """The (P, Aut(P)) pairs a search hands to its alpha phase, in order;
+    each automorphism as its translation table."""
+    class Roots(search_class):
+        def _alpha_phase(self, P, autos):
+            kept.append((P, sorted(t for _, t in autos)))
+
+    kept = []
+    Roots(EnumerationTask(n, INRS)).run()
+    return kept
+
+
+def test_lattice_generator_roots_are_the_least_tables_of_the_plus_walk():
+    # the walk completes every labelled lattice and keeps the least of each
+    # class with the automorphisms its scan found; the generator must give
+    # the same tables and groups in the same order
+    for n in range(2, 8):
+        assert plus_roots(_Search, n) == plus_roots(PlusWalk, n), n
+
+
+def test_lattice_generator_counts_the_lattices_of_each_size():
+    # the unlabelled lattices of n elements, OEIS A006966: 1, 1, 1, 2, 5, 15,
+    # 53, 222 for n = 1..8.  The generator starts at n = 2, and each child
+    # it builds is one node: 1, 2, 7, 27, 116 and 541 children for n = 3..8
+    entered = []
+    levels = [len(level) for level, _ in _lattices(8, lambda: entered.append(1))]
+    assert [1] + levels == [1, 1, 1, 2, 5, 15, 53, 222]
+    assert len(entered) == 694
 
 
 def test_antitone_involutions_of_an_interval():
@@ -396,7 +442,7 @@ def test_orbit_roots_match_the_labelled_search():
     assert [orbit_sums[case] for case in ((4, INRS), (5, INRS), (5, LUK_NRS),
                                           (6, LUK_RS), (6, LUK_NRS))] == [54, 5824, 16, 48, 154]
     assert [nodes[case] for case in ((4, INRS), (5, INRS), (6, LUK_RS), (6, LUK_NRS))] == [
-        (106, 156), (1779, 8544), (1636, 2314), (1636, 2314)]
+        (106, 156), (1725, 8544), (93, 2314), (93, 2314)]
 
 
 def test_canonical_form_matches_the_relabel_reference():
@@ -650,8 +696,10 @@ def test_oversized_task_is_refused_without_computing_its_factorial():
 
 def test_node_cap_raises_with_the_partial_models_and_admits_a_full_run():
     # a capped run stops at exactly the cap with distinct models of the full
-    # run; a cap of the full run's node count finishes, one less raises
-    for n, cls, caps in ((4, INRS, (20, 40, 90)), (6, LUK_RS, (97, 401))):
+    # run; a cap of the full run's node count finishes, one less raises.
+    # 6,luk-rs builds 37 lattice tables before its first root, so the cap of
+    # 30 stops inside the lattice generator, with no model
+    for n, cls, caps in ((4, INRS, (20, 40, 90)), (6, LUK_RS, (30, 45))):
         search = _Search(EnumerationTask(n, cls))
         models = search.run()
         full = {canonical_form(a).data for a in models}
