@@ -41,16 +41,17 @@ algebra is an MV-algebra (Botur and Halas, 2008).
 Isomorphic copies are never searched twice.  The relabellings are the
 permutations fixing 0 and n-1, and tables are compared in the search's own
 order (row by row, which for a plus table is the order of its free cells).
-Each child lattice is reduced to the least of its relabellings, and the
-children of one size are deduplicated on that least form.  Each least plus
-table P of size n gets its automorphisms Aut(P) from one scan.  An
-antitone involution alpha is kept only if it is the least of its
-conjugates under Aut(P), which also yields Aut(P, alpha).  Each kept pair
-is one root per isomorphism orbit of (P, alpha), and the times phase runs
-from the roots alone.  Inside
-a root a leaf is kept only if its times table is the least of its
-relabellings under Aut(P, alpha), so every model is kept exactly once, as
-the least copy on the least root of its orbit.
+Each isomorph test is one scan (_orbit) for the least image and the
+relabellings that reach it (McKay, "Isomorph-free exhaustive generation",
+1998).  Each child lattice C is reduced to its least relabelling P, and the
+children of one size are deduplicated on that form; the relabellings
+taking C to P are the coset s0.Aut(C) of the first, s0, so with s0 undone
+they are Aut(P).  An antitone involution alpha is kept only if it is the
+least of its conjugates under Aut(P), which also yields Aut(P, alpha).
+Each kept pair is one root per orbit of (P, alpha), and the times phase
+runs from the roots alone.  Inside a root a leaf is kept only if its times
+table is the least of its relabellings under Aut(P, alpha), so every model
+is kept once, as the least copy on the least root of its orbit.
 
 Each kept model also gets its canonical form (the minimum encoding over all
 permutations fixing zero and one), for the sort order and the file names of
@@ -109,9 +110,9 @@ class EnumerationTask:
             raise ValueError("caps must be positive")
         if self.threads != 1:
             raise ValueError("the search is single-threaded")
-        # every lattice child of size n is compared with its (n-2)!
+        # each lattice child of size n is compared once with its (n-2)!
         # relabellings, which the search holds in memory: refuse a task for
-        # which that one test costs more steps than its whole node budget;
+        # which that one scan costs more steps than its whole node budget;
         # k! stops growing once it passes the cap, and only a finished
         # (n-2)! is printed
         orders, k = 1, 1
@@ -121,7 +122,7 @@ class EnumerationTask:
         if orders > self.max_nodes:
             value = f" = {orders}" if k == self.size - 2 else ""
             raise ValueError(f"size {self.size} needs {self.size - 2}!{value} relabellings "
-                             f"per plus table, more than the node cap of {self.max_nodes}")
+                             f"per lattice child, more than the node cap of {self.max_nodes}")
 
 
 class EnumerationCapExceeded(Exception):
@@ -311,17 +312,11 @@ def _row_bound(row: bytes, k: int, trans: bytes, placed: bytes, unplaced: bytes)
 _Relabelling = tuple[itemgetter, bytes]
 
 
-def _relabellings(zero: int, rest: Sequence[int], one: int) -> Iterable[_Relabelling]:
-    """Every order of rest between zero and one, in lexicographic order.
-
-    Each order old (new label -> old label) comes as (gather, trans):
-    gather(seq)[k] = seq[old[k]] and trans translates old labels to new, so
-    a table's image has rows and columns gathered, then labels translated.
-    """
-    new_labels = bytes(range(len(rest) + 2))
-    for middle in itertools.permutations(rest):
-        old = (zero, *middle, one)
-        yield itemgetter(*old), bytes.maketrans(bytes(old), new_labels)
+def _relabelling(old: bytes) -> _Relabelling:
+    """The relabelling with order old (new label k -> old label old[k]) as
+    (gather, trans): an image's rows and columns are gathered, then its
+    labels translated."""
+    return itemgetter(*old), bytes.maketrans(old, bytes(range(len(old))))
 
 
 def _compare(sources: Sequence[bytes], base: Sequence[bytes],
@@ -344,34 +339,22 @@ def _image(sources: Sequence[bytes], gather: itemgetter, trans: bytes) -> list[b
     return [bytes(gather(row)).translate(trans) for row in sources]
 
 
-def _least(base: Sequence[bytes],
-           offered: Iterable[tuple[Sequence[bytes], _Relabelling]]
-           ) -> Optional[list[_Relabelling]]:
-    """The relabellings whose image is base, or None if an image is smaller.
-
-    None means base is not the least of its orbit; otherwise the result is
-    its stabilizer among the relabellings offered.
-    """
-    fixed = []
-    for sources, relabelling in offered:
-        order = _compare(sources, base, *relabelling)
+def _orbit(base: Sequence[bytes], offered: Iterable[tuple[Sequence[bytes], itemgetter, bytes]],
+           fixing: int) -> Optional[tuple[Sequence[bytes], list[int]]]:
+    """The least of base and its offered images, with the positions of the
+    relabellings whose image is that least; None if one of the first
+    `fixing` relabellings makes an image smaller than base.  Each offered
+    item is (sources, gather, trans), whose image _compare reads."""
+    least, ties = base, []
+    for position, (sources, gather, trans) in enumerate(offered):
+        order = _compare(sources, least, gather, trans)
         if order < 0:
-            return None
-        if order == 0:
-            fixed.append(relabelling)
-    return fixed
-
-
-def _least_image(rows: tuple[bytes, ...], relabellings: Iterable[_Relabelling]
-                 ) -> tuple[bytes, ...]:
-    """The least image of the join table rows under the relabellings, the
-    identity among them."""
-    # row 0 of every image is 0, 1, ..., m-1, as 0 + x = x: start at row 1
-    best = rows[1:]
-    for g, t in relabellings:
-        if _compare(g(rows)[1:], best, g, t) < 0:
-            best = _image(g(rows)[1:], g, t)
-    return (rows[0], *best)
+            if position < fixing:
+                return None
+            least, ties = _image(sources, gather, trans), [position]
+        elif order == 0:
+            ties.append(position)
+    return least, ties
 
 
 # -- the backtracking search ------------------------------------------------
@@ -407,20 +390,33 @@ def _children(K: tuple[bytes, ...], enter: Callable[[], None]) -> Iterable[tuple
 
 
 def _lattices(n: int, enter: Callable[[], None]
-              ) -> Iterable[tuple[list[tuple[bytes, ...]], list[_Relabelling]]]:
+              ) -> Iterable[list[tuple[tuple[bytes, ...], list[_Relabelling]]]]:
     """The bounded lattices of 2, 3, ..., n elements up to isomorphism, one
-    size at a time: the join table of each, least of its relabellings, in
-    increasing order, and the relabellings of that size, the identity
-    first.  The tables of size m are the least forms of the children of
-    those of size m-1 (module docstring)."""
-    relabellings = list(_relabellings(0, [], 1))
-    level = [(b"\x00\x01", b"\x01\x01")]
-    yield level, relabellings
+    size at a time, in increasing order: the join table P of each, least of
+    its relabellings, and Aut(P) but the identity.  Those of size m are the
+    least forms of the children of those of size m-1 (module docstring)."""
+    level = [((b"\x00\x01", b"\x01\x01"), [])]
+    yield level
     for m in range(3, n + 1):
-        relabellings = list(_relabellings(0, range(1, m - 1), m - 1))
-        level = sorted({_least_image(child, relabellings)
-                        for K in level for child in _children(K, enter)})
-        yield level, relabellings
+        labels = bytes(range(m))
+        # every order of 1..m-2 between 0 and m-1, the identity first
+        relabellings = [_relabelling(bytes((0, *middle, m - 1)))
+                        for middle in itertools.permutations(labels[1:-1])]
+        forms: dict[tuple[bytes, ...], list[_Relabelling]] = {}
+        for K, _ in level:
+            for C in _children(K, enter):
+                # row 0 of every image is 0, 1, ..., m-1, as 0 + x = x: start at row 1
+                least, ties = _orbit(C[1:], ((g(C)[1:], g, t) for g, t in relabellings), 0)
+                P = (C[0], *least)
+                if P not in forms:
+                    # the ties are the coset s0.Aut(C) of the first, s0: Aut(P) holds
+                    # s.s0^-1 for each later tie s, the order of s translated by s0
+                    s0 = relabellings[ties[0]][1]
+                    forms[P] = [relabellings[i] if ties[0] == 0 else
+                                _relabelling(bytes(relabellings[i][0](labels)).translate(s0))
+                                for i in ties[1:]]
+        level = sorted(forms.items())
+        yield level
 
 
 def _antitone_involutions(P: Sequence[Sequence[int]], bottom: int, top: int
@@ -458,8 +454,6 @@ class _Search:
         self.found: dict[bytes, FiniteAlgebra] = {}
         self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.mid = list(range(1, self.n - 1))
-        # the last plus table whose inrs columns _times_phase found, and their lists
-        self.inrs_columns: tuple[object, list[list[tuple[int, ...]]]] = (None, [])
 
     def _enter(self) -> None:
         """Count one node; raise at the cap."""
@@ -476,47 +470,50 @@ class _Search:
             alg = FiniteAlgebra(1, ((0,),), ((0,),), (0,), 0, 0)
             self.found[canonical_form(alg).data] = alg
             return self._results()
-        for roots, relabellings in _lattices(n, self._enter):
+        for roots in _lattices(n, self._enter):
             pass        # the last size is n; each size is dropped once the next is built
-        for P in roots:
-            # P is least: the relabellings but the identity with image P
-            autos = _least(P, ((g(P), (g, t)) for g, t in itertools.islice(relabellings, 1, None)))
+        for P, autos in roots:
             self._alpha_phase(P, autos)
         return self._results()
 
     def _alpha_phase(self, P: Sequence[Sequence[int]], autos: list[_Relabelling]) -> None:
-        # the roots: each involution least among its conjugates under Aut(P),
-        # with Aut(P, alpha)
-        for alpha in _antitone_involutions(P, 0, self.n - 1):
+        """The roots on P, each involution least among its conjugates under
+        Aut(P); autos is Aut(P) but the identity."""
+        n, sources = self.n, None
+        for alpha in _antitone_involutions(P, 0, n - 1):
             vec = (bytes(alpha),)
-            fixed = _least(vec, ((vec, r) for r in autos))
-            if fixed is not None:
-                self._enter()
-                self._times_phase(P, alpha, fixed, autos)
+            orbit = _orbit(vec, ((vec, g, t) for g, t in autos), len(autos))
+            if orbit is None:
+                continue
+            self._enter()
+            if sources is None:
+                # what the columns read of P alone: the inrs column lists,
+                # or the luk-* section involutions sigma_y for each middle y
+                sources = ([self._join_maps(P, w) for w in self.mid] if self.cls == INRS
+                           else [_antitone_involutions(P, y, n - 1) for y in self.mid])
+            fixed = set(orbit[1])
+            self._times_phase(P, alpha, sources, [autos[i] for i in orbit[1]]
+                              + [r for i, r in enumerate(autos) if i not in fixed], len(fixed))
 
     def _times_phase(self, P: Sequence[Sequence[int]], alpha: tuple[int, ...],
-                     autos: list[_Relabelling], plus_autos: list[_Relabelling]) -> None:
-        """Every times table under the root (P, alpha); autos is Aut(P, alpha)
-        and plus_autos is Aut(P), both without the identity.
+                     sources: list, autos: list[_Relabelling], fixing: int) -> None:
+        """Every times table under the root (P, alpha), from the sources of
+        P's columns; autos is Aut(P) but the identity, its first `fixing`
+        relabellings Aut(P, alpha).
 
         Column w of a table is the map x -> x*w, and the axioms of each class
         constrain one column at a time, so a table is one choice per middle w
         from columns[w - 1] (module docstring)."""
         n = self.n
-        if self.cls == INRS:
-            # an inrs column never reads alpha: its list is found once per P
-            if self.inrs_columns[0] is not P:
-                self.inrs_columns = P, [self._join_maps(P, w) for w in self.mid]
-            columns = self.inrs_columns[1]
-        else:
-            # x*w = alpha(sigma_y(x + y)) with y = alpha(w), so sigma_y
-            # decides column w alone: one column per choice of sigma_y
-            columns = [[tuple(alpha[s[row[alpha[w]]]] for row in P)
-                        for s in _antitone_involutions(P, alpha[w], n - 1)] for w in self.mid]
+        # luk-*: x*w = alpha(sigma_y(x + y)) with y = alpha(w), so sigma_y
+        # decides column w alone: one column per choice of sigma_y
+        columns = sources if self.cls == INRS else [
+            [tuple(alpha[s[row[alpha[w]]]] for row in P) for s in sources[alpha[w] - 1]]
+            for w in self.mid]
         if not all(columns):
             return
         cols = [(0,) * n, *(None for _ in self.mid), tuple(range(n))]
-        emit = self._emitter(P, alpha, autos, plus_autos)
+        emit = self._emitter(P, alpha, autos, fixing)
 
         def choose(w: int) -> None:
             if w == n - 1:
@@ -562,11 +559,13 @@ class _Search:
         return out
 
     def _emitter(self, P: Sequence[Sequence[int]], alpha: tuple[int, ...],
-                 autos: list[_Relabelling], plus_autos: list[_Relabelling]
+                 autos: list[_Relabelling], fixing: int
                  ) -> Callable[[Sequence[tuple[int, ...]]], None]:
         """emit(T), which keeps the times table T, given as row tuples, under
-        the root (P, alpha) if no relabelling in autos = Aut(P, alpha) makes
-        it smaller."""
+        the root (P, alpha) if no sigma in Aut(P, alpha), the first `fixing`
+        of autos, makes it smaller, and finds the least (T, alpha) over Aut(P)
+        in the same scan: sigma fixes alpha, so (T, alpha) is the least until
+        an image is smaller, and one smaller under sigma means sigma(T) < T."""
         n = self.n
         vec = (bytes(alpha),)
         # a search meets few distinct rows, so the models it keeps share them
@@ -583,12 +582,12 @@ class _Search:
         def emit(T: Sequence[tuple[int, ...]]) -> None:
             nonlocal first
             rows = tuple(map(bytes, T))
-            if autos and _least(rows, ((g(rows), (g, t)) for g, t in autos)) is None:
-                return      # its least relabelling is another leaf of this root
-            rest = [*rows, *vec]
-            for g, t in plus_autos:
-                if _compare(g(rows) + vec, rest, g, t) < 0:
-                    rest = _image(g(rows) + vec, g, t)
+            rest = (*rows, *vec)
+            if autos:
+                orbit = _orbit(rest, ((g(rows) + vec, g, t) for g, t in autos), fixing)
+                if orbit is None:
+                    return      # its least relabelling is another leaf of this root
+                rest = orbit[0]
             times = tuple(map(row, T, T))
             if first is None:
                 alg = first = FiniteAlgebra(n, plus, times, alpha, 0, n - 1)

@@ -250,7 +250,7 @@ def test_enumerate_size_beyond_the_cap_is_a_usage_error(capsys):
     # refused by the task before the search builds its 11! relabellings
     status, out, err = run(capsys, "enumerate", "--size", "13")
     assert (status, out) == (2, "")
-    assert err == ("error: size 13 needs 11! = 39916800 relabellings per plus table, "
+    assert err == ("error: size 13 needs 11! = 39916800 relabellings per lattice child, "
                    "more than the node cap of 5000000\n")
 
 

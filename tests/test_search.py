@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from operator import itemgetter
 
 import pytest
 
@@ -11,12 +12,21 @@ from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3, l3_x_b2,
                                   luk_chain)
 from nearsemiring.core import FiniteAlgebra, find_isomorphism, product
 from nearsemiring.search import (CanonicalForm, EnumerationCapExceeded, EnumerationTask,
-                                 _antitone_involutions, _lattices, _least, _relabellings,
-                                 _row_bound, _Search, canonical_form, count,
+                                 _antitone_involutions, _lattices, _orbit, _row_bound,
+                                 _Search, canonical_form, count,
                                  enumerate_algebras,
                                  enumerate_with_forms, frozen_counts, relabel)
 
 from enumerated import searched
+
+
+def relabellings(n):
+    """Every relabelling of n elements fixing 0 and n-1 but the identity, in
+    lexicographic order of the new label -> old label orders, as the
+    (gather, trans) pairs of the search."""
+    labels = bytes(range(n))
+    orders = (bytes((0, *middle, n - 1)) for middle in itertools.permutations(labels[1:-1]))
+    return [(itemgetter(*old), bytes.maketrans(old, labels)) for old in orders][1:]
 
 
 def semilattice_ok_partial(P, n):
@@ -52,12 +62,12 @@ class PlusWalk(_Search):
     def __init__(self, task):
         super().__init__(task)
         self.plus_cells = list(itertools.combinations(self.mid, 2))
-        self.relabellings = list(itertools.islice(_relabellings(0, self.mid, self.n - 1), 1, None))
 
     def run(self):
         n = self.n
         if n == 1:
             return super().run()
+        self.relabellings = relabellings(n)
         P = [[None] * n for _ in range(n)]
         for i in range(n):
             P[i][i] = i
@@ -84,7 +94,8 @@ class PlusWalk(_Search):
 
     def _plus_automorphisms(self, P):
         """Aut(P) but the identity, or None if a relabelling of P is smaller."""
-        return _least(P, ((g(P), (g, t)) for g, t in self.relabellings))
+        orbit = _orbit(P, ((g(P), g, t) for g, t in self.relabellings), len(self.relabellings))
+        return None if orbit is None else [self.relabellings[i] for i in orbit[1]]
 
 
 class FullRescanSearch(_Search):
@@ -97,7 +108,7 @@ class FullRescanSearch(_Search):
     cells i <= j and their mirrors.
     """
 
-    def _times_phase(self, P, alpha, autos, plus_autos):
+    def _times_phase(self, P, alpha, sources, autos, fixing):
         n = self.n
         T = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -144,7 +155,7 @@ class FullRescanSearch(_Search):
 
         times_cells = [(i, j) for i in self.mid for j in self.mid
                        if self.cls != LUK_RS or i <= j]
-        emit = self._emitter(P, alpha, autos, plus_autos)
+        emit = self._emitter(P, alpha, autos, fixing)
 
         def fill(k):
             if k == len(times_cells):
@@ -183,7 +194,7 @@ class LabelledSearch(PlusWalk):
     def _plus_automorphisms(self, P):
         return []
 
-    def _emitter(self, P, alpha, autos, plus_autos):
+    def _emitter(self, P, alpha, autos, fixing):
         plus = tuple(map(tuple, P))
 
         def emit(T):
@@ -368,9 +379,23 @@ def test_lattice_generator_counts_the_lattices_of_each_size():
     # 53, 222 for n = 1..8.  The generator starts at n = 2, and each child
     # it builds is one node: 1, 2, 7, 27, 116 and 541 children for n = 3..8
     entered = []
-    levels = [len(level) for level, _ in _lattices(8, lambda: entered.append(1))]
+    levels = [len(level) for level in _lattices(8, lambda: entered.append(1))]
     assert [1] + levels == [1, 1, 1, 2, 5, 15, 53, 222]
     assert len(entered) == 694
+
+
+def test_lattice_generator_gives_each_lattice_its_automorphisms():
+    # the generator composes the ties of each child's one scan with the
+    # inverse of the first; at n = 8, past the plus walk's reach, each group
+    # must be the relabellings but the identity that map P to itself
+    n = 8
+    *_, level = _lattices(n, lambda: None)
+    assert len(level) == 222
+    every = relabellings(n)
+    for P, autos in level:
+        fixed = [t for g, t in every
+                 if all(bytes(g(row)).translate(t) == own for row, own in zip(g(P), P))]
+        assert sorted(t for _, t in autos) == sorted(fixed), P
 
 
 def test_antitone_involutions_of_an_interval():
@@ -553,7 +578,7 @@ def test_luk_rs_counts_are_the_factorizations_of_n():
     frozen = {int(key.split(",")[0]): v for key, v in
               {**table["counts"], **table["offline_counts"]}.items()
               if key.endswith("," + LUK_RS)}
-    assert sorted(frozen) == list(range(1, 9))
+    assert sorted(frozen) == list(range(1, 10))
     assert all(v == unordered_factorizations(n) for n, v in frozen.items())
 
 
@@ -669,12 +694,12 @@ def test_enumeration_task_validation():
     # the search is single-threaded: threads=1 is the field's one value
     with pytest.raises(ValueError, match="single-threaded"):
         EnumerationTask(3, LUK_NRS, threads=2)
-    # the search holds all (n-2)! relabellings and compares each complete
-    # plus table with them; 11! = 39,916,800 exceeds the default cap, so the
-    # task is refused before any relabelling is built
+    # the search holds all (n-2)! relabellings and compares each lattice
+    # child of size n with them once; 11! = 39,916,800 exceeds the default
+    # cap, so the task is refused before any relabelling is built
     with pytest.raises(ValueError) as err:
         EnumerationTask(13, LUK_NRS)
-    assert str(err.value) == ("size 13 needs 11! = 39916800 relabellings per plus table, "
+    assert str(err.value) == ("size 13 needs 11! = 39916800 relabellings per lattice child, "
                               "more than the node cap of 5000000")
     assert EnumerationTask(12, LUK_NRS).max_nodes == 5_000_000      # 10! = 3,628,800
     with pytest.raises(ValueError, match="5! = 120 relabellings"):
@@ -690,7 +715,7 @@ def test_oversized_task_is_refused_without_computing_its_factorial():
         with pytest.raises(ValueError) as err:
             EnumerationTask(size, LUK_NRS)
         assert time.perf_counter() - start < 0.5
-        assert str(err.value) == (f"size {size} needs {size - 2}! relabellings per plus table, "
+        assert str(err.value) == (f"size {size} needs {size - 2}! relabellings per lattice child, "
                                   "more than the node cap of 5000000")
 
 
