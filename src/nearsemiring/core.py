@@ -132,11 +132,13 @@ class FiniteAlgebra:
         # not _FIELDS, as mv.MVAlgebra borrows this method for its own fields
         return {f.name: self.__dict__[f.name] for f in fields(self)}
 
-    def with_times(self, times: Sequence[Sequence[int]]) -> "FiniteAlgebra":
-        """This algebra with another times table, checked as the constructor
-        checks it.  The other fields, which the constructor has checked, are
-        shared; memos are not carried over."""
-        times = _as_table(times, self.size, "times")
+    def _with_times(self, times: Table) -> "FiniteAlgebra":
+        """This algebra with another times table, which is not checked: it
+        must already be n tuples of n ints in [0, n).  The enumerator, the
+        one caller, checks each column of its roots once with _as_vector,
+        and builds every times table from those columns.  The other fields,
+        which the constructor has checked, are shared; memos are not
+        carried over."""
         alg = object.__new__(type(self))
         state, put = self.__dict__, object.__setattr__
         # set in field order, as __init__ does, so the two share one key layout

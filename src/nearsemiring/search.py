@@ -70,7 +70,10 @@ guarantees every axiom of its class: the bounds, idempotence and
 commutativity of (i) and all of (ii), (iv) and (v) are built into the
 tables, (vi) by the involution builder, associativity of + by the lattice
 generator, (iii) of an inrs by its column lists, and every luk-* axiom by
-the correspondence above.
+the correspondence above.  Nor is a leaf's times table checked as the
+constructor checks one: each column of a root is checked once as a vector
+of n values in [0, n), and only the root's first model goes through the
+constructor.
 
 Enumerated algebras place zero at index 0 and one at index n-1.
 """
@@ -87,7 +90,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .axioms import CLASSES, INRS, LUK_NRS, LUK_RS
-from .core import AlgebraError, FiniteAlgebra
+from .core import AlgebraError, FiniteAlgebra, _as_vector
 
 DEFAULT_MAX_NODES = 5_000_000
 
@@ -98,7 +101,7 @@ class EnumerationTask:
     algebra_class: str = LUK_NRS
     max_nodes: int = DEFAULT_MAX_NODES
     # perfbench/workloads.py passes threads=1, its one caller; the field goes
-    # when the benchmark change of ROADMAP item 1 drops that argument
+    # once that benchmark stops passing it
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -512,6 +515,10 @@ class _Search:
             for w in self.mid]
         if not all(columns):
             return
+        # each table below is n tuples of n ints in [0, n), its columns
+        # taken from these lists, so the models past the root's first are
+        # built without a check of their own (emit)
+        columns = [[_as_vector(col, n, "column") for col in cs] for cs in columns]
         cols = [(0,) * n, *(None for _ in self.mid), tuple(range(n))]
         emit = self._emitter(P, alpha, autos, fixing)
 
@@ -575,8 +582,8 @@ class _Search:
         # by the least (times, alpha) over Aut(P) (module docstring)
         prefix = bytes([n, 0, n - 1]) + b"".join(map(bytes, P))
         # the root's first model is checked in full; the others share its
-        # checked plus table, alpha and constants, and only their times
-        # tables are checked again
+        # checked plus table, alpha and constants, and their times tables
+        # are built from the columns _times_phase checked
         first: Optional[FiniteAlgebra] = None
 
         def emit(T: Sequence[tuple[int, ...]]) -> None:
@@ -592,7 +599,7 @@ class _Search:
             if first is None:
                 alg = first = FiniteAlgebra(n, plus, times, alpha, 0, n - 1)
             else:
-                alg = first.with_times(times)
+                alg = first._with_times(times)
             self.found[prefix + b"".join(rest)] = alg
 
         return emit

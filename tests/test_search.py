@@ -7,10 +7,11 @@ from operator import itemgetter
 
 import pytest
 
+from nearsemiring import cli
 from nearsemiring.axioms import INRS, LUK_NRS, LUK_RS, check_axioms
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3, l3_x_b2,
                                   luk_chain)
-from nearsemiring.core import FiniteAlgebra, find_isomorphism, product
+from nearsemiring.core import AlgebraError, FiniteAlgebra, find_isomorphism, product
 from nearsemiring.search import (CanonicalForm, EnumerationCapExceeded, EnumerationTask,
                                  _antitone_involutions, _lattices, _orbit, _row_bound,
                                  _Search, canonical_form, count,
@@ -621,10 +622,31 @@ def test_n3_models_are_l3_and_g3():
 
 
 def test_every_output_passes_its_class():
-    # the search admits a leaf without check_axioms; this is the full check
+    # the search admits a leaf without check_axioms, and builds each model
+    # past its root's first without a structural check: these are the full
+    # checks
     for n, cls in CHECKED_CASES + [(7, LUK_RS), (7, LUK_NRS)]:
-        for alg in enumerate_algebras(EnumerationTask(n, cls)):
-            assert check_axioms(alg, cls).ok, (n, cls)
+        for m in enumerate_algebras(EnumerationTask(n, cls)):
+            assert check_axioms(m, cls).ok, (n, cls)
+            assert m == FiniteAlgebra(n, m.plus, m.times, m.alpha, m.zero, m.one), (n, cls)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda z: (0, 9, 0, z), "column[1] = 9 is outside the universe [0, 4)"),
+    (lambda z: (0, z), "column must have 4 entries, got 2"),
+])
+def test_each_root_checks_its_columns(monkeypatch, capsys, bad, message):
+    # the times tables are built from the column lists, and only the root's
+    # first model goes through the constructor: a faulty column is caught
+    # as the root's columns are checked, before any table is built
+    join_maps = _Search._join_maps
+    monkeypatch.setattr(_Search, "_join_maps",
+                        lambda self, P, z: join_maps(self, P, z) + [bad(z)])
+    with pytest.raises(AlgebraError) as err:
+        enumerate_algebras(EnumerationTask(4, INRS))
+    assert str(err.value) == message
+    assert cli.main(["enumerate", "--size", "4", "--class", "inrs"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_admission_checks_only_the_laws_the_search_leaves_open(monkeypatch):
