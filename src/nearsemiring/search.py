@@ -44,10 +44,14 @@ order (row by row, which for a plus table is the order of its free cells).
 Each isomorph test is one scan (_orbit) for the least image and the
 relabellings that reach it (McKay, "Isomorph-free exhaustive generation",
 1998).  Each child lattice C is reduced to its least relabelling P, and the
-children of one size are deduplicated on that form; the relabellings
-taking C to P are the coset s0.Aut(C) of the first, s0, so with s0 undone
-they are Aut(P).  An antitone involution alpha is kept only if it is the
-least of its conjugates under Aut(P), which also yields Aut(P, alpha).
+children of one size are deduplicated on that form; the scan tries only
+the relabellings that put a middle with the largest down-set at label 1
+and the middles below it next, as every least image does (_lattices).
+The relabellings taking C to P are the coset s0.Aut(C) of the first, s0,
+so with s0 undone they are Aut(P).  An antitone involution alpha is kept
+only if it is the least of its conjugates under Aut(P), which also yields
+Aut(P, alpha).  The involution builder pairs two elements only when their
+down-set and up-set counts are swapped (_antitone_involutions).
 Each kept pair is one root per orbit of (P, alpha), and the times phase
 runs from the roots alone.  Inside a root a leaf is kept only if its times
 table is the least of its relabellings under Aut(P, alpha), so every model
@@ -113,11 +117,12 @@ class EnumerationTask:
             raise ValueError("caps must be positive")
         if self.threads != 1:
             raise ValueError("the search is single-threaded")
-        # each lattice child of size n is compared once with its (n-2)!
-        # relabellings, which the search holds in memory: refuse a task for
-        # which that one scan costs more steps than its whole node budget;
-        # k! stops growing once it passes the cap, and only a finished
-        # (n-2)! is printed
+        # each lattice child of size n is compared once with the relabellings
+        # that can reach its least image (_lattices), all (n-2)! of them for
+        # the child whose middles are all atoms: refuse a task for which
+        # that one scan costs more steps than its whole node budget; k!
+        # stops growing once it passes the cap, and only a finished (n-2)!
+        # is printed
         orders, k = 1, 1
         while orders <= self.max_nodes and k < self.size - 2:
             k += 1
@@ -397,26 +402,54 @@ def _lattices(n: int, enter: Callable[[], None]
     """The bounded lattices of 2, 3, ..., n elements up to isomorphism, one
     size at a time, in increasing order: the join table P of each, least of
     its relabellings, and Aut(P) but the identity.  Those of size m are the
-    least forms of the children of those of size m-1 (module docstring)."""
+    least forms of the children of those of size m-1 (module docstring).
+
+    A child C is compared only with the relabellings that can reach its
+    least image.  Row 0 of every image is 0, 1, ..., m-1, as 0 + x = x, so
+    images first differ at row 1.  With x_k the element given label k, row 1
+    reads 1 at positions 0 and 1, m-1 at position m-1, and at each j in
+    2..m-2 it reads 1 if x_j <= x_1 (then x_1 + x_j = x_1) and at least 2
+    otherwise (x_1 + x_j is then neither 0 nor x_1).  So row 1 is less the
+    more 1s it starts with after position 1, and it starts with at most
+    d(x_1) - 2 of them, d(x) = |down-set of x| = C[x].count(x), exactly
+    when the middles below x_1 take labels 2..d(x_1)-1.  The least row 1
+    thus has D - 2 such 1s, D the largest d(x) over the middles, and an
+    order ties it iff x_1 is a middle with d(x_1) = D and labels 2..D-1 go
+    to the middles below x_1.  So the scan tries each such x_1, the middles
+    below it in every order, then the other middles in every order.  Every
+    order that reaches the least image is among them, so its ties are the
+    same coset s0.Aut(C) that a scan of all (m-2)! relabellings finds, and
+    Aut(P) is unchanged.  Only a child whose middles are all atoms (D = 2)
+    still needs all (m-2)! orders.
+    """
     level = [((b"\x00\x01", b"\x01\x01"), [])]
     yield level
     for m in range(3, n + 1):
         labels = bytes(range(m))
-        # every order of 1..m-2 between 0 and m-1, the identity first
-        relabellings = [_relabelling(bytes((0, *middle, m - 1)))
-                        for middle in itertools.permutations(labels[1:-1])]
+        middles = labels[1:-1]
         forms: dict[tuple[bytes, ...], list[_Relabelling]] = {}
         for K, _ in level:
             for C in _children(K, enter):
-                # row 0 of every image is 0, 1, ..., m-1, as 0 + x = x: start at row 1
+                # d(x) for each middle x, and the orders that can reach the least image
+                down = [C[x].count(x) for x in middles]
+                most = max(down)
+                relabellings = []
+                for x, d in zip(middles, down):
+                    if d == most:
+                        lower = [y for y in middles if y != x and C[x][y] == x]
+                        upper = [y for y in middles if C[x][y] != x]
+                        relabellings += (_relabelling(bytes((0, x, *a, *b, m - 1)))
+                                         for a, b in itertools.product(
+                                             itertools.permutations(lower),
+                                             itertools.permutations(upper)))
+                # row 0 of every image is 0, 1, ..., m-1: start at row 1
                 least, ties = _orbit(C[1:], ((g(C)[1:], g, t) for g, t in relabellings), 0)
                 P = (C[0], *least)
                 if P not in forms:
                     # the ties are the coset s0.Aut(C) of the first, s0: Aut(P) holds
                     # s.s0^-1 for each later tie s, the order of s translated by s0
                     s0 = relabellings[ties[0]][1]
-                    forms[P] = [relabellings[i] if ties[0] == 0 else
-                                _relabelling(bytes(relabellings[i][0](labels)).translate(s0))
+                    forms[P] = [_relabelling(bytes(relabellings[i][0](labels)).translate(s0))
                                 for i in ties[1:]]
         level = sorted(forms.items())
         yield level
@@ -426,10 +459,24 @@ def _antitone_involutions(P: Sequence[Sequence[int]], bottom: int, top: int
                           ) -> list[tuple[int, ...]]:
     """Involutions of the interval [bottom, top] of the order P induces that
     reverse it, sorted; each is a vector of length n fixing every element
-    outside the interval."""
+    outside the interval.
+
+    Such a sigma is an order anti-automorphism of the interval I: a <= b
+    gives sigma(b) <= sigma(a), and applying sigma again gives the converse.
+    So sigma maps the down-set of x in I onto the up-set of sigma(x) in I
+    and the up-set of x onto the down-set of sigma(x): x can be paired with
+    y only if y's (below, above) counts in I are x's swapped, and be fixed
+    only if its two counts are equal.  Each complete pairing is still
+    checked to reverse every pair a <= b.
+    """
     n = len(P)
     inside = [x for x in range(n) if P[bottom][x] == x and P[x][top] == top]
     below = [(a, b) for a in inside for b in inside if P[a][b] == b]
+    # x: [|{a in I: a <= x}|, |{b in I: x <= b}|]
+    shape = {x: [0, 0] for x in inside}
+    for a, b in below:
+        shape[b][0] += 1
+        shape[a][1] += 1
     vec = list(range(n))
     vec[bottom], vec[top] = top, bottom
     out: list[tuple[int, ...]] = []
@@ -440,9 +487,11 @@ def _antitone_involutions(P: Sequence[Sequence[int]], bottom: int, top: int
                 out.append(tuple(vec))
             return
         head, rest = unpaired[0], unpaired[1:]
+        dual = shape[head][::-1]
         for partner in unpaired:
-            vec[head], vec[partner] = partner, head
-            pair([v for v in rest if v != partner])
+            if shape[partner] == dual:
+                vec[head], vec[partner] = partner, head
+                pair([v for v in rest if v != partner])
 
     pair([x for x in inside if x not in (bottom, top)])
     return sorted(out)

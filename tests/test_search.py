@@ -377,12 +377,28 @@ def test_lattice_generator_roots_are_the_least_tables_of_the_plus_walk():
 
 def test_lattice_generator_counts_the_lattices_of_each_size():
     # the unlabelled lattices of n elements, OEIS A006966: 1, 1, 1, 2, 5, 15,
-    # 53, 222 for n = 1..8.  The generator starts at n = 2, and each child
-    # it builds is one node: 1, 2, 7, 27, 116 and 541 children for n = 3..8
+    # 53, 222, 1078 for n = 1..9.  The generator starts at n = 2, and each
+    # child it builds is one node: 1, 2, 7, 27, 116, 541 and 2,861
+    # children for n = 3..9
     entered = []
-    levels = [len(level) for level in _lattices(8, lambda: entered.append(1))]
-    assert [1] + levels == [1, 1, 1, 2, 5, 15, 53, 222]
-    assert len(entered) == 694
+    levels = [len(level) for level in _lattices(9, lambda: entered.append(1))]
+    assert [1] + levels == [1, 1, 1, 2, 5, 15, 53, 222, 1078]
+    assert len(entered) == 3555
+
+
+def test_lattice_generator_puts_the_largest_down_set_at_label_one():
+    # each least form starts its row 1 with as many 1s as any relabelling
+    # can give it: label 1 is a middle with the largest down-set, and labels
+    # 2..d-1 are the middles below it, d = |down-set of label 1|
+    for level in _lattices(8, lambda: None):
+        for P, _ in level:
+            m = len(P)
+            if m < 3:
+                continue
+            down = [P[x].count(x) for x in range(1, m - 1)]
+            d = P[1].count(1)
+            assert d == max(down), P
+            assert [y for y in range(2, m - 1) if P[1][y] == 1] == list(range(2, d)), P
 
 
 def test_lattice_generator_gives_each_lattice_its_automorphisms():
@@ -424,6 +440,38 @@ def test_antitone_involutions_of_an_interval():
             assert all(P[sigma[b]][sigma[a]] == sigma[a]
                        for a in up[y] for b in up[y] if P[a][b] == b)
     assert _antitone_involutions(P, top, top) == [tuple(range(8))]
+
+
+def involutions(elements):
+    """Every involution of the list elements, as a dict."""
+    if not elements:
+        yield {}
+        return
+    head, rest = elements[0], elements[1:]
+    for partner in elements:
+        for sigma in involutions([x for x in rest if x != partner]):
+            yield {**sigma, head: partner, partner: head}
+
+
+def test_antitone_involutions_match_an_unpruned_reference():
+    # the builder pairs x only with elements whose (below, above) counts in
+    # the interval are x's swapped; the reference tries every involution of
+    # the interval and keeps those that reverse its order
+    sections = 0
+    for level in _lattices(7, lambda: None):
+        for P, _ in level:
+            n, top = len(P), len(P) - 1
+            for y in range(n):
+                inside = [x for x in range(n) if P[y][x] == x]
+                reference = []
+                for sigma in involutions(inside):
+                    vec = tuple(sigma.get(x, x) for x in range(n))
+                    if all(P[vec[b]][vec[a]] == vec[a]
+                           for a in inside for b in inside if P[a][b] == b):
+                        reference.append(vec)
+                assert _antitone_involutions(P, y, top) == sorted(reference), (P, y)
+                sections += 1
+    assert sections == 499
 
 
 def test_inrs_columns_are_the_join_preserving_maps():
@@ -579,7 +627,7 @@ def test_luk_rs_counts_are_the_factorizations_of_n():
     frozen = {int(key.split(",")[0]): v for key, v in
               {**table["counts"], **table["offline_counts"]}.items()
               if key.endswith("," + LUK_RS)}
-    assert sorted(frozen) == list(range(1, 10))
+    assert sorted(frozen) == list(range(1, 11))
     assert all(v == unordered_factorizations(n) for n, v in frozen.items())
 
 
@@ -716,8 +764,8 @@ def test_enumeration_task_validation():
     # the search is single-threaded: threads=1 is the field's one value
     with pytest.raises(ValueError, match="single-threaded"):
         EnumerationTask(3, LUK_NRS, threads=2)
-    # the search holds all (n-2)! relabellings and compares each lattice
-    # child of size n with them once; 11! = 39,916,800 exceeds the default
+    # the lattice child of size n whose middles are all atoms is compared
+    # with all (n-2)! relabellings; 11! = 39,916,800 exceeds the default
     # cap, so the task is refused before any relabelling is built
     with pytest.raises(ValueError) as err:
         EnumerationTask(13, LUK_NRS)
