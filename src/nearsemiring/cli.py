@@ -298,6 +298,8 @@ def cmd_cb(args) -> tuple[str, int]:
 
 
 def cmd_enumerate(args) -> tuple[str, int]:
+    if args.out == "":      # an unset shell variable: refused before the search
+        raise UsageError("--out must name a directory, got ''")
     task = EnumerationTask(args.size, args.algebra_class or LUK_NRS)
     models = enumerate_with_forms(task)
     report = Report(_echo(args))

@@ -21,22 +21,23 @@ Reinhold, "Counting finite lattices", Algebra Universalis 48, 2002):
 The multiplication table is chosen one column at a time.  Column w is the
 map x -> x*w.  Axioms (ii) and (iv) fix columns 0 and n-1 and the entries
 0*w = 0 and 1*w = w, and the other axioms of each class constrain one
-column at a time, so a table is one independent choice per middle w from a
-list of columns built for w; each choice tried is one node.  For an inrs,
+column at a time, so the tables of a root are the product of one list of
+columns per middle w; each table of that product is one node.  For an inrs,
 left distributivity (x+y)*w = x*w + y*w says that column w preserves joins:
 its list is every map f with f(0) = 0, f(n-1) = w and f(a+b) = f(a) + f(b),
 found by a small backtrack over the middle cells that checks each instance
-once its cells are set.  These lists never read alpha, so they are found
-once per plus table.  A luk-* column is built, not searched.  Finite basic
-algebras, term equivalent to the luk-nrs models, correspond one to one
-with bounded lattices that carry an antitone involution sigma_y on every
-section [y, 1] (Chajda, Halas and Kuhr, Semilattice Structures, 2007), with
-sigma_0 = alpha and sigma_1 the identity.  With x (+) y = sigma_y(alpha(x)
-+ y) and x*y = alpha(alpha(x) (+) alpha(y)), as in mv.from_mv, column w of
-the times table is x*w = alpha(sigma_y(x + y)) for y = alpha(w).  So each
-root (P, alpha) has one luk-nrs table per choice of the sigma_y, y a middle
-element.  luk-rs keeps the commutative ones: a finite commutative basic
-algebra is an MV-algebra (Botur and Halas, 2008).
+once its cells are set, each value tried a node.  These lists never read
+alpha, so they are found once per plus table.  A luk-* column is built, not
+searched.  Finite basic algebras, term equivalent to the luk-nrs models,
+correspond one to one with bounded lattices that carry an antitone
+involution sigma_y on every section [y, 1] (Chajda, Halas and Kuhr,
+Semilattice Structures, 2007), with sigma_0 = alpha and sigma_1 the
+identity.  With x (+) y = sigma_y(alpha(x) + y) and x*y = alpha(alpha(x)
+(+) alpha(y)), as in mv.from_mv, column w of the times table is x*w =
+alpha(sigma_y(x + y)) for y = alpha(w).  So each root (P, alpha) has one
+luk-nrs table per choice of the sigma_y, y a middle element.  luk-rs keeps
+the commutative ones: a finite commutative basic algebra is an MV-algebra
+(Botur and Halas, 2008).
 
 Isomorphic copies are never searched twice.  The relabellings are the
 permutations fixing 0 and n-1, and tables are compared in the search's own
@@ -78,6 +79,11 @@ the correspondence above.  Nor is a leaf's times table checked as the
 constructor checks one: each column of a root is checked once as a vector
 of n values in [0, n), and only the root's first model goes through the
 constructor.
+
+So a node is a lattice child, a kept root, a value tried for a join-map
+cell or a times table, and the node cap bounds their total.  The isomorph
+scans are not nodes: the size refusal of EnumerationTask bounds the
+longest of them.
 
 Enumerated algebras place zero at index 0 and one at index n-1.
 """
@@ -348,20 +354,21 @@ def _image(sources: Sequence[bytes], gather: itemgetter, trans: bytes) -> list[b
 
 
 def _orbit(base: Sequence[bytes], offered: Iterable[tuple[Sequence[bytes], itemgetter, bytes]],
-           fixing: int) -> Optional[tuple[Sequence[bytes], list[int]]]:
-    """The least of base and its offered images, with the positions of the
-    relabellings whose image is that least; None if one of the first
-    `fixing` relabellings makes an image smaller than base.  Each offered
-    item is (sources, gather, trans), whose image _compare reads."""
+           fixing: int) -> Optional[tuple[Sequence[bytes], list[_Relabelling]]]:
+    """The least of base and its offered images, with the relabellings
+    (gather, trans) whose image is that least, in the order offered; None
+    if one of the first `fixing` relabellings makes an image smaller than
+    base.  Each offered item is (sources, gather, trans), whose image
+    _compare reads."""
     least, ties = base, []
     for position, (sources, gather, trans) in enumerate(offered):
         order = _compare(sources, least, gather, trans)
         if order < 0:
             if position < fixing:
                 return None
-            least, ties = _image(sources, gather, trans), [position]
+            least, ties = _image(sources, gather, trans), [(gather, trans)]
         elif order == 0:
-            ties.append(position)
+            ties.append((gather, trans))
     return least, ties
 
 
@@ -401,8 +408,9 @@ def _lattices(n: int, enter: Callable[[], None]
               ) -> Iterable[list[tuple[tuple[bytes, ...], list[_Relabelling]]]]:
     """The bounded lattices of 2, 3, ..., n elements up to isomorphism, one
     size at a time, in increasing order: the join table P of each, least of
-    its relabellings, and Aut(P) but the identity.  Those of size m are the
-    least forms of the children of those of size m-1 (module docstring).
+    its relabellings, and Aut(P) but the identity, as relabellings.  Those of
+    size m are the least forms of the children of those of size m-1 (module
+    docstring); each child built is a node.
 
     A child C is compared only with the relabellings that can reach its
     least image.  Row 0 of every image is 0, 1, ..., m-1, as 0 + x = x, so
@@ -420,7 +428,8 @@ def _lattices(n: int, enter: Callable[[], None]
     order that reaches the least image is among them, so its ties are the
     same coset s0.Aut(C) that a scan of all (m-2)! relabellings finds, and
     Aut(P) is unchanged.  Only a child whose middles are all atoms (D = 2)
-    still needs all (m-2)! orders.
+    still needs all (m-2)! orders.  They are offered to the scan one at a
+    time, never held as a list.
     """
     level = [((b"\x00\x01", b"\x01\x01"), [])]
     yield level
@@ -433,24 +442,21 @@ def _lattices(n: int, enter: Callable[[], None]
                 # d(x) for each middle x, and the orders that can reach the least image
                 down = [C[x].count(x) for x in middles]
                 most = max(down)
-                relabellings = []
-                for x, d in zip(middles, down):
-                    if d == most:
-                        lower = [y for y in middles if y != x and C[x][y] == x]
-                        upper = [y for y in middles if C[x][y] != x]
-                        relabellings += (_relabelling(bytes((0, x, *a, *b, m - 1)))
-                                         for a, b in itertools.product(
-                                             itertools.permutations(lower),
-                                             itertools.permutations(upper)))
+                orders = (bytes((0, x, *a, *b, m - 1))
+                          for x, d in zip(middles, down) if d == most
+                          for a, b in itertools.product(
+                              itertools.permutations([y for y in middles
+                                                      if y != x and C[x][y] == x]),
+                              itertools.permutations([y for y in middles if C[x][y] != x])))
                 # row 0 of every image is 0, 1, ..., m-1: start at row 1
-                least, ties = _orbit(C[1:], ((g(C)[1:], g, t) for g, t in relabellings), 0)
+                least, ties = _orbit(C[1:], ((g(C)[1:], g, t)
+                                             for g, t in map(_relabelling, orders)), 0)
                 P = (C[0], *least)
                 if P not in forms:
                     # the ties are the coset s0.Aut(C) of the first, s0: Aut(P) holds
                     # s.s0^-1 for each later tie s, the order of s translated by s0
-                    s0 = relabellings[ties[0]][1]
-                    forms[P] = [_relabelling(bytes(relabellings[i][0](labels)).translate(s0))
-                                for i in ties[1:]]
+                    (_, s0), *others = ties
+                    forms[P] = [_relabelling(bytes(g(labels)).translate(s0)) for g, _ in others]
         level = sorted(forms.items())
         yield level
 
@@ -544,8 +550,8 @@ class _Search:
                 sources = ([self._join_maps(P, w) for w in self.mid] if self.cls == INRS
                            else [_antitone_involutions(P, y, n - 1) for y in self.mid])
             fixed = set(orbit[1])
-            self._times_phase(P, alpha, sources, [autos[i] for i in orbit[1]]
-                              + [r for i, r in enumerate(autos) if i not in fixed], len(fixed))
+            self._times_phase(P, alpha, sources, orbit[1] + [r for r in autos if r not in fixed],
+                              len(fixed))
 
     def _times_phase(self, P: Sequence[Sequence[int]], alpha: tuple[int, ...],
                      sources: list, autos: list[_Relabelling], fixing: int) -> None:
@@ -554,36 +560,27 @@ class _Search:
         relabellings Aut(P, alpha).
 
         Column w of a table is the map x -> x*w, and the axioms of each class
-        constrain one column at a time, so a table is one choice per middle w
-        from columns[w - 1] (module docstring)."""
+        constrain one column at a time, so the tables are the product of the
+        lists columns[w - 1], w a middle, each table one node (module
+        docstring)."""
         n = self.n
         # luk-*: x*w = alpha(sigma_y(x + y)) with y = alpha(w), so sigma_y
         # decides column w alone: one column per choice of sigma_y
         columns = sources if self.cls == INRS else [
             [tuple(alpha[s[row[alpha[w]]]] for row in P) for s in sources[alpha[w] - 1]]
             for w in self.mid]
-        if not all(columns):
-            return
         # each table below is n tuples of n ints in [0, n), its columns
         # taken from these lists, so the models past the root's first are
         # built without a check of their own (emit)
         columns = [[_as_vector(col, n, "column") for col in cs] for cs in columns]
-        cols = [(0,) * n, *(None for _ in self.mid), tuple(range(n))]
         emit = self._emitter(P, alpha, autos, fixing)
-
-        def choose(w: int) -> None:
-            if w == n - 1:
-                T = list(zip(*cols))
-                # luk-rs: a commutative basic algebra is an MV-algebra
-                if self.cls != LUK_RS or T == cols:
-                    emit(T)
-                return
-            for col in columns[w - 1]:
-                self._enter()
-                cols[w] = col
-                choose(w + 1)
-
-        choose(1)
+        for choice in itertools.product(*columns):
+            self._enter()
+            cols = ((0,) * n, *choice, tuple(range(n)))
+            T = tuple(zip(*cols))
+            # luk-rs: a commutative basic algebra is an MV-algebra
+            if self.cls != LUK_RS or T == cols:
+                emit(T)
 
     def _join_maps(self, P: Sequence[Sequence[int]], z: int) -> list[tuple[int, ...]]:
         """Every column x -> x*z of an inrs on the plus table P, in

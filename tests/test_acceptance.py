@@ -24,6 +24,8 @@ from nearsemiring.mv import roundtrip_check, to_mv
 from nearsemiring.search import (EnumerationTask, canonical_form, count,
                                  enumerate_algebras, frozen_counts)
 
+from enumerated import models
+
 CORPUS = (boolean2(), luk_chain(3), luk_chain(4), b2_x_l3(), b2_x_b2())
 
 
@@ -54,8 +56,8 @@ def test_criterion_1_axiom_suite():
 
 def test_criterion_2_kernel_ideal_bijection():
     with criterion(2, "kernel-ideal bijection", 60.0):
-        pool = [alg for n in range(1, 6)
-                for alg in enumerate_algebras(EnumerationTask(n, LUK_NRS))]
+        # every luk-nrs model up to n = 8, from the shared search
+        pool = [alg for n in range(1, 9) for alg in models(n, LUK_NRS)]
         pool += [alg for alg in CORPUS if alg.size <= 6]
         for alg in pool:
             n = alg.size

@@ -226,6 +226,14 @@ def test_enumerate_out_on_a_file_is_a_usage_error(tmp_path, capsys):
     assert (status, out, err) == (2, "", f"error: {taken}: File exists\n")
 
 
+def test_enumerate_out_empty_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # an unset shell variable gives --out "": refused, and nothing written
+    monkeypatch.chdir(tmp_path)
+    status, out, err = run(capsys, "enumerate", "--size", "3", "--out", "")
+    assert (status, out, err) == (2, "", "error: --out must name a directory, got ''\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_enumerate_size_7_luk_rs_finishes_under_the_default_cap(capsys):
     # one model: 7 has one unordered factorization
     status, out, err = run(capsys, "enumerate", "--size", "7", "--class", "luk-rs")

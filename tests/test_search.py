@@ -96,7 +96,7 @@ class PlusWalk(_Search):
     def _plus_automorphisms(self, P):
         """Aut(P) but the identity, or None if a relabelling of P is smaller."""
         orbit = _orbit(P, ((g(P), g, t) for g, t in self.relabellings), len(self.relabellings))
-        return None if orbit is None else [self.relabellings[i] for i in orbit[1]]
+        return None if orbit is None else orbit[1]
 
 
 class FullRescanSearch(_Search):
@@ -318,7 +318,44 @@ def test_counts_match_frozen_table():
         models, nodes[key] = searched(int(n), cls)
         assert len(models) == expected, key
     # luk-rs builds the luk-nrs tables and keeps the commutative ones: one tree
-    assert (nodes["7,luk-rs"], nodes["7,luk-nrs"]) == (248, 248)
+    assert (nodes["7,luk-rs"], nodes["7,luk-nrs"]) == (188, 188)
+
+
+def test_nodes_are_the_lattice_children_roots_and_times_tables(monkeypatch):
+    # a luk-nrs node is a lattice child (an enter call of _lattices), a kept
+    # root (one _times_phase each) or a times table built (each one emitted)
+    search_module = importlib.import_module("nearsemiring.search")
+    lattices = search_module._lattices
+
+    class Counted(_Search):
+        children = roots = tables = 0
+
+        def _child(self):
+            self.children += 1
+            self._enter()
+
+        def _times_phase(self, *args):
+            self.roots += 1
+            super()._times_phase(*args)
+
+        def _emitter(self, *args):
+            emit = super()._emitter(*args)
+
+            def counted(T):
+                self.tables += 1
+                emit(T)
+
+            return counted
+
+    parts = {}
+    for n in (6, 7, 8):
+        search = Counted(EnumerationTask(n, LUK_NRS))
+        monkeypatch.setattr(search_module, "_lattices",
+                            lambda size, enter: lattices(size, search._child))
+        search.run()
+        parts[n] = search.children, search.roots, search.tables
+        assert search.nodes == sum(parts[n]), n
+    assert parts == {6: (37, 12, 11), 7: (153, 20, 15), 8: (694, 61, 60)}
 
 
 def test_luk_rs_models_are_the_luk_nrs_models_that_pass_luk_rs():
@@ -516,7 +553,7 @@ def test_orbit_roots_match_the_labelled_search():
     assert [orbit_sums[case] for case in ((4, INRS), (5, INRS), (5, LUK_NRS),
                                           (6, LUK_RS), (6, LUK_NRS))] == [54, 5824, 16, 48, 154]
     assert [nodes[case] for case in ((4, INRS), (5, INRS), (6, LUK_RS), (6, LUK_NRS))] == [
-        (106, 156), (1725, 8544), (93, 2314), (93, 2314)]
+        (94, 141), (1425, 7564), (60, 1888), (60, 1888)]
 
 
 def test_canonical_form_matches_the_relabel_reference():
