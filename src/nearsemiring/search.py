@@ -10,10 +10,12 @@ Reinhold, "Counting finite lattices", Algebra Universalis 48, 2002):
   - every lattice L of at least 3 elements has an atom a, and L - {a} is a
     lattice with the same 0 and 1: the join of two elements other than a
     is never a, since only 0 lies below a;
-  - conversely, let K be a lattice and U an up-set of K - {0} that holds 1.
+  - conversely, let K be a lattice and U an up-set of K - {0} that holds 1,
+    that is, a union of principal up-sets of elements other than 0.
     Adding a new element a with 0 < a < u for every u in U gives a lattice
     iff, for every y not in U with y != 0, U meets the up-set of y in a
-    least element; that element is a + y;
+    least element; that element is a + y, the c whose up-set is that
+    intersection;
   - so the children of one table per isomorphism class of size m-1 reach
     every lattice of size m, and keeping one per class again (the least
     relabelling of each child, below) gives one table per lattice.
@@ -379,27 +381,29 @@ def _children(K: tuple[bytes, ...], enter: Callable[[], None]) -> Iterable[tuple
     """The join tables of K with one new atom a, one per admissible up-set U
     of K - {0} holding 1 (module docstring); each child built is a node.
 
+    The up-sets of K - {0} that hold 1 are the nonempty unions of the
+    principal up-sets up[x], x != 0: such a union is an up-set holding 1,
+    and an up-set U is the union of up[u] over u in U.  U meets up[y] in an
+    up-set, which has a least element c iff it equals up[c], so a + y is
+    the c with up[c] = U & up[y], one lookup, and U is admissible iff no
+    lookup misses.  The up-sets are taken in ascending mask order.
+
     A child keeps 0 at index 0, puts a at 1 and moves every other x of K
     to x + 1, so K's top k-1 becomes k."""
     k = len(K)
     up = [sum(1 << y for y in range(k) if K[x][y] == y) for x in range(k)]
+    least = {u: c for c, u in enumerate(up)}
     shift = bytes.maketrans(bytes(range(k)), bytes([0, *range(2, k + 1)]))
     first = bytes(range(k + 1))
     rows = [K[x].translate(shift) for x in range(1, k)]
-    top = 1 << (k - 1)
-    for U in range(top, 2 * top, 2):        # the sets holding k-1 and not 0
-        if any(U >> u & 1 and up[u] & ~U for u in range(1, k)):
-            continue                        # not an up-set
-        # a + y, the least element of U and the up-set of y, for y = 1..k-1
-        joins = []
-        for y in range(1, k):
-            above = U & up[y]
-            least = next((c for c in range(1, k) if above >> c & 1 and not above & ~up[c]), None)
-            if least is None:
-                break
-            joins.append(shift[least])
-        else:
+    ups = {up[k - 1]}
+    for u in up[1:]:
+        ups |= {U | u for U in ups}
+    for U in sorted(ups):
+        joins = [least.get(U & u) for u in up[1:]]     # a + y for y = 1..k-1
+        if None not in joins:
             enter()
+            joins = bytes(joins).translate(shift)
             yield (first, bytes([1, 1, *joins]),
                    *(row[:1] + bytes([j]) + row[1:] for row, j in zip(rows, joins)))
 

@@ -13,7 +13,7 @@ from nearsemiring.axioms import INRS, LUK_NRS, LUK_RS, check_axioms
 from nearsemiring.cantor_bernstein import cb_sequences, make_cb_instance
 from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3, l3_x_b2,
                                   luk_chain, trivial)
-from nearsemiring.center import (central_elements, central_ideal_check,
+from nearsemiring.center import (center, central_elements, central_ideal_check,
                                  decompose, is_central, partition_decomposition)
 from nearsemiring.cli import main
 from nearsemiring.congruences import all_congruences, malcev_and_regularity_report
@@ -27,6 +27,11 @@ from nearsemiring.search import (EnumerationTask, canonical_form, count,
 from enumerated import models
 
 CORPUS = (boolean2(), luk_chain(3), luk_chain(4), b2_x_l3(), b2_x_b2())
+
+
+def listed_luk_nrs():
+    """Every luk-nrs model up to n = 8, from the shared search."""
+    return [alg for n in range(1, 9) for alg in models(n, LUK_NRS)]
 
 
 @contextmanager
@@ -56,9 +61,7 @@ def test_criterion_1_axiom_suite():
 
 def test_criterion_2_kernel_ideal_bijection():
     with criterion(2, "kernel-ideal bijection", 60.0):
-        # every luk-nrs model up to n = 8, from the shared search
-        pool = [alg for n in range(1, 9) for alg in models(n, LUK_NRS)]
-        pool += [alg for alg in CORPUS if alg.size <= 6]
+        pool = listed_luk_nrs() + [alg for alg in CORPUS if alg.size <= 6]
         for alg in pool:
             n = alg.size
             kernels = {ElementSet.from_members(n, t.block_of(alg.zero)).mask
@@ -77,7 +80,7 @@ def test_criterion_2_kernel_ideal_bijection():
 
 def test_criterion_3_malcev_permutability_regularity():
     with criterion(3, "permutability and 0-regularity", 10.0):
-        for alg in CORPUS:
+        for alg in listed_luk_nrs() + list(CORPUS):
             report = malcev_and_regularity_report(alg)
             assert report.ok, [c.name for c in report.checks if not c.ok]
 
@@ -121,8 +124,7 @@ def test_criterion_5_centrality():
         for alg in CORPUS + (godel3(), trivial()):
             for e in range(alg.size):
                 assert is_central(alg, e).methods_agree
-        for alg in CORPUS:
-            from nearsemiring.center import center
+        for alg in listed_luk_nrs() + list(CORPUS):
             report = center(alg)
             assert report.ok
             for e in central_elements(alg):

@@ -13,8 +13,8 @@ from nearsemiring.catalog import (b2_x_b2, b2_x_l3, boolean2, godel3, l3_x_b2,
                                   luk_chain)
 from nearsemiring.core import AlgebraError, FiniteAlgebra, find_isomorphism, product
 from nearsemiring.search import (CanonicalForm, EnumerationCapExceeded, EnumerationTask,
-                                 _antitone_involutions, _lattices, _orbit, _row_bound,
-                                 _Search, canonical_form, count,
+                                 _antitone_involutions, _children, _lattices, _orbit,
+                                 _row_bound, _Search, canonical_form, count,
                                  enumerate_algebras,
                                  enumerate_with_forms, frozen_counts, relabel)
 
@@ -410,6 +410,45 @@ def test_lattice_generator_roots_are_the_least_tables_of_the_plus_walk():
     # the same tables and groups in the same order
     for n in range(2, 8):
         assert plus_roots(_Search, n) == plus_roots(PlusWalk, n), n
+
+
+def subset_children(K):
+    """The children of K by the module docstring's condition read literally:
+    each subset U of K - {0} holding the top is kept if it is an up-set and,
+    for each y != 0, U and the up-set of y meet in a least element, a + y.
+    Laid out as _children lays them out, in the same order."""
+    k = len(K)
+    up = [{y for y in range(k) if K[x][y] == y} for x in range(k)]
+    shift = [0, *range(2, k + 1)]
+    children = []
+    for bits in range(1 << (k - 2)):
+        U = {x for x in range(1, k - 1) if bits >> (x - 1) & 1} | {k - 1}
+        if any(not up[u] <= U for u in U):
+            continue
+        joins = []
+        for y in range(1, k):
+            least = [c for c in U & up[y] if U & up[y] <= up[c]]
+            if not least:
+                break
+            joins.append(shift[least[0]])
+        else:
+            rows = [bytes(shift[v] for v in K[x]) for x in range(1, k)]
+            children.append((bytes(range(k + 1)), bytes([1, 1, *joins]),
+                             *(row[:1] + bytes([j]) + row[1:] for row, j in zip(rows, joins))))
+    return children
+
+
+def test_lattice_children_match_the_subset_filter():
+    # _children builds only the unions of principal up-sets and reads each
+    # a + y off one lookup; the reference tries every subset.  The children
+    # of the lattices up to 8 elements are the 3,555 that _lattices(9) enters
+    children = 0
+    for level in _lattices(8, lambda: None):
+        for K, _ in level:
+            reference = subset_children(K)
+            assert list(_children(K, lambda: None)) == reference, K
+            children += len(reference)
+    assert children == 3555
 
 
 def test_lattice_generator_counts_the_lattices_of_each_size():
